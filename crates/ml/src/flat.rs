@@ -4,20 +4,28 @@
 //! nodes — a layout that is convenient to build but hostile to serve: every
 //! step of a traversal loads a 40-byte enum, branches on its discriminant and
 //! chases children scattered across the allocation. This module compiles
-//! fitted tree models into a struct-of-arrays form designed for the batch
-//! hot path:
+//! fitted tree models into a packed form designed for the batch hot path:
 //!
-//! * Split nodes live in four parallel arrays — `feature: Vec<u32>`,
-//!   `threshold: Vec<f64>`, `left`/`right: Vec<u32>` — so the traversal loop
-//!   touches exactly the bytes it needs and the hot node range of a tree
-//!   stays cache-dense.
-//! * Leaves are stored out-of-line in a `leaf_value` array and encoded as
-//!   *tagged child indices* (high bit set), so the inner loop has a single
-//!   exit test and no enum discriminant branch.
-//! * Batches are traversed in tiles of [`BLOCK`] samples: the engine walks
-//!   one tree for a whole tile before moving to the next tree, keeping that
-//!   tree's nodes hot in L1/L2, and accumulates ensemble votes into reusable
-//!   stack buffers — no per-sample allocation.
+//! * Each split node is one 24-byte record — threshold, feature and both
+//!   child indices — so a traversal step reads one contiguous record
+//!   instead of four scattered arrays.
+//! * Leaves are stored out-of-line in a `leaf_value` array (plus a
+//!   precompiled one-byte hard vote) and encoded as *tagged child indices*
+//!   (high bit set), so the inner loop has a single exit test and no enum
+//!   discriminant branch.
+//! * Votes of forests too large for L1 are counted by an **interleaved**
+//!   kernel: each row keeps [`LANES`] independent tree walks in flight, one
+//!   per undecided voting group, and advances them one level per pass. A
+//!   walk down a deep tree is a chain of dependent loads that miss L1, and
+//!   on overlapping classes its splits are ones the branch predictor cannot
+//!   learn; several branch-free chains in flight let the core overlap those
+//!   misses (the interleaving of Asadi, Lin & de Vries, "Runtime
+//!   Optimizations for Tree-based Machine Learning Models", TKDE 2014).
+//!   Forests whose nodes fit in L1 walk their trees one after another: a
+//!   shallow walk there is cheaper than the lane bookkeeping, and the core's
+//!   out-of-order window already overlaps consecutive walks.
+//! * Batches are cut into [`BLOCK`]-row tiles that the worker pool spreads
+//!   across cores; no step allocates per sample.
 //!
 //! [`FlatTree`] compiles a single decision tree; [`FlatForest`] compiles any
 //! collection of trees partitioned into *voting groups* (one group per
@@ -32,18 +40,57 @@ use crate::Classifier;
 use hmd_data::{Label, RowsView};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::hint::select_unpredictable;
 
 /// High bit of a child index, tagging a reference into the leaf-value array
-/// instead of the split-node arrays.
+/// instead of the split-node array.
 const LEAF_BIT: u32 = 1 << 31;
 
-/// Tile width of the batch traversal: samples are processed in blocks of this
-/// many rows so one tree's node range is reused across the whole tile.
+/// Tile width of the batch kernels: large batches are cut into blocks of this
+/// many rows, the unit of work handed to the worker pool.
 pub const BLOCK: usize = 64;
+
+/// Tree walks the interleaved vote kernel keeps in flight per row: enough
+/// independent load chains to cover an L2 hit, few enough that the lane
+/// state stays in L1.
+pub const LANES: usize = 8;
+
+/// Split-node count above which a forest's votes are counted by the
+/// interleaved kernel: the nodes no longer fit a 32 KiB L1 data cache.
+const INTERLEAVE_MIN_NODES: usize = 32 * 1024 / std::mem::size_of::<SplitNode>();
 
 /// Row count below which batch kernels stay on the calling thread; smaller
 /// batches finish faster than a hand-off to the worker pool would take.
 const PAR_MIN_ROWS: usize = 256;
+
+/// One packed split node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SplitNode {
+    threshold: f64,
+    feature: u32,
+    /// Child reference (leaf-tagged or split) taken when
+    /// `row[feature] <= threshold`.
+    left: u32,
+    /// Child reference taken otherwise, NaN included.
+    right: u32,
+}
+
+impl SplitNode {
+    /// Whether a sample goes left: the nested walk's predicate, so NaN and
+    /// boundary inputs take identical paths.
+    #[inline(always)]
+    fn goes_left(&self, row: &[f64]) -> bool {
+        row[self.feature as usize] <= self.threshold
+    }
+
+    /// The child one sample moves to, selected without a branch: splits of
+    /// deep trees over overlapping classes defeat the predictor, and on an
+    /// interleaved pass one mispredicted split would flush every lane's walk.
+    #[inline(always)]
+    fn child(&self, row: &[f64]) -> u32 {
+        select_unpredictable(self.goes_left(row), self.left, self.right)
+    }
+}
 
 /// Incrementally builds a [`FlatForest`] from nested tree node storage.
 ///
@@ -52,10 +99,7 @@ const PAR_MIN_ROWS: usize = 256;
 /// [`crate::Classifier::append_flat_group`].
 #[derive(Debug)]
 pub struct FlatForestBuilder {
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    left: Vec<u32>,
-    right: Vec<u32>,
+    nodes: Vec<SplitNode>,
     leaf_value: Vec<f64>,
     leaf_vote: Vec<u8>,
     roots: Vec<u32>,
@@ -67,10 +111,7 @@ impl FlatForestBuilder {
     /// Starts an empty builder for models trained on `num_features` inputs.
     pub fn new(num_features: usize) -> FlatForestBuilder {
         FlatForestBuilder {
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            left: Vec::new(),
-            right: Vec::new(),
+            nodes: Vec::new(),
             leaf_value: Vec::new(),
             leaf_vote: Vec::new(),
             roots: Vec::new(),
@@ -91,7 +132,7 @@ impl FlatForestBuilder {
             !self.group_starts.is_empty(),
             "push_tree called before begin_group"
         );
-        let split_base = self.feature.len() as u32;
+        let split_base = self.nodes.len() as u32;
         let leaf_base = self.leaf_value.len() as u32;
         // First pass: assign flat indices in nested order (parent before
         // children, preorder), tagging leaves with the high bit.
@@ -111,10 +152,10 @@ impl FlatForestBuilder {
             }
         }
         assert!(
-            (self.feature.len() + nodes.len()) < LEAF_BIT as usize,
+            (self.nodes.len() + nodes.len()) < LEAF_BIT as usize,
             "flat forest exceeds 2^31 nodes"
         );
-        // Second pass: emit the struct-of-arrays node storage.
+        // Second pass: emit the packed node records.
         for node in nodes {
             match node {
                 Node::Split {
@@ -122,12 +163,12 @@ impl FlatForestBuilder {
                     threshold,
                     left,
                     right,
-                } => {
-                    self.feature.push(*feature as u32);
-                    self.threshold.push(*threshold);
-                    self.left.push(map[*left]);
-                    self.right.push(map[*right]);
-                }
+                } => self.nodes.push(SplitNode {
+                    threshold: *threshold,
+                    feature: *feature as u32,
+                    left: map[*left],
+                    right: map[*right],
+                }),
                 Node::Leaf {
                     malware_fraction, ..
                 } => {
@@ -158,10 +199,7 @@ impl FlatForestBuilder {
             assert!(pair[0] < pair[1], "flat forest voting group has no trees");
         }
         FlatForest {
-            feature: self.feature,
-            threshold: self.threshold,
-            left: self.left,
-            right: self.right,
+            nodes: self.nodes,
             leaf_value: self.leaf_value,
             leaf_vote: self.leaf_vote,
             roots: self.roots,
@@ -171,8 +209,8 @@ impl FlatForestBuilder {
     }
 }
 
-/// A fitted ensemble of decision trees compiled into cache-dense
-/// struct-of-arrays node storage, partitioned into voting groups.
+/// A fitted ensemble of decision trees compiled into cache-dense packed
+/// node storage, partitioned into voting groups.
 ///
 /// Each group casts one hard vote per sample (the majority of its trees'
 /// leaves); the malware probability of a sample is the fraction of groups
@@ -182,10 +220,7 @@ impl FlatForestBuilder {
 /// ensemble's per-estimator hard votes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlatForest {
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    left: Vec<u32>,
-    right: Vec<u32>,
+    nodes: Vec<SplitNode>,
     leaf_value: Vec<f64>,
     /// Precompiled hard vote (`leaf_value >= 0.5`) per leaf, so the vote
     /// kernel's footprint per leaf is one byte.
@@ -194,6 +229,35 @@ pub struct FlatForest {
     /// Prefix offsets into `roots`; group `g` owns `roots[offsets[g]..offsets[g+1]]`.
     group_offsets: Vec<u32>,
     num_features: usize,
+}
+
+/// The early-majority rule of one voting group of `size` trees after
+/// `walked` of them left `malware` malware leaves: `Some(vote)` once the
+/// exact integer form of `malware_trees / size >= 0.5` (a tie votes malware)
+/// can no longer change, `None` while the unwalked trees could still swing
+/// it. A 3-tree group is decided after two trees that agree.
+#[inline(always)]
+fn majority(malware: u32, walked: u32, size: u32) -> Option<bool> {
+    if 2 * malware >= size {
+        Some(true)
+    } else if 2 * (malware + size - walked) < size {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The voting group one lane of the interleaved kernel is deciding.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// The group's first tree in `roots`.
+    first: u32,
+    /// The tree being walked.
+    tree: u32,
+    /// One past the group's last tree.
+    end: u32,
+    /// Malware leaves among the group's finished walks.
+    malware: u32,
 }
 
 impl FlatForest {
@@ -207,9 +271,9 @@ impl FlatForest {
         self.roots.len()
     }
 
-    /// Total number of split nodes in the packed arrays.
+    /// Total number of packed split nodes.
     pub fn num_split_nodes(&self) -> usize {
-        self.feature.len()
+        self.nodes.len()
     }
 
     /// Number of input features the compiled models expect.
@@ -217,20 +281,24 @@ impl FlatForest {
         self.num_features
     }
 
+    /// Whether votes are counted by the interleaved kernel: the split nodes
+    /// outgrow L1. Smaller forests walk their trees one after another.
+    pub fn interleaves(&self) -> bool {
+        self.nodes.len() > INTERLEAVE_MIN_NODES
+    }
+
     /// Walks one tree (identified by its possibly leaf-tagged root reference)
-    /// down to its leaf index for one sample.
+    /// down to its leaf index for one sample. Unrolled by two levels, which
+    /// halves the loop's back edges on the short walks this path serves.
     #[inline]
     fn leaf_index_of(&self, root: u32, row: &[f64]) -> usize {
         let mut index = root;
         while index & LEAF_BIT == 0 {
-            let i = index as usize;
-            // Same predicate as the nested walk (`<=` goes left), so NaN and
-            // boundary inputs take identical paths.
-            index = if row[self.feature[i] as usize] <= self.threshold[i] {
-                self.left[i]
-            } else {
-                self.right[i]
-            };
+            index = self.nodes[index as usize].child(row);
+            if index & LEAF_BIT != 0 {
+                break;
+            }
+            index = self.nodes[index as usize].child(row);
         }
         (index & !LEAF_BIT) as usize
     }
@@ -241,57 +309,101 @@ impl FlatForest {
         self.leaf_value[self.leaf_index_of(root, row)]
     }
 
-    /// Walks one tree down to its precompiled hard vote for one sample.
-    #[inline]
-    fn vote_of(&self, root: u32, row: &[f64]) -> u32 {
-        u32::from(self.leaf_vote[self.leaf_index_of(root, row)])
-    }
-
-    /// Hard vote of one group on one sample: the exact integer form of
-    /// `malware_trees / trees >= 0.5`, with an early exit once the majority
-    /// is mathematically decided (a 3-tree group never walks its third tree
-    /// when the first two agree).
-    #[inline]
-    fn group_vote(&self, lo: usize, hi: usize, row: &[f64]) -> u32 {
-        let size = hi - lo;
-        let mut malware = 0usize;
-        for (walked, &root) in (1..=size).zip(&self.roots[lo..hi]) {
-            malware += self.vote_of(root, row) as usize;
-            if 2 * malware >= size {
-                return 1; // majority reached; later trees cannot undo it
-            }
-            if 2 * (malware + (size - walked)) < size {
-                return 0; // unreachable even if every remaining tree votes malware
-            }
-        }
-        0
-    }
-
     /// Malware group-vote count for a single sample.
+    ///
+    /// A group votes malware when at least half its trees reach a malware
+    /// leaf. Every group walks its trees in order and stops as soon as its
+    /// majority is decided, whichever kernel [`FlatForest::interleaves`]
+    /// picks: both walk exactly the same trees and count the same integer,
+    /// and differ only in how the walks overlap.
     #[inline]
     pub fn group_votes_one(&self, row: &[f64]) -> usize {
-        let mut votes = 0usize;
-        for g in 0..self.num_groups() {
-            let lo = self.group_offsets[g] as usize;
-            let hi = self.group_offsets[g + 1] as usize;
-            votes += self.group_vote(lo, hi, row) as usize;
+        if self.interleaves() {
+            self.interleaved_votes(row)
+        } else {
+            self.sequential_votes(row)
+        }
+    }
+
+    /// One group after another, one tree after another.
+    fn sequential_votes(&self, row: &[f64]) -> usize {
+        let mut votes = 0;
+        for group in self.group_offsets.windows(2) {
+            let (first, end) = (group[0] as usize, group[1] as usize);
+            let size = (end - first) as u32;
+            let mut malware = 0;
+            for (walked, &root) in (1..).zip(&self.roots[first..end]) {
+                malware += u32::from(self.leaf_vote[self.leaf_index_of(root, row)]);
+                if let Some(vote) = majority(malware, walked, size) {
+                    votes += usize::from(vote);
+                    break;
+                }
+            }
         }
         votes
     }
 
-    /// Tiled kernel: malware group votes for the rows of one borrowed tile
-    /// view (at most [`BLOCK`] rows) written into `votes`.
-    ///
-    /// The tile bounds the working set — [`BLOCK`] rows of features plus the
-    /// packed node arrays stay L1/L2-resident while the kernel sweeps the
-    /// ensemble — and votes accumulate into the caller's reusable buffer, so
-    /// the hot loop performs no per-sample allocation.
-    fn block_group_votes(&self, tile: RowsView<'_>, votes: &mut [u32]) {
-        debug_assert!(tile.rows() <= BLOCK && votes.len() == tile.rows());
-        votes.fill(0);
-        for (vote, row) in votes.iter_mut().zip(tile.iter_rows()) {
-            *vote = self.group_votes_one(row) as u32;
+    /// The interleaved kernel: each of [`LANES`] lanes holds one undecided
+    /// group and walks that group's current tree, and every pass advances
+    /// all live lanes one level in lockstep. At a leaf a lane applies
+    /// [`majority`]: an undecided group starts its next tree, a decided one
+    /// hands the lane to the next unopened group, and lanes retire when no
+    /// group is left.
+    fn interleaved_votes(&self, row: &[f64]) -> usize {
+        let groups = self.num_groups();
+        let open = |g: usize| {
+            let (first, end) = (self.group_offsets[g], self.group_offsets[g + 1]);
+            let lane = Lane {
+                first,
+                tree: first,
+                end,
+                malware: 0,
+            };
+            (self.roots[first as usize], lane)
+        };
+        let mut cursor = [0u32; LANES];
+        let mut lanes = [Lane::default(); LANES];
+        let mut live = groups.min(LANES);
+        for g in 0..live {
+            (cursor[g], lanes[g]) = open(g);
         }
+        let mut next = live;
+        let mut votes = 0;
+        while live > 0 {
+            let mut l = 0;
+            while l < live {
+                let at = cursor[l];
+                if at & LEAF_BIT == 0 {
+                    cursor[l] = self.nodes[at as usize].child(row);
+                    l += 1;
+                    continue;
+                }
+                let lane = &mut lanes[l];
+                lane.malware += u32::from(self.leaf_vote[(at & !LEAF_BIT) as usize]);
+                lane.tree += 1;
+                match majority(lane.malware, lane.tree - lane.first, lane.end - lane.first) {
+                    None => {
+                        cursor[l] = self.roots[lane.tree as usize];
+                        l += 1;
+                    }
+                    Some(vote) => {
+                        votes += usize::from(vote);
+                        if next < groups {
+                            (cursor[l], lanes[l]) = open(next);
+                            next += 1;
+                            l += 1;
+                        } else {
+                            // Retire the lane: the last live lane moves into
+                            // its slot and is advanced in this same pass.
+                            live -= 1;
+                            cursor[l] = cursor[live];
+                            lanes[l] = lanes[live];
+                        }
+                    }
+                }
+            }
+        }
+        votes
     }
 
     /// Malware group-vote counts for every row of a borrowed batch view.
@@ -301,26 +413,19 @@ impl FlatForest {
     /// Because the kernel operates on views, callers can score any row range
     /// of an existing matrix without assembling a copy first.
     pub fn group_votes_batch(&self, batch: RowsView<'_>) -> Vec<u32> {
+        let votes_of = |rows: RowsView<'_>| -> Vec<u32> {
+            rows.iter_rows()
+                .map(|row| self.group_votes_one(row) as u32)
+                .collect()
+        };
         let rows = batch.rows();
         if rows < PAR_MIN_ROWS || rayon::current_num_threads() == 1 {
-            let mut votes = vec![0u32; rows];
-            for start in (0..rows).step_by(BLOCK) {
-                let end = (start + BLOCK).min(rows);
-                self.block_group_votes(batch.rows_view(start..end), &mut votes[start..end]);
-            }
-            return votes;
+            return votes_of(batch);
         }
-        let blocks: Vec<(usize, usize)> = (0..rows)
-            .step_by(BLOCK)
-            .map(|start| (start, (start + BLOCK).min(rows)))
-            .collect();
+        let blocks: Vec<usize> = (0..rows).step_by(BLOCK).collect();
         let tiles: Vec<Vec<u32>> = blocks
             .par_iter()
-            .map(|&(start, end)| {
-                let mut votes = vec![0u32; end - start];
-                self.block_group_votes(batch.rows_view(start..end), &mut votes);
-                votes
-            })
+            .map(|&start| votes_of(batch.rows_view(start..(start + BLOCK).min(rows))))
             .collect();
         tiles.concat()
     }
@@ -522,6 +627,47 @@ mod tests {
         let batch = flat.group_votes_batch(ds.features().view());
         for (row, &votes) in ds.features().iter_rows().zip(&batch) {
             assert_eq!(flat.group_votes_one(row), votes as usize);
+        }
+    }
+
+    #[test]
+    fn interleaved_and_sequential_kernels_count_the_same_votes() {
+        // Small forests, so this runs whichever kernel `interleaves` picks:
+        // group counts around one and two full sets of lanes, 1-4 trees per
+        // group, and rows with NaN and infinities.
+        let ds = random_dataset(90, 3, 11);
+        let mut rng = StdRng::seed_from_u64(12);
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| match i % 8 {
+                0 => vec![f64::NAN, 0.5, f64::INFINITY],
+                1 => vec![f64::NEG_INFINITY, f64::NAN, 0.2],
+                _ => (0..3).map(|_| rng.gen_range(-0.5..1.5)).collect(),
+            })
+            .collect();
+        for groups in [1, 2, 7, 8, 9, 16, 17] {
+            for trees in 1..=4u64 {
+                let mut builder = FlatForestBuilder::new(3);
+                for g in 0..groups {
+                    builder.begin_group();
+                    for t in 0..trees {
+                        // One random feature per split, so trees of a
+                        // group disagree and groups decide at varied depths.
+                        let tree = DecisionTreeParams::new()
+                            .with_max_features(crate::tree::MaxFeatures::Exact(1))
+                            .fit(&ds, g * 10 + t)
+                            .unwrap();
+                        tree.append_flat_group(&mut builder);
+                    }
+                }
+                let flat = builder.finish();
+                for row in &rows {
+                    assert_eq!(
+                        flat.interleaved_votes(row),
+                        flat.sequential_votes(row),
+                        "{groups} groups of {trees} trees"
+                    );
+                }
+            }
         }
     }
 

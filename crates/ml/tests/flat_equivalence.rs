@@ -10,8 +10,13 @@
 //! `DecisionTree` predictions walk the enum nodes, forest votes are
 //! recomputed from `trees()`, and ensemble votes come from
 //! `BaggingEnsemble::votes`, which always walks the base classifiers.
+//!
+//! Forests whose nodes outgrow L1 count votes with the interleaved lane
+//! kernel; the lane-kernel cases below grow such forests on label noise and
+//! cross every lane boundary (1, 7, 8, 9, 17 and 25 groups), even group
+//! sizes, both batch paths and the split predicate's edge inputs.
 
-use hmd_codec::JsonCodec;
+use hmd_codec::{Json, JsonCodec};
 use hmd_data::{Dataset, Label, Matrix};
 use hmd_ml::bagging::BaggingParams;
 use hmd_ml::flat::FlatForest;
@@ -321,4 +326,133 @@ fn from_impls_match_cached_engines() {
     let flat_a = tree.compile();
     let flat_b: hmd_ml::flat::FlatTree = (&tree).into();
     assert_eq!(flat_a, flat_b);
+}
+
+/// Labels with no signal, so deep trees keep splitting: even a one-group
+/// ensemble outgrows L1 and takes the interleaved kernel.
+fn noise_dataset(n: usize, d: usize, rng: &mut StdRng) -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
+        .collect();
+    let labels = (0..n).map(|_| Label::from(rng.gen_bool(0.5))).collect();
+    Dataset::new(Matrix::from_rows(&rows).unwrap(), labels).unwrap()
+}
+
+/// Every `(feature, threshold)` split of a model, read back from its JSON
+/// form (thresholds round-trip bit for bit).
+fn split_points(json: &Json, out: &mut Vec<(usize, f64)>) {
+    match json {
+        Json::Object(fields) => {
+            if let (Ok(feature), Ok(threshold)) = (json.get("feature"), json.get("threshold")) {
+                out.push((
+                    usize::from_json(feature).unwrap(),
+                    f64::from_json(threshold).unwrap(),
+                ));
+            }
+            for (_, value) in fields {
+                split_points(value, out);
+            }
+        }
+        Json::Array(items) => items.iter().for_each(|item| split_points(item, out)),
+        _ => {}
+    }
+}
+
+/// Probe rows that stress the split predicate: each value is, at random, an
+/// ordinary draw, NaN (never `<=`, so it goes right), ±∞, or a threshold of
+/// one of the model's splits copied exactly (`<=` holds, so it goes left).
+fn edge_probes(splits: &[(usize, f64)], d: usize, count: usize, rng: &mut StdRng) -> Matrix {
+    let rows: Vec<Vec<f64>> = (0..count)
+        .map(|_| {
+            let mut row: Vec<f64> = (0..d)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    _ => rng.gen_range(-1.5..1.5),
+                })
+                .collect();
+            for _ in 0..d {
+                let (feature, threshold) = splits[rng.gen_range(0..splits.len())];
+                row[feature] = threshold;
+            }
+            row
+        })
+        .collect();
+    Matrix::from_rows(&rows).unwrap()
+}
+
+#[test]
+fn lane_kernel_matches_nested_votes_across_shapes_batches_and_edge_inputs() {
+    let mut rng = StdRng::seed_from_u64(0xF1A7_0009);
+    let d = 6;
+    // (groups, trees per group): the bench pipeline's 25 x 3, lane counts
+    // below, at and past one full set of lanes and past two, and even group
+    // sizes, where a tie votes malware.
+    let shapes = [
+        (25, 3),
+        (1, 3),
+        (7, 3),
+        (8, 3),
+        (9, 3),
+        (17, 3),
+        (9, 2),
+        (8, 4),
+        (17, 1),
+    ];
+    for (groups, trees) in shapes {
+        let ds = noise_dataset((15_000 / (groups * trees)).clamp(300, 6000), d, &mut rng);
+        let forest = RandomForestParams::new()
+            .with_num_trees(trees)
+            .with_tree_params(DecisionTreeParams::new().with_max_depth(20));
+        let ensemble = BaggingParams::new(forest)
+            .with_num_estimators(groups)
+            .fit(&ds, rng.gen())
+            .unwrap();
+        let flat = ensemble.flat().expect("forest ensembles compile");
+        assert_eq!(
+            (flat.num_groups(), flat.num_trees()),
+            (groups, groups * trees)
+        );
+        assert!(
+            flat.interleaves(),
+            "{groups} x {trees}: {} split nodes stay on the sequential walk",
+            flat.num_split_nodes()
+        );
+
+        let mut splits = Vec::new();
+        split_points(&ensemble.to_json(), &mut splits);
+        let probes = edge_probes(&splits, d, 300, &mut rng);
+        // Nested reference per row: each forest's majority over its
+        // enum-node trees, a tie voting malware.
+        let reference: Vec<[usize; 2]> = probes
+            .iter_rows()
+            .map(|row| {
+                let malware = ensemble
+                    .estimators()
+                    .iter()
+                    .filter(|forest| {
+                        let votes = forest
+                            .trees()
+                            .iter()
+                            .filter(|t| t.predict_one(row).is_malware())
+                            .count();
+                        2 * votes >= trees
+                    })
+                    .count();
+                [groups - malware, malware]
+            })
+            .collect();
+        for (row, expected) in probes.iter_rows().zip(&reference) {
+            let nested = ensemble.votes(row);
+            let malware = nested.iter().filter(|v| v.is_malware()).count();
+            assert_eq!([groups - malware, malware], *expected);
+            assert_eq!(ensemble.vote_counts(row), *expected);
+        }
+        // Single rows, tile edges, and a batch large enough for the pool.
+        for rows in [1, 63, 64, 65, 300] {
+            let counts = ensemble.vote_counts_batch(probes.rows_view(0..rows));
+            assert_eq!(counts, reference[..rows], "{groups} x {trees}, {rows} rows");
+        }
+    }
 }

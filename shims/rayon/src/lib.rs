@@ -360,30 +360,30 @@ mod tests {
     fn worker_threads_persist_across_calls() {
         use std::collections::HashSet;
         use std::sync::Mutex;
-        let mut rounds: Vec<HashSet<std::thread::ThreadId>> = Vec::new();
-        let xs: Vec<u64> = (0..256).collect();
-        for _ in 0..2 {
-            let seen = Mutex::new(HashSet::new());
+        // Which worker dequeues a chunk is up to the scheduler, so two calls
+        // may well see disjoint workers. Persistence means the workers are
+        // never replaced: however many calls run, the threads other than the
+        // caller (which executes its chunk inline) number at most the pool.
+        let caller = std::thread::current().id();
+        let workers = Mutex::new(HashSet::new());
+        let xs: Vec<u64> = (0..64).collect();
+        for _ in 0..50 {
             let _out: Vec<()> = xs
                 .par_iter()
                 .map(|_| {
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    let id = std::thread::current().id();
+                    if id != caller {
+                        workers.lock().unwrap().insert(id);
+                    }
                 })
                 .collect();
-            rounds.push(seen.into_inner().unwrap());
         }
-        // Ignoring the calling thread (which executes its chunk inline), any
-        // pool thread observed twice proves workers outlive a single call.
-        let caller = std::thread::current().id();
-        let first: HashSet<_> = rounds[0].iter().filter(|&&id| id != caller).collect();
-        let second: HashSet<_> = rounds[1].iter().filter(|&&id| id != caller).collect();
-        if !first.is_empty() && !second.is_empty() {
-            assert!(
-                first.intersection(&second).next().is_some(),
-                "expected the persistent pool to reuse worker threads"
-            );
-        }
+        let seen = workers.into_inner().unwrap().len();
+        assert!(
+            seen <= super::current_num_threads(),
+            "50 calls ran on {seen} distinct workers; the pool holds {}",
+            super::current_num_threads()
+        );
     }
 
     #[test]
