@@ -29,7 +29,7 @@ use hmd_core::trusted::Decision;
 use hmd_core::{DetectionReport, UncertainPrediction};
 use hmd_data::{Label, Matrix};
 use hmd_loop::{DriftDetector, DriftPolicy, DriftVerdict};
-use hmd_serve::{DetectorFleet, FleetConfig, FlushPolicy};
+use hmd_serve::{FlushPolicy, ShardConfig, ShardedFleet};
 use std::time::{Duration, Instant};
 
 const JSON_REPORT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_loop.json");
@@ -156,8 +156,8 @@ fn bench_loop_reaction(c: &mut Criterion) {
     // `score` enqueues whose 64th triggers the inline drain, timed from the
     // first enqueue to the last ticket resolving. The shadow pass runs
     // inside the drain, after champion results publish.
-    let measure = |fleet: &DetectorFleet| {
-        let one_tile = |fleet: &DetectorFleet| {
+    let measure = |fleet: &ShardedFleet| {
+        let one_tile = |fleet: &ShardedFleet| {
             let tickets: Vec<_> = (0..64)
                 .map(|i| fleet.score("hmd", requests.row(i)).expect("enqueues"))
                 .collect();
@@ -178,10 +178,12 @@ fn bench_loop_reaction(c: &mut Criterion) {
         p50(&samples)
     };
 
-    let fleet = DetectorFleet::with_config(
-        FleetConfig::default().with_flush(FlushPolicy::new(64, Duration::from_secs(5))),
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1).with_flush(FlushPolicy::new(64, Duration::from_secs(5))),
     );
-    fleet.deploy("hmd", trained_pipeline(scale));
+    fleet
+        .deploy("hmd", trained_pipeline(scale))
+        .expect("deploys");
     let champion_only = measure(&fleet);
 
     fleet

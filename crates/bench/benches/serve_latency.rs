@@ -7,8 +7,9 @@
 //!
 //! Per config it records p50/p99/p999 of single-request latency:
 //! * `direct_batch1` — `detect_batch` on one row, the no-fleet floor;
-//! * `fleet_tile1` — `score()` + `wait()` with a 1-row tile (inline drain,
-//!   pure fleet dispatch overhead over the floor);
+//! * `fleet_tile1` — `score()` + `wait()` on a 1-replica fleet with a
+//!   1-row tile (inline drain, pure fleet dispatch overhead over the
+//!   floor);
 //! * `fleet_tile64_burst` — 64-request bursts; each latency runs from that
 //!   request's own enqueue to its ticket resolving, so early rows in a
 //!   tile pay the fill time and the distribution shows the micro-batching
@@ -38,8 +39,8 @@ use hmd_bench::ExperimentScale;
 use hmd_core::detector::{Detector, DetectorExt};
 use hmd_data::Matrix;
 use hmd_serve::{
-    BreakerPolicy, ClientConfig, DetectorFleet, FleetClient, FleetConfig, FleetError, FleetServer,
-    FlushPolicy, ServerConfig, ShardConfig, ShardedFleet, Ticket,
+    BreakerPolicy, ClientConfig, FleetClient, FleetError, FleetServer, FlushPolicy, ServerConfig,
+    ShardConfig, ShardTicket, ShardedFleet,
 };
 use std::time::{Duration, Instant};
 
@@ -90,6 +91,18 @@ fn report(c: &mut Criterion, config: &str, samples: &[Duration]) {
     }
 }
 
+/// A 1-replica fleet serving the smoke pipeline as endpoint `hmd`, its tile
+/// flushing at `max_batch` rows or after `max_wait`.
+fn fleet(scale: ExperimentScale, max_batch: usize, max_wait: Duration) -> ShardedFleet {
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1).with_flush(FlushPolicy::new(max_batch, max_wait)),
+    );
+    fleet
+        .deploy("hmd", trained_pipeline(scale))
+        .expect("deploys");
+    fleet
+}
+
 fn trained_pipeline(scale: ExperimentScale) -> Box<dyn Detector> {
     let split = scale
         .dvfs_builder()
@@ -131,8 +144,7 @@ fn bench_latency(c: &mut Criterion) {
 
     // Fleet dispatch overhead: 1-row tiles drain inline on the caller.
     {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(1, Duration::from_secs(5)));
-        fleet.deploy("hmd", trained_pipeline(scale));
+        let fleet = fleet(scale, 1, Duration::from_secs(5));
         let mut samples = Vec::with_capacity(n);
         for i in 0..n {
             let row = requests.row(i % requests.rows());
@@ -151,11 +163,10 @@ fn bench_latency(c: &mut Criterion) {
     // each request's own enqueue. The burst's last row fills the tile and
     // drains it inline, so the first row's latency includes the fill time.
     {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(64, Duration::from_secs(5)));
-        fleet.deploy("hmd", trained_pipeline(scale));
+        let fleet = fleet(scale, 64, Duration::from_secs(5));
         let mut samples = Vec::with_capacity(n);
         while samples.len() < n {
-            let mut tickets: Vec<(Instant, Ticket)> = Vec::with_capacity(64);
+            let mut tickets: Vec<(Instant, ShardTicket)> = Vec::with_capacity(64);
             for i in 0..64 {
                 let row = requests.row((samples.len() + i) % requests.rows());
                 tickets.push((Instant::now(), fleet.score("hmd", row).expect("enqueue")));
@@ -173,8 +184,7 @@ fn bench_latency(c: &mut Criterion) {
     // latency bound.
     {
         let deadline_n = n.min(2_000); // each sample costs >= max_wait
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(64, Duration::from_micros(500)));
-        fleet.deploy("hmd", trained_pipeline(scale));
+        let fleet = fleet(scale, 64, Duration::from_micros(500));
         let mut samples = Vec::with_capacity(deadline_n);
         for i in 0..deadline_n {
             let row = requests.row(i % requests.rows());
@@ -209,12 +219,12 @@ fn bench_latency(c: &mut Criterion) {
                 })
             }
         }
-        let fleet = DetectorFleet::with_config(
-            FleetConfig::default()
+        let fleet = ShardedFleet::with_config(
+            ShardConfig::new(1)
                 .with_flush(FlushPolicy::new(1, Duration::from_secs(5)))
                 .with_breaker(BreakerPolicy::new(1, Duration::from_secs(600))),
         );
-        fleet.deploy("hmd", Box::new(AlwaysFails));
+        fleet.deploy("hmd", Box::new(AlwaysFails)).expect("deploys");
         let ticket = fleet.score("hmd", requests.row(0)).expect("trip enqueue");
         assert!(ticket.wait().is_err(), "the tripping call must fail");
         let mut samples = Vec::with_capacity(n);
@@ -270,8 +280,7 @@ fn bench_latency(c: &mut Criterion) {
 
     // Criterion cross-check on the two closed-loop paths, so the latency
     // table above has a statistically-sampled counterpart.
-    let fleet = DetectorFleet::with_policy(FlushPolicy::new(1, Duration::from_secs(5)));
-    fleet.deploy("hmd", trained_pipeline(scale));
+    let fleet = fleet(scale, 1, Duration::from_secs(5));
     c.bench_function("fleet_tile1_roundtrip", |b| {
         b.iter(|| {
             fleet

@@ -3,18 +3,17 @@
 //! The serving question this answers: when **many threads** submit
 //! single-row `score()` requests at once, how much does replicating an
 //! endpoint across shards help? With one shard every scorer contends on one
-//! `Mutex<Pending>` tile and shares one flush clock; `ShardedFleet` gives
-//! each replica its own tile, and key-affinity routing pins each scorer
-//! (session) to one replica so its bursts micro-batch together without
-//! cross-thread coordination.
+//! tile lock and shares one flush clock; more replicas give each its own
+//! tile, and key-affinity routing pins each scorer (session) to one replica
+//! so its bursts micro-batch together without cross-thread coordination.
 //!
 //! Measures, on the trusted random-forest DVFS pipeline, aggregate
 //! `score()` throughput over a matrix of
-//! `1/2/4/8 scorer threads × 1/2/4 shards`, plus the unsharded
-//! [`DetectorFleet`] at every thread count as the pre-sharding baseline.
-//! Machine-readable results land in `BENCH_serve_scaling.json` at the
-//! repository root, including the `4 threads / 4 shards vs 1 shard` ratio
-//! the acceptance gate reads and the host's core count (lock contention —
+//! `1/2/4/8 scorer threads × 1/2/4 shards`; the 1-shard column is the
+//! single-endpoint baseline. Machine-readable results land in
+//! `BENCH_serve_scaling.json` at the repository root, including the
+//! `4 threads / 4 shards vs 1 shard` ratio the acceptance gate reads and
+//! the host's core count (lock contention —
 //! what sharding removes — can only manifest when threads actually run in
 //! parallel, so interpret the ratio together with `cores`). Set
 //! `HMD_BENCH_QUICK=1` for the CI smoke run.
@@ -28,7 +27,7 @@ use hmd_bench::pipelines::{detector_config, BaseModel};
 use hmd_bench::ExperimentScale;
 use hmd_core::detector::{load, save, Detector};
 use hmd_data::Matrix;
-use hmd_serve::{DetectorFleet, FlushPolicy, RoutePolicy, ShardConfig, ShardedFleet};
+use hmd_serve::{FlushPolicy, RoutePolicy, ShardConfig, ShardedFleet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,30 +162,8 @@ fn bench_serve_scaling(c: &mut Criterion) {
     let thread_counts = [1usize, 2, 4, 8];
     let shard_counts = [1usize, 2, 4];
     let mut sharded_rate = std::collections::HashMap::new();
-    let mut unsharded_rate = std::collections::HashMap::new();
 
     for &threads in &thread_counts {
-        // Pre-sharding baseline: the single-tile DetectorFleet.
-        let fleet = Arc::new(DetectorFleet::with_policy(FlushPolicy::new(
-            BURST, max_wait,
-        )));
-        fleet.deploy("hmd", fresh_detector(&document));
-        let rate = aggregate_score_rate(
-            threads,
-            &requests,
-            budget,
-            |_, row| fleet.score("hmd", row).expect("enqueue"),
-            |ticket| {
-                ticket.wait().expect("fleet scores");
-            },
-        );
-        unsharded_rate.insert(threads, rate);
-        println!("  unsharded fleet, {threads} thread(s):  {rate:>12.0} samples/sec");
-        c.json_note(
-            &format!("unsharded_t{threads}_samples_per_sec"),
-            format!("{rate:.0}"),
-        );
-
         for &shards in &shard_counts {
             let fleet = Arc::new(ShardedFleet::with_config(
                 ShardConfig::new(shards)
@@ -232,10 +209,6 @@ fn bench_serve_scaling(c: &mut Criterion) {
     let ratio = four_four / sharded_rate[&(4, 1)].max(1.0);
     println!("  4 threads: 4 shards / 1 shard = {ratio:.2}x (gate: >= 2x on multicore hosts)");
     c.json_note("t4_s4_over_s1", format!("{ratio:.3}"));
-    c.json_note(
-        "t4_s4_over_unsharded_t4",
-        format!("{:.3}", four_four / unsharded_rate[&4].max(1.0)),
-    );
 }
 
 criterion_group! {

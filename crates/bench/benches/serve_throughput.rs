@@ -4,9 +4,9 @@
 //! batch-4096 throughput survives when requests arrive **one row at a
 //! time**? Direct `detect_batch` at batch 1 pays the whole per-call
 //! front-end and dispatch cost per sample (the ~50× single-row gap the
-//! fleet exists to close); the `DetectorFleet` micro-batches single-row
-//! `score()` calls into per-endpoint tiles that drain through the same
-//! batch hot path.
+//! fleet exists to close); a 1-replica `ShardedFleet` micro-batches
+//! single-row `score()` calls into the endpoint's tile, which drains
+//! through the same batch hot path.
 //!
 //! Measures, on the trusted random-forest DVFS pipeline:
 //! * `direct_batch_{1,64,4096}` — `Detector::detect_batch` baselines;
@@ -27,7 +27,7 @@ use hmd_bench::pipelines::{detector_config, BaseModel};
 use hmd_bench::ExperimentScale;
 use hmd_core::detector::DetectorExt;
 use hmd_data::Matrix;
-use hmd_serve::{DetectorFleet, FlushPolicy};
+use hmd_serve::{FlushPolicy, ShardConfig, ShardedFleet};
 use std::time::{Duration, Instant};
 
 /// Where the machine-readable results land: the repository root, committed
@@ -50,7 +50,7 @@ fn batch_of(source: &Matrix, size: usize) -> Matrix {
 /// every ticket; returns the reports' total decision count as a liveness
 /// check. The pass length is a multiple of the tile size, so every tile
 /// drains inline on its filling caller — the max-wait path never triggers.
-fn fleet_pass(fleet: &DetectorFleet, requests: &Matrix) -> usize {
+fn fleet_pass(fleet: &ShardedFleet, requests: &Matrix) -> usize {
     let mut tickets = Vec::with_capacity(requests.rows());
     for row in 0..requests.rows() {
         tickets.push(fleet.score("hmd", requests.row(row)).expect("enqueue"));
@@ -108,13 +108,17 @@ fn bench_serve(c: &mut Criterion) {
     let requests = batch_of(split.unknown.features(), 4096);
     let mut fleet_best_per_sec = 0.0f64;
     for &tile in &[64usize, 4096] {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(tile, Duration::from_secs(5)));
-        fleet.deploy(
-            "hmd",
-            detector_config(BaseModel::RandomForest, scale.num_estimators(), false)
-                .fit(&split.train, 7)
-                .expect("RF pipeline trains"),
+        let fleet = ShardedFleet::with_config(
+            ShardConfig::new(1).with_flush(FlushPolicy::new(tile, Duration::from_secs(5))),
         );
+        fleet
+            .deploy(
+                "hmd",
+                detector_config(BaseModel::RandomForest, scale.num_estimators(), false)
+                    .fit(&split.train, 7)
+                    .expect("RF pipeline trains"),
+            )
+            .expect("deploys");
 
         let mut scored = 0usize;
         let start = Instant::now();

@@ -1,13 +1,13 @@
 //! Experiment driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! cargo run -p hmd-bench --release --bin experiments -- [experiment] [--scale smoke|bench|paper] [--seed N] [--json DIR]
+//! cargo run -p hmd_bench --release --bin experiments -- [experiment] [--scale smoke|bench|paper] [--seed N] [--dump DIR]
 //! ```
 //!
 //! `experiment` is one of `table1`, `fig4`, `fig5`, `fig7a`, `fig7b`, `fig8`,
 //! `fig9a`, `fig9b`, `headline`, `ablations` or `all` (default).
 //!
-//! `--dump DIR` (alias `--json DIR`) writes every figure's raw data as a
+//! `--dump DIR` writes every figure's raw data as a
 //! pretty-printed Rust `Debug` dump, since the offline toolchain has no
 //! `serde_json`.
 
@@ -42,15 +42,7 @@ fn parse_args() -> Options {
             "--seed" => {
                 seed = args.next().and_then(|s| s.parse().ok()).unwrap_or(seed);
             }
-            "--dump" | "--json" => {
-                if arg == "--json" {
-                    eprintln!(
-                        "note: --json is deprecated and no longer writes JSON — the offline \
-                         toolchain dumps Debug text to <name>.txt; use --dump"
-                    );
-                }
-                dump_dir = args.next().map(PathBuf::from);
-            }
+            "--dump" => dump_dir = args.next().map(PathBuf::from),
             other if !other.starts_with("--") => experiment = other.to_string(),
             other => eprintln!("ignoring unknown flag `{other}`"),
         }

@@ -113,7 +113,7 @@ impl Estimator for RandomForestParams {
 /// Prediction is by majority vote of the trees; [`Classifier::predict_proba_one`]
 /// reports the fraction of trees voting malware (soft vote). At construction
 /// (and again after deserialisation) the trees are compiled into a
-/// [`FlatForest`] — struct-of-arrays node storage with one single-tree voting
+/// [`FlatForest`] — packed 24-byte split-node records with one single-tree voting
 /// group per tree — and every inference path serves from that flat form.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {

@@ -14,7 +14,7 @@
 //!   exposing the individual base classifiers exactly like scikit-learn's
 //!   `estimators_` attribute (which the paper's uncertainty estimator reads).
 //! * [`flat`] — the compiled inference engine: fitted tree models flatten
-//!   into cache-packed struct-of-arrays node storage ([`flat::FlatTree`],
+//!   into packed 24-byte split-node records ([`flat::FlatTree`],
 //!   [`flat::FlatForest`]) that every batch hot path serves from, with
 //!   bit-identical predictions to the nested training-time structures.
 //! * [`fastfit`] — the presorted columnar training engine behind

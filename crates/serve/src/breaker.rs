@@ -38,6 +38,7 @@
 //! feed the same consecutive-failure accounting and cannot wedge the state
 //! machine.
 
+use crate::deadline_after;
 use crate::sync::LockExt;
 use hmd_core::estimator::UncertainPrediction;
 use hmd_core::trusted::{Decision, DetectionReport};
@@ -70,7 +71,9 @@ pub struct BreakerPolicy {
     pub failure_threshold: usize,
     /// How long the breaker stays Open before admitting a half-open probe.
     /// `Duration::ZERO` makes recovery attempts immediate — useful for
-    /// deterministic tests.
+    /// deterministic tests. A cooldown too large to represent as a deadline
+    /// (such as `Duration::MAX`) never elapses: a tripped breaker stays
+    /// Open.
     pub cooldown: Duration,
     /// What shedding looks like to callers.
     pub fallback: FallbackPolicy,
@@ -141,9 +144,11 @@ pub(crate) enum Admission {
     Shed,
 }
 
+/// The breaker's state; `Open::until` is `None` when the cooldown never
+/// elapses.
 enum Inner {
     Closed { failures: usize },
-    Open { until: Instant },
+    Open { until: Option<Instant> },
     HalfOpen { probing: bool },
 }
 
@@ -173,7 +178,7 @@ impl Breaker {
         match *inner {
             Inner::Closed { .. } => Admission::Admit,
             Inner::Open { until } => {
-                if now >= until {
+                if until.is_some_and(|until| now >= until) {
                     *inner = Inner::HalfOpen { probing: true };
                     Admission::Admit
                 } else {
@@ -210,7 +215,7 @@ impl Breaker {
                 let failures = failures + 1;
                 if failures >= self.policy.failure_threshold {
                     *inner = Inner::Open {
-                        until: now + self.policy.cooldown,
+                        until: deadline_after(now, self.policy.cooldown),
                     };
                     true
                 } else {
@@ -221,7 +226,7 @@ impl Breaker {
             // A failed probe re-opens for another full cooldown.
             Inner::HalfOpen { .. } => {
                 *inner = Inner::Open {
-                    until: now + self.policy.cooldown,
+                    until: deadline_after(now, self.policy.cooldown),
                 };
                 true
             }
@@ -236,7 +241,7 @@ impl Breaker {
     pub(crate) fn would_shed(&self, now: Instant) -> bool {
         match *self.inner.lock_unpoisoned() {
             Inner::Closed { .. } => false,
-            Inner::Open { until } => now < until,
+            Inner::Open { until } => until.is_none_or(|until| now < until),
             Inner::HalfOpen { probing } => probing,
         }
     }
@@ -339,6 +344,20 @@ mod tests {
         assert!(report.decision.is_escalation());
         assert!(report.prediction.entropy.is_infinite());
         assert_eq!(report.prediction.num_estimators, 0);
+    }
+
+    /// A cooldown too large to represent never elapses. The reopen
+    /// deadline is computed inside the drain, so an overflow panic there
+    /// would take the draining thread (possibly the background flusher)
+    /// down with it.
+    #[test]
+    fn unrepresentable_cooldown_keeps_the_breaker_open() {
+        let breaker = Breaker::new(BreakerPolicy::new(1, Duration::MAX));
+        assert!(breaker.record(false, now()), "the failure trips");
+        assert_eq!(breaker.state(), BreakerState::Open);
+        let much_later = now() + Duration::from_secs(3600 * 24 * 365);
+        assert_eq!(breaker.admit(much_later), Admission::Shed);
+        assert!(breaker.would_shed(much_later));
     }
 
     #[test]

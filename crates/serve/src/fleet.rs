@@ -1,27 +1,25 @@
-//! The single-replica fleet: named, versioned, micro-batching detector
-//! endpoints under per-endpoint supervision.
+//! The serving unit: one versioned, micro-batching detector replica under
+//! its own supervision.
 //!
-//! This module is the substrate of the serving crate. [`DetectorFleet`] maps
-//! endpoint names to [`Endpoint`]s; each endpoint owns a versioned stack of
-//! `Box<dyn Detector>` models, its own [`MonitorStats`], one pending
-//! micro-batch tile, an admission budget ([`crate::AdmissionPolicy`]) and a
-//! circuit breaker ([`crate::BreakerPolicy`]). A fleet-wide supervisor
-//! thread ([`crate::supervisor`]) fires `max_wait` deadlines even when no
-//! caller is blocked in [`Ticket::wait`]. The sharded layer in
-//! [`crate::shard`] replicates these endpoints N ways and routes between
-//! them — it reuses every type here rather than reimplementing the tile
-//! machinery.
+//! This module is the substrate of the serving crate. An [`Endpoint`] owns a
+//! versioned stack of `Box<dyn Detector>` models, its own [`MonitorStats`],
+//! one pending micro-batch tile, an admission budget
+//! ([`crate::AdmissionPolicy`]) and a circuit breaker
+//! ([`crate::BreakerPolicy`]). [`crate::ShardedFleet`] holds one endpoint per
+//! replica of every named endpoint and routes between them; a fleet-wide
+//! supervisor thread ([`crate::supervisor`]) fires `max_wait` deadlines even
+//! when no caller is blocked in [`ShardTicket::wait`].
 
 use crate::admission::AdmissionPolicy;
-use crate::breaker::{
-    degraded_escalation, Admission, Breaker, BreakerPolicy, BreakerState, FallbackPolicy,
-};
-use crate::supervisor::{Supervisor, TileNotifier};
+use crate::breaker::{degraded_escalation, Admission, Breaker, BreakerState, FallbackPolicy};
+use crate::deadline_after;
+use crate::shard::{ShardConfig, ShardedReport};
+use crate::supervisor::TileNotifier;
 use crate::sync::{unpoison, LockExt, RwLockExt};
 use hmd_core::detector::{Detector, MonitorStats};
 use hmd_core::trusted::DetectionReport;
 use hmd_data::{Matrix, RowsView};
-use std::collections::HashMap;
+use hmd_ml::MlError;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -32,9 +30,12 @@ use std::time::{Duration, Instant};
 /// A tile flushes as soon as **either** bound is hit: it collected
 /// `max_batch` rows, or the oldest enqueued request has waited `max_wait`
 /// (enforced by the fleet's background flusher, or by whichever
-/// [`Ticket::wait`] caller notices first — whichever comes sooner). Large
-/// `max_batch` + small `max_wait` trades a bounded latency floor for
+/// [`ShardTicket::wait`] caller notices first — whichever comes sooner).
+/// Large `max_batch` + small `max_wait` trades a bounded latency floor for
 /// batch-sized throughput; `max_batch == 1` degenerates to direct scoring.
+/// A `max_wait` too large to represent as a deadline (such as
+/// `Duration::MAX`) never expires: such tiles drain only at `max_batch` or
+/// on an explicit flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushPolicy {
     /// Maximum rows collected before the enqueueing caller drains the tile.
@@ -72,62 +73,6 @@ impl Default for FlushPolicy {
     fn default() -> FlushPolicy {
         FlushPolicy::new(64, Duration::from_millis(2))
     }
-}
-
-/// Full per-endpoint serving configuration: how tiles flush, how much may
-/// queue, and when the circuit breaker sheds.
-///
-/// Every endpoint of a [`DetectorFleet`] (and every replica of a
-/// [`crate::ShardedFleet`]) is provisioned with one of these. The default
-/// is production-shaped: 64-row/2 ms tiles, a 16384-row admission budget,
-/// and a breaker tripping after 5 consecutive failed drains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetConfig {
-    /// When tiles drain.
-    pub flush: FlushPolicy,
-    /// How many rows may be admitted but not yet scored per endpoint.
-    pub admission: AdmissionPolicy,
-    /// When an endpoint's breaker trips, and what shedding looks like.
-    pub breaker: BreakerPolicy,
-}
-
-impl FleetConfig {
-    /// The default configuration (same as `FleetConfig::default()`).
-    pub fn new() -> FleetConfig {
-        FleetConfig::default()
-    }
-
-    /// Sets the flush policy.
-    #[must_use]
-    pub fn with_flush(mut self, flush: FlushPolicy) -> FleetConfig {
-        self.flush = flush;
-        self
-    }
-
-    /// Sets the admission budget.
-    #[must_use]
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> FleetConfig {
-        self.admission = admission;
-        self
-    }
-
-    /// Sets the circuit-breaker policy.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerPolicy) -> FleetConfig {
-        self.breaker = breaker;
-        self
-    }
-}
-
-/// A [`DetectionReport`] stamped with the endpoint version that produced it,
-/// so every decision stays attributable across hot swaps and rollbacks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VersionedReport {
-    /// The endpoint version (1-based, monotonically increasing per endpoint)
-    /// that scored the request.
-    pub version: u64,
-    /// The detector's full report.
-    pub report: DetectionReport,
 }
 
 /// Errors of the fleet layer.
@@ -183,7 +128,7 @@ pub enum FleetError {
     /// [`FallbackPolicy::Reject`]): recent drains failed consecutively and
     /// the endpoint is shedding until a half-open probe succeeds.
     CircuitOpen,
-    /// [`Ticket::wait_deadline`] gave up before the batch drained. The
+    /// [`ShardTicket::wait_deadline`] gave up before the batch drained. The
     /// request itself is still in flight — only this waiter timed out.
     DeadlineExceeded {
         /// How long the caller was willing to wait.
@@ -263,8 +208,8 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-impl From<hmd_ml::MlError> for FleetError {
-    fn from(err: hmd_ml::MlError) -> FleetError {
+impl From<MlError> for FleetError {
+    fn from(err: MlError) -> FleetError {
         FleetError::Detector {
             message: err.to_string(),
         }
@@ -364,7 +309,7 @@ struct BatchCell {
     /// `None` while the batch is pending or in flight; per-row results after
     /// the drain (each ticket reads its own index — tickets are moved into
     /// `wait`, so an index is claimed at most once).
-    results: Mutex<Option<Vec<Result<VersionedReport, FleetError>>>>,
+    results: Mutex<Option<Vec<Result<ShardedReport, FleetError>>>>,
     ready: Condvar,
 }
 
@@ -376,7 +321,7 @@ impl BatchCell {
         })
     }
 
-    fn fill(&self, results: Vec<Result<VersionedReport, FleetError>>) {
+    fn fill(&self, results: Vec<Result<ShardedReport, FleetError>>) {
         let mut guard = self.results.lock_unpoisoned();
         *guard = Some(results);
         self.ready.notify_all();
@@ -388,30 +333,32 @@ impl BatchCell {
 ///
 /// The endpoint's pending slot is `Mutex<Option<OpenTile>>`: `None` means no
 /// tile is open, and an `OpenTile` *by construction* holds at least the row
-/// that opened it, a live cell, a pinned version, and a deadline. (The
-/// previous representation kept those as `Option` fields inside an
-/// always-present struct, which forced `.expect(...)` at every use site —
-/// the invariant now lives in the type instead of in panics.) Taking the
-/// value out of the slot hands the whole tile to the drainer; producers see
-/// `None` and open a fresh one.
+/// that opened it, a live cell and a pinned version. Taking the value out of
+/// the slot hands the whole tile to the drainer; producers see `None` and
+/// open a fresh one.
 struct OpenTile {
     width: usize,
     rows: Vec<f64>,
     count: usize,
     cell: Arc<BatchCell>,
     version: Arc<Version>,
-    deadline: Instant,
+    /// When the tile expires; `None` when `max_wait` is too large to
+    /// represent, and the tile never expires.
+    deadline: Option<Instant>,
 }
 
-/// One named serving unit: a versioned detector stack, a pending micro-batch
+/// One serving replica: a versioned detector stack, a pending micro-batch
 /// tile, running monitor statistics, and its own supervision state (breaker,
 /// admission counter, health counters).
 ///
-/// Crate-visible so the sharded layer can hold N of these per logical
-/// endpoint; the public API goes through [`DetectorFleet`] and
-/// [`crate::ShardedFleet`].
+/// Crate-visible so [`crate::ShardedFleet`] can hold N of these per logical
+/// endpoint; the public API goes through the fleet.
 pub(crate) struct Endpoint {
-    config: FleetConfig,
+    /// This replica's index within its logical endpoint, stamped on every
+    /// report it serves.
+    replica: usize,
+    flush: FlushPolicy,
+    admission: AdmissionPolicy,
     versions: Mutex<VersionStack>,
     pending: Mutex<Option<OpenTile>>,
     pub(crate) stats: Mutex<MonitorStats>,
@@ -435,13 +382,19 @@ struct VersionStack {
 }
 
 impl Endpoint {
+    /// Replica `replica` of a logical endpoint, serving `detector` as
+    /// version 1 under the flush, admission and breaker policies of
+    /// `config`.
     pub(crate) fn new(
         detector: Box<dyn Detector>,
-        config: FleetConfig,
+        replica: usize,
+        config: &ShardConfig,
         notifier: TileNotifier,
     ) -> Endpoint {
         Endpoint {
-            config,
+            replica,
+            flush: config.flush,
+            admission: config.admission,
             versions: Mutex::new(VersionStack {
                 active: Arc::new(Version {
                     number: 1,
@@ -649,36 +602,61 @@ impl Endpoint {
         Ok(restored)
     }
 
-    pub(crate) fn enqueue(self: &Arc<Endpoint>, features: &[f64]) -> Result<Ticket, FleetError> {
-        let now = Instant::now();
+    /// `report`, stamped with the version that scored it and this replica.
+    fn stamp(&self, version: u64, report: DetectionReport) -> ShardedReport {
+        ShardedReport {
+            replica: self.replica,
+            version,
+            report,
+        }
+    }
+
+    /// The breaker gate every request passes before anything is queued or
+    /// scored. `Ok(None)` admits; a shedding breaker refuses with
+    /// [`FleetError::CircuitOpen`] under [`FallbackPolicy::Reject`], or
+    /// returns `Ok(Some(report))` under [`FallbackPolicy::EscalateUncertain`]:
+    /// the degraded report each of the request's `rows` rows is answered
+    /// with.
+    fn shed(&self, rows: usize) -> Result<Option<ShardedReport>, FleetError> {
+        if let Admission::Admit = self.breaker.admit(Instant::now()) {
+            return Ok(None);
+        }
+        self.health.shed_circuit.fetch_add(1, Ordering::Relaxed);
+        match self.breaker.policy().fallback {
+            FallbackPolicy::Reject => Err(FleetError::CircuitOpen),
+            FallbackPolicy::EscalateUncertain => {
+                self.health
+                    .degraded_rows
+                    .fetch_add(rows as u64, Ordering::Relaxed);
+                Ok(Some(
+                    self.stamp(self.active().number, degraded_escalation()),
+                ))
+            }
+        }
+    }
+
+    pub(crate) fn enqueue(
+        self: &Arc<Endpoint>,
+        features: &[f64],
+    ) -> Result<ShardTicket, FleetError> {
         // Supervision gates run before anything is copied: first the
         // breaker (a broken endpoint sheds instantly, possibly degrading),
         // then the admission budget (a full endpoint sheds explicitly).
-        if let Admission::Shed = self.breaker.admit(now) {
-            self.health.shed_circuit.fetch_add(1, Ordering::Relaxed);
-            return match self.breaker.policy().fallback {
-                FallbackPolicy::Reject => Err(FleetError::CircuitOpen),
-                FallbackPolicy::EscalateUncertain => {
-                    self.health.degraded_rows.fetch_add(1, Ordering::Relaxed);
-                    // A pre-resolved ticket: the degraded report is filled
-                    // in before the ticket is returned, so `wait` and
-                    // `try_wait` resolve immediately and the row never
-                    // enters a tile (or the monitor statistics).
-                    let cell = BatchCell::new();
-                    cell.fill(vec![Ok(VersionedReport {
-                        version: self.active().number,
-                        report: degraded_escalation(),
-                    })]);
-                    Ok(Ticket {
-                        endpoint: Arc::clone(self),
-                        cell,
-                        index: 0,
-                        deadline: now,
-                    })
-                }
-            };
+        if let Some(degraded) = self.shed(1)? {
+            // A pre-resolved ticket: the degraded report is filled in before
+            // the ticket is returned, so `wait` and `try_wait` resolve
+            // immediately and the row never enters a tile (or the monitor
+            // statistics).
+            let cell = BatchCell::new();
+            cell.fill(vec![Ok(degraded)]);
+            return Ok(ShardTicket {
+                endpoint: Arc::clone(self),
+                cell,
+                index: 0,
+                deadline: None,
+            });
         }
-        let limit = self.config.admission.max_pending_rows;
+        let limit = self.admission.max_pending_rows;
         let depth = self.pending_rows.fetch_add(1, Ordering::SeqCst);
         if depth >= limit {
             self.pending_rows.fetch_sub(1, Ordering::SeqCst);
@@ -704,24 +682,23 @@ impl Endpoint {
                     // One up-front allocation per tile: draining moves the
                     // buffer out, so without this the vec would re-grow (and
                     // copy) its way up for every tile.
-                    let rows = Vec::with_capacity(
-                        features.len() * self.config.flush.max_batch.min(1 << 16),
-                    );
+                    let rows =
+                        Vec::with_capacity(features.len() * self.flush.max_batch.min(1 << 16));
                     pending.insert(OpenTile {
                         width: features.len(),
                         rows,
                         count: 0,
                         cell: BatchCell::new(),
                         version: self.active(),
-                        deadline: Instant::now() + self.config.flush.max_wait,
+                        deadline: deadline_after(Instant::now(), self.flush.max_wait),
                     })
                 }
             };
             tile.rows.extend_from_slice(features);
             let index = tile.count;
             tile.count += 1;
-            let full = tile.count >= self.config.flush.max_batch;
-            let ticket = Ticket {
+            let full = tile.count >= self.flush.max_batch;
+            let ticket = ShardTicket {
                 endpoint: Arc::clone(self),
                 cell: Arc::clone(&tile.cell),
                 index,
@@ -757,13 +734,15 @@ impl Endpoint {
 
     /// Drains the pending tile only if its `max_wait` deadline has passed —
     /// the background flusher's entry point. Returns the rows scored (0 when
-    /// the tile is absent or still young). The tile is taken under the lock
-    /// and drained outside it, like every other drain path.
+    /// the tile is absent, still young, or never expires). The tile is taken
+    /// under the lock and drained outside it, like every other drain path.
     pub(crate) fn flush_expired(&self, now: Instant) -> usize {
         let taken = {
             let mut pending = self.pending.lock_unpoisoned();
             match pending.as_ref() {
-                Some(tile) if tile.deadline <= now => pending.take(),
+                Some(tile) if tile.deadline.is_some_and(|deadline| deadline <= now) => {
+                    pending.take()
+                }
                 _ => None,
             }
         };
@@ -778,137 +757,32 @@ impl Endpoint {
         }
     }
 
-    /// The open tile's flush deadline, if a tile is open — what the
-    /// background flusher sleeps until.
+    /// The open tile's flush deadline, if a tile is open and expires — what
+    /// the background flusher sleeps until.
     pub(crate) fn tile_deadline(&self) -> Option<Instant> {
         self.pending
             .lock_unpoisoned()
             .as_ref()
-            .map(|tile| tile.deadline)
+            .and_then(|tile| tile.deadline)
     }
 
-    /// Scores one taken tile through the captured version's batch hot path
-    /// and fulfils its tickets in request order. Runs outside every lock, so
-    /// producers keep enqueueing while the batch is in flight. Every drain
-    /// outcome feeds the breaker; the admission counter is released when
-    /// the results are published, whatever they are.
-    fn drain(&self, tile: OpenTile) {
-        let OpenTile {
-            width,
-            rows,
-            count,
-            cell,
-            version,
-            ..
-        } = tile;
-        // Kept alive past the champion pass so an installed challenger can
-        // score the identical rows. `None` when the champion pass failed —
-        // the challenger only sees rows that were actually served, so its
-        // statistics stay comparable to the champion's.
-        let mut shadow_batch: Option<Matrix> = None;
-        let ok = match Matrix::from_vec(count, width, rows) {
-            Ok(matrix) => match version.detector.detect_rows(matrix.view()) {
-                Ok(reports) if reports.len() == count => {
-                    {
-                        let mut stats = self.stats.lock_unpoisoned();
-                        for report in &reports {
-                            stats.record(report);
-                        }
-                    }
-                    cell.fill(
-                        reports
-                            .into_iter()
-                            .map(|report| {
-                                Ok(VersionedReport {
-                                    version: version.number,
-                                    report,
-                                })
-                            })
-                            .collect(),
-                    );
-                    shadow_batch = Some(matrix);
-                    true
-                }
-                Ok(reports) => {
-                    // A detector that returns the wrong number of reports
-                    // violated its contract. Failing the whole batch keeps
-                    // every ticket index in range — handing out a short
-                    // vector would panic the waiter whose slot is missing
-                    // and silently misalign everyone else's.
-                    let error = FleetError::Detector {
-                        message: format!(
-                            "detector returned {} reports for a {count}-row batch",
-                            reports.len()
-                        ),
-                    };
-                    cell.fill((0..count).map(|_| Err(error.clone())).collect());
-                    false
-                }
-                Err(err) => {
-                    let error = FleetError::from(err);
-                    cell.fill((0..count).map(|_| Err(error.clone())).collect());
-                    false
-                }
-            },
-            Err(err) => {
-                // Unreachable by construction (every enqueue appends exactly
-                // `width` values and bumps `count`), but a broken tile must
-                // fail its tickets, not the serving thread.
-                let error = FleetError::Detector {
-                    message: err.to_string(),
-                };
-                cell.fill((0..count).map(|_| Err(error.clone())).collect());
-                false
-            }
-        };
-        if self.breaker.record(ok, Instant::now()) {
-            self.health.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        self.pending_rows.fetch_sub(count, Ordering::SeqCst);
-        // Challenger pass, strictly after the champion's results were
-        // published, the breaker fed and the admission budget released: a
-        // shadow never delays a waiter, never changes what callers receive,
-        // and never holds serving capacity.
-        if let Some(matrix) = shadow_batch {
-            self.shadow_observe(matrix.view());
-        }
-    }
-
-    /// The synchronous batch path. Consults the breaker (a broken endpoint
-    /// sheds batches too, and probe outcomes must feed recovery) but not
-    /// the admission budget — a synchronous batch occupies no queue, it
-    /// runs on the caller's thread.
-    pub(crate) fn score_rows(
+    /// The serving rules every scored batch passes, in one place: the
+    /// detector must return exactly one report per row of the `rows`-row
+    /// batch (a short or long vector fails the whole batch — handing it out
+    /// would leave some ticket's slot missing and misalign everyone
+    /// else's), a detector error becomes [`FleetError::Detector`], every
+    /// outcome feeds the breaker, and only a successful batch reaches the
+    /// monitor statistics.
+    fn settle(
         &self,
-        batch: RowsView<'_>,
-    ) -> Result<Vec<VersionedReport>, FleetError> {
-        let now = Instant::now();
-        if let Admission::Shed = self.breaker.admit(now) {
-            self.health.shed_circuit.fetch_add(1, Ordering::Relaxed);
-            return match self.breaker.policy().fallback {
-                FallbackPolicy::Reject => Err(FleetError::CircuitOpen),
-                FallbackPolicy::EscalateUncertain => {
-                    let rows = batch.rows();
-                    self.health
-                        .degraded_rows
-                        .fetch_add(rows as u64, Ordering::Relaxed);
-                    let version = self.active().number;
-                    Ok((0..rows)
-                        .map(|_| VersionedReport {
-                            version,
-                            report: degraded_escalation(),
-                        })
-                        .collect())
-                }
-            };
-        }
-        let version = self.active();
-        let expected = batch.rows();
-        let outcome = match version.detector.detect_rows(batch) {
-            Ok(reports) if reports.len() == expected => Ok(reports),
+        rows: usize,
+        scored: Result<Vec<DetectionReport>, MlError>,
+    ) -> Result<Vec<DetectionReport>, FleetError> {
+        let outcome = match scored {
+            Ok(reports) if reports.len() == rows => Ok(reports),
             Ok(reports) => Err(FleetError::Detector {
                 message: format!(
-                    "detector returned {} reports for a {expected}-row batch",
+                    "detector returned {} reports for a {rows}-row batch",
                     reports.len()
                 ),
             }),
@@ -923,125 +797,181 @@ impl Endpoint {
             stats.record(report);
         }
         drop(stats);
+        Ok(reports)
+    }
+
+    /// Scores one taken tile through the captured version's batch hot path
+    /// and fulfils its tickets in request order. Runs outside every lock, so
+    /// producers keep enqueueing while the batch is in flight. The admission
+    /// counter is released when the results are published, whatever they
+    /// are.
+    fn drain(&self, tile: OpenTile) {
+        let OpenTile {
+            width,
+            rows,
+            count,
+            cell,
+            version,
+            ..
+        } = tile;
+        // `from_vec` cannot fail (every enqueue appends exactly `width`
+        // values and bumps `count`), but a broken tile must fail its
+        // tickets, not the serving thread.
+        let batch = Matrix::from_vec(count, width, rows).map_err(MlError::from);
+        let scored = match &batch {
+            Ok(matrix) => version.detector.detect_rows(matrix.view()),
+            Err(err) => Err(err.clone()),
+        };
+        // The matrix outlives the champion pass so an installed challenger
+        // can score the identical rows — only when they were actually
+        // served, so its statistics stay comparable to the champion's.
+        let served = match self.settle(count, scored) {
+            Ok(reports) => {
+                cell.fill(
+                    reports
+                        .into_iter()
+                        .map(|report| Ok(self.stamp(version.number, report)))
+                        .collect(),
+                );
+                batch.ok()
+            }
+            Err(error) => {
+                cell.fill(vec![Err(error); count]);
+                None
+            }
+        };
+        self.pending_rows.fetch_sub(count, Ordering::SeqCst);
+        // Challenger pass, strictly after the champion's results were
+        // published, the breaker fed and the admission budget released: a
+        // shadow never delays a waiter, never changes what callers receive,
+        // and never holds serving capacity.
+        if let Some(matrix) = served {
+            self.shadow_observe(matrix.view());
+        }
+    }
+
+    /// The synchronous batch path. Consults the breaker (a broken endpoint
+    /// sheds batches too, and probe outcomes must feed recovery) but not
+    /// the admission budget — a synchronous batch occupies no queue, it
+    /// runs on the caller's thread.
+    pub(crate) fn score_rows(&self, batch: RowsView<'_>) -> Result<Vec<ShardedReport>, FleetError> {
+        let rows = batch.rows();
+        if let Some(degraded) = self.shed(rows)? {
+            return Ok(vec![degraded; rows]);
+        }
+        let version = self.active();
+        let reports = self.settle(rows, version.detector.detect_rows(batch))?;
         // Same isolation as the tile path: the challenger re-scores the
         // borrowed view (it is `Copy`) into its own statistics only.
         self.shadow_observe(batch);
         Ok(reports
             .into_iter()
-            .map(|report| VersionedReport {
-                version: version.number,
-                report,
-            })
+            .map(|report| self.stamp(version.number, report))
             .collect())
     }
 }
 
-/// An ordered claim on one micro-batched scoring request.
+/// An ordered claim on one micro-batched scoring request, queued in the
+/// tile of the replica the router chose.
 ///
-/// Tickets resolve in request order within their tile. [`Ticket::wait`]
-/// blocks until the tile drains — and *makes it drain* once the flush
-/// policy's `max_wait` deadline passes, so a lone request on an idle
-/// endpoint never hangs even if the background flusher could not be
-/// spawned. [`Ticket::wait_deadline`] bounds how long the caller itself is
-/// willing to block.
-pub struct Ticket {
+/// Tickets resolve in request order within their tile.
+/// [`ShardTicket::wait`] blocks until the tile drains — and *makes it
+/// drain* once the flush policy's `max_wait` deadline passes, so a lone
+/// request on an idle endpoint never hangs even if the background flusher
+/// could not be spawned. [`ShardTicket::wait_deadline`] bounds how long the
+/// caller itself is willing to block.
+pub struct ShardTicket {
     endpoint: Arc<Endpoint>,
     cell: Arc<BatchCell>,
     index: usize,
-    deadline: Instant,
+    /// The tile's flush deadline; `None` when the tile never expires.
+    deadline: Option<Instant>,
 }
 
-impl fmt::Debug for Ticket {
+impl fmt::Debug for ShardTicket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ticket")
+        f.debug_struct("ShardTicket")
+            .field("replica", &self.endpoint.replica)
             .field("index", &self.index)
             .field("deadline", &self.deadline)
             .finish_non_exhaustive()
     }
 }
 
-impl Ticket {
-    /// Blocks until the request's micro-batch has been scored and returns
-    /// this request's version-stamped report.
+impl ShardTicket {
+    /// The replica index the request was routed to.
+    pub fn replica(&self) -> usize {
+        self.endpoint.replica
+    }
+
+    /// Blocks until the request's micro-batch has been scored on its
+    /// replica and returns this request's version- and replica-stamped
+    /// report.
     ///
     /// # Errors
     ///
-    /// Returns the error the detector reported for the batch (every ticket
-    /// of a failed batch receives a clone).
-    pub fn wait(self) -> Result<VersionedReport, FleetError> {
-        let mut guard = self.cell.results.lock_unpoisoned();
-        loop {
-            if let Some(results) = guard.as_ref() {
-                return results[self.index].clone();
-            }
-            let now = Instant::now();
-            if now < self.deadline {
-                let (g, _) = unpoison(self.cell.ready.wait_timeout(guard, self.deadline - now));
-                guard = g;
-            } else {
-                // Deadline passed with the tile still queued: this waiter
-                // becomes the flusher. If another thread is already draining
-                // the tile, the flush is a no-op and the condvar wait below
-                // picks the results up when they land.
-                drop(guard);
-                self.endpoint.flush();
-                guard = self.cell.results.lock_unpoisoned();
-                while guard.is_none() {
-                    guard = unpoison(self.cell.ready.wait(guard));
-                }
-            }
-        }
+    /// Returns the error the replica's detector reported for the batch
+    /// (every ticket of a failed batch receives a clone).
+    pub fn wait(self) -> Result<ShardedReport, FleetError> {
+        self.wait_deadline(Duration::MAX)
     }
 
-    /// Like [`Ticket::wait`], but gives up after `timeout` with
+    /// Like [`ShardTicket::wait`], but gives up after `timeout` with
     /// [`FleetError::DeadlineExceeded`]. The batch itself is *not*
     /// cancelled — its other tickets (and the endpoint's statistics) are
     /// unaffected; only this waiter stops waiting, which is how a caller
-    /// carries its own latency SLO through the queue.
+    /// carries its own latency SLO through the queue. A `timeout` too large
+    /// to represent as a deadline (such as `Duration::MAX`) never expires.
     ///
     /// # Errors
     ///
     /// [`FleetError::DeadlineExceeded`] if the batch did not drain within
-    /// `timeout`; otherwise whatever [`Ticket::wait`] would return.
-    pub fn wait_deadline(self, timeout: Duration) -> Result<VersionedReport, FleetError> {
-        let caller_deadline = Instant::now() + timeout;
-        let mut flushed = false;
+    /// `timeout`; otherwise the batch's own outcome.
+    pub fn wait_deadline(self, timeout: Duration) -> Result<ShardedReport, FleetError> {
         let mut guard = self.cell.results.lock_unpoisoned();
+        if let Some(results) = guard.as_ref() {
+            // Already drained (the common case for a filled tile): no clock
+            // read on the fast path.
+            return results[self.index].clone();
+        }
+        let caller_deadline = deadline_after(Instant::now(), timeout);
+        let mut flushed = false;
         loop {
             if let Some(results) = guard.as_ref() {
                 return results[self.index].clone();
             }
             let now = Instant::now();
-            if now >= caller_deadline {
+            if caller_deadline.is_some_and(|deadline| now >= deadline) {
                 return Err(FleetError::DeadlineExceeded { timeout });
             }
-            if now >= self.deadline && !flushed {
-                // The tile's own deadline passed first: drive the flush like
-                // `wait` does, then keep waiting (bounded) for the results.
+            if !flushed && self.deadline.is_some_and(|deadline| now >= deadline) {
+                // The tile's deadline passed with the tile still queued:
+                // this waiter becomes the flusher. If another thread is
+                // already draining the tile, the flush is a no-op and the
+                // wait below picks the results up when they land.
                 drop(guard);
                 self.endpoint.flush();
                 flushed = true;
                 guard = self.cell.results.lock_unpoisoned();
                 continue;
             }
-            let until = if flushed {
-                caller_deadline
-            } else {
-                caller_deadline.min(self.deadline)
+            let tile_deadline = if flushed { None } else { self.deadline };
+            guard = match caller_deadline.into_iter().chain(tile_deadline).min() {
+                Some(until) => unpoison(self.cell.ready.wait_timeout(guard, until - now)).0,
+                None => unpoison(self.cell.ready.wait(guard)),
             };
-            let (g, _) = unpoison(self.cell.ready.wait_timeout(guard, until - now));
-            guard = g;
         }
     }
 
-    /// Non-blocking probe: returns the result if the batch already drained.
+    /// Non-blocking probe: returns the result if the replica's batch
+    /// already drained.
     ///
     /// # Errors
     ///
     /// Returns `Err(self)` — the unconsumed ticket — while the batch is
     /// still pending, so callers can keep polling or fall back to
-    /// [`Ticket::wait`].
-    pub fn try_wait(self) -> Result<Result<VersionedReport, FleetError>, Ticket> {
+    /// [`ShardTicket::wait`].
+    pub fn try_wait(self) -> Result<Result<ShardedReport, FleetError>, ShardTicket> {
         let guard = self.cell.results.lock_unpoisoned();
         match guard.as_ref() {
             Some(results) => Ok(results[self.index].clone()),
@@ -1053,365 +983,11 @@ impl Ticket {
     }
 }
 
-/// A registry of named, versioned, micro-batching detector endpoints — the
-/// fleet behind which every deployed pipeline serves.
-///
-/// See the [crate docs](crate) for the serving model. For replicated
-/// endpoints with load-aware routing, layer [`crate::ShardedFleet`] on top.
-///
-/// Every fleet owns one background flusher thread (spawned lazily on the
-/// first deploy, joined when the fleet drops) that fires `max_wait`
-/// deadlines even when no caller is blocked in [`Ticket::wait`]; each
-/// endpoint is individually supervised by the fleet's [`FleetConfig`]
-/// (admission budget + circuit breaker), observable via
-/// [`DetectorFleet::health`].
-///
-/// # Example
-///
-/// Build a config, deploy it, score a burst through the micro-batch tile,
-/// then hot-swap a stricter model and roll it back:
-///
-/// ```
-/// use hmd_core::detector::{DetectorBackend, DetectorConfig};
-/// use hmd_data::{Dataset, Label, Matrix};
-/// use hmd_serve::{DetectorFleet, FlushPolicy};
-/// use std::time::Duration;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let x = Matrix::from_rows(&[
-///     vec![0.1, 0.2], vec![0.2, 0.1], vec![0.9, 0.8], vec![0.8, 0.9],
-/// ])?;
-/// let y = vec![Label::Benign, Label::Benign, Label::Malware, Label::Malware];
-/// let train = Dataset::new(x, y)?;
-/// let config = DetectorConfig::trusted(DetectorBackend::decision_tree())
-///     .with_num_estimators(9);
-///
-/// // Deploy: version numbers are 1-based and monotone per endpoint.
-/// let fleet = DetectorFleet::with_policy(FlushPolicy::new(4, Duration::from_millis(5)));
-/// assert_eq!(fleet.deploy("dvfs-hmd", config.fit(&train, 3)?), 1);
-///
-/// // Score a burst: four single-row requests fill the 4-row tile, so the
-/// // last enqueue drains the whole tile through the batch hot path.
-/// let burst = [[0.15, 0.15], [0.85, 0.85], [0.2, 0.2], [0.9, 0.9]];
-/// let tickets: Vec<_> = burst
-///     .iter()
-///     .map(|row| fleet.score("dvfs-hmd", row))
-///     .collect::<Result<_, _>>()?;
-/// for ticket in tickets {
-///     assert_eq!(ticket.wait()?.version, 1);
-/// }
-///
-/// // Hot swap: later traffic scores on v2, rollback restores v1.
-/// assert_eq!(fleet.deploy("dvfs-hmd", config.with_num_estimators(15).fit(&train, 4)?), 2);
-/// assert_eq!(fleet.rollback("dvfs-hmd")?, 1);
-/// assert_eq!(fleet.stats("dvfs-hmd")?.windows, 4);
-/// # Ok(())
-/// # }
-/// ```
-pub struct DetectorFleet {
-    config: FleetConfig,
-    /// `Arc`ed so the background flusher can hold a `Weak` snapshot closure
-    /// without keeping the fleet alive.
-    endpoints: Arc<RwLock<HashMap<String, Arc<Endpoint>>>>,
-    supervisor: Supervisor,
-}
-
-impl Default for DetectorFleet {
-    fn default() -> DetectorFleet {
-        DetectorFleet::new()
-    }
-}
-
-impl Drop for DetectorFleet {
-    /// Joins the background flusher, so no supervisor thread outlives the
-    /// endpoints it scans.
-    fn drop(&mut self) {
-        self.supervisor.shutdown();
-    }
-}
-
-impl DetectorFleet {
-    /// An empty fleet with the default [`FleetConfig`].
-    pub fn new() -> DetectorFleet {
-        DetectorFleet::with_config(FleetConfig::default())
-    }
-
-    /// An empty fleet whose endpoints flush with the given policy (default
-    /// admission and breaker).
-    pub fn with_policy(policy: FlushPolicy) -> DetectorFleet {
-        DetectorFleet::with_config(FleetConfig::default().with_flush(policy))
-    }
-
-    /// An empty fleet with an explicit full [`FleetConfig`].
-    pub fn with_config(config: FleetConfig) -> DetectorFleet {
-        DetectorFleet {
-            config,
-            endpoints: Arc::new(RwLock::new(HashMap::new())),
-            supervisor: Supervisor::new(),
-        }
-    }
-
-    /// The [`FlushPolicy`] every endpoint of this fleet drains under.
-    pub fn policy(&self) -> FlushPolicy {
-        self.config.flush
-    }
-
-    /// The fleet's full serving configuration.
-    pub fn config(&self) -> FleetConfig {
-        self.config
-    }
-
-    fn endpoint(&self, name: &str) -> Result<Arc<Endpoint>, FleetError> {
-        self.endpoints
-            .read_unpoisoned()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| FleetError::UnknownEndpoint {
-                name: name.to_string(),
-            })
-    }
-
-    /// Deploys `detector` as endpoint `name` and returns the published
-    /// version number (1 for a new endpoint, previous + 1 afterwards).
-    ///
-    /// Publishing is atomic: requests already enqueued finish on the version
-    /// that accepted them, requests enqueued after this call score on the
-    /// new version. The endpoint's monitor statistics persist across
-    /// versions (they describe the endpoint, not the model). The last few
-    /// retired versions are retained for [`DetectorFleet::rollback`]; older
-    /// ones are dropped so periodic redeploys do not accumulate every model
-    /// ever served. The first deploy also starts the fleet's background
-    /// flusher thread.
-    pub fn deploy(&self, name: &str, detector: Box<dyn Detector>) -> u64 {
-        let existing = self.endpoint(name).ok();
-        let version = match existing {
-            Some(endpoint) => endpoint.deploy(detector),
-            None => {
-                let mut endpoints = self.endpoints.write_unpoisoned();
-                // Double-checked under the write lock: a racing deploy of the
-                // same name must version-bump, not overwrite.
-                match endpoints.get(name) {
-                    Some(endpoint) => endpoint.deploy(detector),
-                    None => {
-                        endpoints.insert(
-                            name.to_string(),
-                            Arc::new(Endpoint::new(
-                                detector,
-                                self.config,
-                                self.supervisor.notifier(),
-                            )),
-                        );
-                        1
-                    }
-                }
-            }
-        };
-        let endpoints = Arc::downgrade(&self.endpoints);
-        self.supervisor.ensure_spawned(move || {
-            endpoints
-                .upgrade()
-                .map(|map| map.read_unpoisoned().values().cloned().collect())
-        });
-        version
-    }
-
-    /// Restores endpoint `name` to the version retired by the latest
-    /// [`DetectorFleet::deploy`], returning the restored version number.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names,
-    /// [`FleetError::NoPreviousVersion`] when nothing was ever retired.
-    pub fn rollback(&self, name: &str) -> Result<u64, FleetError> {
-        self.endpoint(name)?.rollback(name)
-    }
-
-    /// The currently active version number of endpoint `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn active_version(&self, name: &str) -> Result<u64, FleetError> {
-        Ok(self.endpoint(name)?.active().number)
-    }
-
-    /// The active detector's human-readable description.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn detector_name(&self, name: &str) -> Result<String, FleetError> {
-        Ok(self.endpoint(name)?.active().detector.name())
-    }
-
-    /// Names of every deployed endpoint, sorted.
-    pub fn endpoints(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.endpoints.read_unpoisoned().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Enqueues one signature into endpoint `name`'s micro-batch tile and
-    /// returns an ordered [`Ticket`] for the result. The row is copied into
-    /// the tile (the only copy on the request path); the tile drains through
-    /// the detector's zero-copy batch view when the flush policy fires.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names,
-    /// [`FleetError::WidthMismatch`] when `features` disagrees with rows
-    /// already queued in the tile, [`FleetError::Overloaded`] when the
-    /// endpoint's admission budget is exhausted, and
-    /// [`FleetError::CircuitOpen`] when its breaker is shedding under
-    /// [`FallbackPolicy::Reject`] (under
-    /// [`FallbackPolicy::EscalateUncertain`] the ticket resolves immediately
-    /// to a synthetic escalation instead).
-    pub fn score(&self, name: &str, features: &[f64]) -> Result<Ticket, FleetError> {
-        self.endpoint(name)?.enqueue(features)
-    }
-
-    /// Scores a whole borrowed batch view directly on the active version —
-    /// the batch-first fleet path, bypassing the micro-batch queue but still
-    /// stamping versions and feeding the endpoint's statistics (and its
-    /// circuit breaker; the admission budget does not apply, since a
-    /// synchronous batch occupies no queue).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names,
-    /// [`FleetError::CircuitOpen`] while the breaker sheds (under
-    /// [`FallbackPolicy::Reject`]), or the detector's error for mismatched
-    /// feature counts.
-    pub fn score_batch<'a>(
-        &self,
-        name: &str,
-        batch: impl Into<RowsView<'a>>,
-    ) -> Result<Vec<VersionedReport>, FleetError> {
-        self.endpoint(name)?.score_rows(batch.into())
-    }
-
-    /// Drains endpoint `name`'s pending tile immediately, returning how many
-    /// rows were scored (0 when the tile was empty — an empty flush is a
-    /// no-op, not an error).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn flush(&self, name: &str) -> Result<usize, FleetError> {
-        Ok(self.endpoint(name)?.flush())
-    }
-
-    /// Snapshot of endpoint `name`'s running monitor statistics (windows,
-    /// accept/escalate counts, entropy extremes) across every version it has
-    /// served. Degraded (breaker-fallback) rows are never recorded here —
-    /// see [`HealthSnapshot`].
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn stats(&self, name: &str) -> Result<MonitorStats, FleetError> {
-        Ok(*self.endpoint(name)?.stats.lock_unpoisoned())
-    }
-
-    /// Endpoint `name`'s supervision health: breaker state, admitted rows,
-    /// shed/degraded/trip/expired-flush counters.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn health(&self, name: &str) -> Result<HealthSnapshot, FleetError> {
-        Ok(self.endpoint(name)?.health())
-    }
-
-    /// Endpoint `name`'s circuit-breaker state (also available via
-    /// [`DetectorFleet::health`]).
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn breaker_state(&self, name: &str) -> Result<BreakerState, FleetError> {
-        Ok(self.endpoint(name)?.breaker_state())
-    }
-
-    /// Resets endpoint `name`'s monitor statistics (e.g. at an epoch
-    /// boundary) without touching the deployed detector or its versions.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn reset_stats(&self, name: &str) -> Result<(), FleetError> {
-        *self.endpoint(name)?.stats.lock_unpoisoned() = MonitorStats::default();
-        Ok(())
-    }
-
-    /// Reset-on-read window over endpoint `name`'s statistics: everything
-    /// recorded since the previous `window_stats` call, as a standalone
-    /// [`MonitorStats`]. Lifetime statistics ([`DetectorFleet::stats`]) are
-    /// untouched — this is the feed a drift detector polls at its own
-    /// cadence.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn window_stats(&self, name: &str) -> Result<MonitorStats, FleetError> {
-        Ok(self.endpoint(name)?.window_stats())
-    }
-
-    /// Installs `detector` as endpoint `name`'s **challenger**: from now on
-    /// it scores every batch the champion serves, into its own
-    /// [`MonitorStats`], while callers keep receiving exactly the
-    /// champion's reports — served rows are bit-identical to a shadowless
-    /// endpoint by construction. Replaces (and discards the evidence of)
-    /// any previous challenger.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn deploy_shadow(&self, name: &str, detector: Box<dyn Detector>) -> Result<(), FleetError> {
-        self.endpoint(name)?.set_shadow(Arc::from(detector));
-        Ok(())
-    }
-
-    /// The challenger's accumulated evidence (`None` when no shadow is
-    /// installed): its own monitor statistics, rows offered, and failed
-    /// shadow batches.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn shadow_stats(&self, name: &str) -> Result<Option<ShadowSnapshot>, FleetError> {
-        Ok(self.endpoint(name)?.shadow_snapshot())
-    }
-
-    /// Removes endpoint `name`'s challenger without promoting it, returning
-    /// its final evidence (`None` when no shadow was installed). The
-    /// champion is untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names.
-    pub fn clear_shadow(&self, name: &str) -> Result<Option<ShadowSnapshot>, FleetError> {
-        Ok(self.endpoint(name)?.clear_shadow())
-    }
-
-    /// Promotes endpoint `name`'s challenger to champion: the same detector
-    /// instance that accumulated the shadow evidence is published as the
-    /// next version, the outgoing champion is retired for
-    /// [`DetectorFleet::rollback`], and the shadow slot empties. Returns
-    /// the published version number.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names,
-    /// [`FleetError::NoShadow`] when no challenger is installed.
-    pub fn promote_shadow(&self, name: &str) -> Result<u64, FleetError> {
-        self.endpoint(name)?.promote_shadow(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::Supervisor;
+    use crate::ShardedFleet;
     use hmd_core::detector::{DetectorBackend, DetectorConfig, DetectorExt};
     use hmd_data::{Dataset, Label};
     use rand::rngs::StdRng;
@@ -1438,6 +1014,14 @@ mod tests {
             .with_num_estimators(num_estimators)
             .fit(&blobs(120, 7), seed)
             .expect("training succeeds")
+    }
+
+    /// A 1-replica fleet whose tiles flush at `max_batch` rows or after
+    /// `max_wait`.
+    fn fleet(max_batch: usize, max_wait: Duration) -> ShardedFleet {
+        ShardedFleet::with_config(
+            ShardConfig::new(1).with_flush(FlushPolicy::new(max_batch, max_wait)),
+        )
     }
 
     /// The published wire-protocol mapping (PROTOCOL.md): every variant, its
@@ -1511,16 +1095,16 @@ mod tests {
 
     #[test]
     fn deploy_rollback_walk_the_version_stack() {
-        let fleet = DetectorFleet::new();
-        assert_eq!(fleet.deploy("ep", trained(5, 1)), 1);
+        let fleet = ShardedFleet::new(1);
+        assert_eq!(fleet.deploy("ep", trained(5, 1)).unwrap(), 1);
         assert_eq!(fleet.active_version("ep").unwrap(), 1);
-        assert_eq!(fleet.deploy("ep", trained(7, 2)), 2);
+        assert_eq!(fleet.deploy("ep", trained(7, 2)).unwrap(), 2);
         assert_eq!(fleet.active_version("ep").unwrap(), 2);
         assert!(fleet.detector_name("ep").unwrap().starts_with("trusted[7x"));
         assert_eq!(fleet.rollback("ep").unwrap(), 1);
         assert!(fleet.detector_name("ep").unwrap().starts_with("trusted[5x"));
         // A fresh deploy after rollback keeps version numbers monotone.
-        assert_eq!(fleet.deploy("ep", trained(9, 3)), 3);
+        assert_eq!(fleet.deploy("ep", trained(9, 3)).unwrap(), 3);
         // v3 retired v1 again; rolling back twice bottoms the stack out.
         assert_eq!(fleet.rollback("ep").unwrap(), 1);
         assert_eq!(
@@ -1532,9 +1116,9 @@ mod tests {
 
     #[test]
     fn retired_versions_are_bounded_for_rollback() {
-        let fleet = DetectorFleet::new();
+        let fleet = ShardedFleet::new(1);
         for i in 0..8u64 {
-            fleet.deploy("ep", trained(5, 100 + i));
+            fleet.deploy("ep", trained(5, 100 + i)).unwrap();
         }
         assert_eq!(fleet.active_version("ep").unwrap(), 8);
         // Only the bounded tail of the version stack can be restored.
@@ -1545,21 +1129,6 @@ mod tests {
             fleet.rollback("ep"),
             Err(FleetError::NoPreviousVersion { .. })
         ));
-    }
-
-    #[test]
-    fn unknown_endpoints_error_uniformly() {
-        let fleet = DetectorFleet::new();
-        let missing = FleetError::UnknownEndpoint {
-            name: "ghost".into(),
-        };
-        assert_eq!(fleet.score("ghost", &[0.0]).unwrap_err(), missing);
-        assert_eq!(fleet.flush("ghost").unwrap_err(), missing);
-        assert_eq!(fleet.stats("ghost").unwrap_err(), missing);
-        assert_eq!(fleet.health("ghost").unwrap_err(), missing);
-        assert_eq!(fleet.rollback("ghost").unwrap_err(), missing);
-        assert_eq!(fleet.active_version("ghost").unwrap_err(), missing);
-        assert!(fleet.endpoints().is_empty());
     }
 
     #[test]
@@ -1581,8 +1150,8 @@ mod tests {
 
     #[test]
     fn width_mismatch_is_rejected_at_enqueue_time() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(8, Duration::from_secs(5)));
-        fleet.deploy("ep", trained(5, 4));
+        let fleet = fleet(8, Duration::from_secs(5));
+        fleet.deploy("ep", trained(5, 4)).unwrap();
         let _first = fleet.score("ep", &[0.1, 0.2]).unwrap();
         let err = fleet.score("ep", &[0.1, 0.2, 0.3]).unwrap_err();
         assert_eq!(
@@ -1595,13 +1164,13 @@ mod tests {
         // The mismatched row was not enqueued; the tile drains cleanly and
         // the admission slot the rejected row briefly held was released.
         assert_eq!(fleet.flush("ep").unwrap(), 1);
-        assert_eq!(fleet.health("ep").unwrap().pending_rows, 0);
+        assert_eq!(fleet.replica_health("ep").unwrap()[0].pending_rows, 0);
     }
 
     #[test]
     fn detector_errors_fan_out_to_every_ticket() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(2, Duration::from_secs(5)));
-        fleet.deploy("ep", trained(5, 5));
+        let fleet = fleet(2, Duration::from_secs(5));
+        fleet.deploy("ep", trained(5, 5)).unwrap();
         // Wrong width for the model (trained on 2 features) but consistent
         // within the tile: the error surfaces per ticket, not as a panic.
         let a = fleet.score("ep", &[0.1, 0.2, 0.3]).unwrap();
@@ -1613,15 +1182,15 @@ mod tests {
 
     #[test]
     fn score_batch_stamps_versions_and_feeds_stats() {
-        let fleet = DetectorFleet::new();
+        let fleet = ShardedFleet::new(1);
         let detector = trained(9, 6);
         let test = blobs(20, 8);
         let direct = detector.detect_batch(test.features()).unwrap();
-        fleet.deploy("ep", detector);
+        fleet.deploy("ep", detector).unwrap();
         let scored = fleet.score_batch("ep", test.features()).unwrap();
         assert_eq!(scored.len(), direct.len());
         for (s, d) in scored.iter().zip(&direct) {
-            assert_eq!(s.version, 1);
+            assert_eq!((s.replica, s.version), (0, 1));
             assert_eq!(&s.report, d);
         }
         assert_eq!(fleet.stats("ep").unwrap().windows, 20);
@@ -1631,8 +1200,8 @@ mod tests {
 
     #[test]
     fn try_wait_resolves_only_after_a_drain() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(16, Duration::from_secs(5)));
-        fleet.deploy("ep", trained(5, 9));
+        let fleet = fleet(16, Duration::from_secs(5));
+        fleet.deploy("ep", trained(5, 9)).unwrap();
         let ticket = fleet.score("ep", &[0.5, -0.5]).unwrap();
         let ticket = match ticket.try_wait() {
             Err(ticket) => ticket,
@@ -1645,8 +1214,8 @@ mod tests {
 
     #[test]
     fn wait_deadline_times_out_then_a_plain_wait_still_resolves() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(16, Duration::from_secs(30)));
-        fleet.deploy("ep", trained(5, 10));
+        let fleet = fleet(16, Duration::from_secs(30));
+        fleet.deploy("ep", trained(5, 10)).unwrap();
         let impatient = fleet.score("ep", &[0.5, -0.5]).unwrap();
         let patient = fleet.score("ep", &[0.6, -0.6]).unwrap();
         // The caller's deadline fires long before the 30 s tile deadline.
@@ -1666,55 +1235,70 @@ mod tests {
         assert_eq!(fleet.stats("ep").unwrap().windows, 2);
     }
 
+    /// A caller timeout too large to represent as a deadline means "wait
+    /// for as long as it takes" — `Instant + Duration::MAX` would panic.
     #[test]
-    fn admission_budget_sheds_with_overloaded() {
-        let config = FleetConfig::default()
-            .with_flush(FlushPolicy::new(64, Duration::from_secs(30)))
-            .with_admission(AdmissionPolicy::new(3));
-        let fleet = DetectorFleet::with_config(config);
-        fleet.deploy("ep", trained(5, 11));
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|_| fleet.score("ep", &[0.5, -0.5]).unwrap())
+    fn unrepresentable_wait_deadline_never_expires() {
+        let fleet = fleet(16, Duration::from_millis(5));
+        fleet.deploy("ep", trained(5, 12)).unwrap();
+        let ticket = fleet.score("ep", &[0.5, -0.5]).unwrap();
+        // Nothing flushes the tile but its own 5 ms deadline, which the
+        // waiter (or the background flusher) drives.
+        let report = ticket.wait_deadline(Duration::MAX).expect("scores");
+        assert_eq!((report.replica, report.version), (0, 1));
+    }
+
+    /// A `max_wait` too large to represent opens tiles that never expire:
+    /// enqueueing does not panic, the flusher leaves the tile alone, and it
+    /// drains at `max_batch` or on an explicit flush.
+    #[test]
+    fn unrepresentable_tile_deadline_never_expires() {
+        let fleet = fleet(3, Duration::MAX);
+        fleet.deploy("ep", trained(5, 13)).unwrap();
+        let lone = fleet.score("ep", &[0.5, -0.5]).unwrap();
+        let lone = lone
+            .wait_deadline(Duration::from_millis(30))
+            .expect_err("a never-expiring tile waits for max_batch or a flush");
+        assert!(matches!(lone, FleetError::DeadlineExceeded { .. }));
+        assert_eq!(fleet.replica_health("ep").unwrap()[0].expired_flushes, 0);
+        // Two more rows fill the 3-row tile, which drains inline.
+        let filler: Vec<ShardTicket> = (0..2)
+            .map(|_| fleet.score("ep", &[0.6, -0.6]).unwrap())
             .collect();
-        let err = fleet.score("ep", &[0.5, -0.5]).unwrap_err();
-        assert_eq!(err, FleetError::Overloaded { depth: 3, limit: 3 });
-        let health = fleet.health("ep").unwrap();
-        assert_eq!(health.pending_rows, 3);
-        assert_eq!(health.shed_overload, 1);
-        // Draining releases the budget; the endpoint admits again.
-        assert_eq!(fleet.flush("ep").unwrap(), 3);
-        for ticket in tickets {
-            assert!(ticket.wait().is_ok());
+        for ticket in filler {
+            assert!(ticket.try_wait().expect("drained at max_batch").is_ok());
         }
-        assert_eq!(fleet.health("ep").unwrap().pending_rows, 0);
-        assert!(fleet.score("ep", &[0.5, -0.5]).is_ok());
+        let flushed = fleet.score("ep", &[0.7, -0.7]).unwrap();
+        assert_eq!(fleet.flush("ep").unwrap(), 1);
+        assert!(flushed.wait().is_ok());
+        assert_eq!(fleet.stats("ep").unwrap().windows, 4);
     }
 
     #[test]
     fn shadow_scores_same_tiles_without_touching_served_rows_or_champion_stats() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(4, Duration::from_secs(5)));
+        let fleet = fleet(4, Duration::from_secs(5));
         let champion = trained(5, 30);
         let challenger = trained(9, 31);
         let test = blobs(8, 32);
 
         // Reference run: the same champion, no shadow anywhere near it.
-        let reference = DetectorFleet::with_policy(FlushPolicy::new(4, Duration::from_secs(5)));
-        reference.deploy("ep", trained(5, 30));
+        let reference = ShardedFleet::with_config(fleet.config());
+        reference.deploy("ep", trained(5, 30)).unwrap();
         let expected_reports = reference.score_batch("ep", test.features()).unwrap();
         let expected_direct = trained(9, 31).detect_batch(test.features()).unwrap();
 
-        fleet.deploy("ep", champion);
+        fleet.deploy("ep", champion).unwrap();
         assert_eq!(fleet.shadow_stats("ep").unwrap(), None);
         fleet.deploy_shadow("ep", challenger).unwrap();
 
         // Tile path: two 4-row tiles drain; shadow sees both.
-        let tickets: Vec<Ticket> = test
+        let tickets: Vec<ShardTicket> = test
             .features()
             .view()
             .iter_rows()
             .map(|row| fleet.score("ep", row).unwrap())
             .collect();
-        let served: Vec<VersionedReport> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let served: Vec<ShardedReport> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         // Served rows are bit-identical to the shadowless fleet.
         for (got, want) in served.iter().zip(&expected_reports) {
             assert_eq!(got, want);
@@ -1756,8 +1340,8 @@ mod tests {
 
     #[test]
     fn window_stats_reset_on_read_without_touching_lifetime() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(4, Duration::from_secs(5)));
-        fleet.deploy("ep", trained(5, 33));
+        let fleet = fleet(4, Duration::from_secs(5));
+        fleet.deploy("ep", trained(5, 33)).unwrap();
         let test = blobs(12, 34);
         fleet
             .score_batch("ep", test.features().rows_view(0..8))
@@ -1784,17 +1368,15 @@ mod tests {
             fn entropy_threshold(&self) -> f64 {
                 0.5
             }
-            fn detect_rows(
-                &self,
-                _rows: RowsView<'_>,
-            ) -> Result<Vec<DetectionReport>, hmd_ml::MlError> {
-                Err(hmd_ml::MlError::ContractViolation {
+            fn detect_rows(&self, _rows: RowsView<'_>) -> Result<Vec<DetectionReport>, MlError> {
+                Err(MlError::ContractViolation {
                     message: "shadow fault".to_string(),
                 })
             }
         }
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(2, Duration::from_secs(5)));
-        fleet.deploy("ep", trained(5, 35));
+        let fleet = fleet(2, Duration::from_secs(5));
+        fleet.deploy("ep", trained(5, 35)).unwrap();
+        // Not persistable, but a 1-replica fleet never serialises.
         fleet.deploy_shadow("ep", Box::new(BrokenShadow)).unwrap();
         let test = blobs(4, 36);
         let reports = fleet.score_batch("ep", test.features()).unwrap();
@@ -1806,16 +1388,21 @@ mod tests {
         // The champion's breaker and stats never saw the shadow failure.
         assert_eq!(fleet.stats("ep").unwrap().windows, 4);
         assert_eq!(
-            fleet.breaker_state("ep").unwrap(),
-            crate::BreakerState::Closed
+            fleet.breaker_states("ep").unwrap(),
+            vec![BreakerState::Closed]
         );
     }
 
     #[test]
     fn poisoned_endpoint_locks_recover_end_to_end() {
-        let fleet = DetectorFleet::with_policy(FlushPolicy::new(4, Duration::from_secs(5)));
-        fleet.deploy("ep", trained(5, 21));
-        let endpoint = fleet.endpoint("ep").unwrap();
+        let supervisor = Supervisor::new();
+        let config = ShardConfig::new(1).with_flush(FlushPolicy::new(4, Duration::from_secs(5)));
+        let endpoint = Arc::new(Endpoint::new(
+            trained(5, 21),
+            0,
+            &config,
+            supervisor.notifier(),
+        ));
         // Poison each internal lock from a panicking thread: the stats
         // mutex, the pending-tile mutex, and the versions mutex.
         let poison = Arc::clone(&endpoint);
@@ -1839,10 +1426,10 @@ mod tests {
         assert!(endpoint.stats.lock().is_err(), "stats lock is poisoned");
         assert!(endpoint.pending.lock().is_err(), "pending lock is poisoned");
         // Every serving path still works through the unpoisoning helpers.
-        let ticket = fleet.score("ep", &[0.1, 0.2]).unwrap();
-        assert_eq!(fleet.flush("ep").unwrap(), 1);
+        let ticket = endpoint.enqueue(&[0.1, 0.2]).unwrap();
+        assert_eq!(endpoint.flush(), 1);
         assert!(ticket.wait().is_ok());
-        assert_eq!(fleet.stats("ep").unwrap().windows, 1);
-        assert_eq!(fleet.active_version("ep").unwrap(), 1);
+        assert_eq!(endpoint.stats.lock_unpoisoned().windows, 1);
+        assert_eq!(endpoint.active().number, 1);
     }
 }

@@ -7,47 +7,45 @@
 //! producers. See `ARCHITECTURE.md` at the repository root for where this
 //! crate sits in the workspace's data flow.
 //!
-//! * [`DetectorFleet`] — a registry of named, versioned `Box<dyn Detector>`
-//!   endpoints. Every endpoint owns its own
-//!   [`MonitorStats`](hmd_core::detector::MonitorStats) (the per-tenant
-//!   `MonitorSession` state of earlier PRs moves behind the fleet) and a
+//! * [`ShardedFleet`] — a registry of named, versioned `Box<dyn Detector>`
+//!   endpoints, the one fleet type. Every endpoint runs on `N` replicas
+//!   ([`ShardConfig::replicas`]; `ShardedFleet::new(1)` is the
+//!   single-endpoint fleet), and every replica owns its own
+//!   [`MonitorStats`](hmd_core::detector::MonitorStats) and a
 //!   micro-batching request collector.
-//! * **Micro-batching**: single-row [`DetectorFleet::score`] calls enqueue
-//!   into a per-endpoint tile and return an ordered [`Ticket`]. The tile
+//! * **Micro-batching**: single-row [`ShardedFleet::score`] calls enqueue
+//!   into a replica's tile and return an ordered [`ShardTicket`]. The tile
 //!   drains through the detector's batch hot path (`detect_rows`, flat
 //!   engine, persistent worker pool) when it reaches
 //!   [`FlushPolicy::max_batch`] rows, when a waiter's
 //!   [`FlushPolicy::max_wait`] deadline expires, or on an explicit
-//!   [`DetectorFleet::flush`]. Because every detector scores rows
+//!   [`ShardedFleet::flush`]. Because every detector scores rows
 //!   independently, fleet-routed results are **bit-identical** to calling
 //!   `detect_batch` directly — the seeded multi-threaded equivalence test in
-//!   `tests/fleet.rs` enforces this.
-//! * **Hot swap**: [`DetectorFleet::deploy`] atomically publishes a new
-//!   version of an endpoint while requests already enqueued finish on the
-//!   version that accepted them; [`DetectorFleet::rollback`] restores the
-//!   previous version. Every result is a version-stamped
-//!   [`VersionedReport`] envelope, so consumers can attribute each decision
-//!   to the exact model that made it.
-//! * **Sharding**: [`ShardedFleet`] replicates each endpoint across `N`
-//!   shards — every replica a full endpoint with its own tile and monitor —
-//!   and routes requests with a pluggable [`RoutePolicy`] (round-robin,
-//!   least-loaded by open-tile depth, or key affinity for session
-//!   stickiness). Replicas are bit-identical codec clones on lock-stepped
-//!   versions, so sharding changes *where* a request queues, never *what*
-//!   it scores; `tests/shard.rs` proves sharded scoring report-identical to
-//!   the single-endpoint fleet modulo replica attribution.
+//!   `tests/shard.rs` enforces this at 1 and 3 replicas.
+//! * **Hot swap**: [`ShardedFleet::deploy`] atomically publishes a new
+//!   version of an endpoint on every replica while requests already
+//!   enqueued finish on the version that accepted them;
+//!   [`ShardedFleet::rollback`] restores the previous version. Every result
+//!   is a [`ShardedReport`] stamped with its version and replica, so
+//!   consumers can attribute each decision to the exact model that made it.
+//! * **Routing**: requests pick a replica with a pluggable [`RoutePolicy`]
+//!   (round-robin, least-loaded by open-tile depth, or key affinity for
+//!   session stickiness). Replicas are bit-identical codec clones on
+//!   lock-stepped versions, so routing changes *where* a request queues,
+//!   never *what* it scores.
 //! * **Supervision**: every fleet owns one background flusher thread that
 //!   fires [`FlushPolicy::max_wait`] deadlines even with no blocked waiter
-//!   (spawned lazily on the first deploy, joined on drop). Every endpoint
-//!   (and every shard replica) carries a bounded admission budget
+//!   (spawned lazily on the first deploy, joined on drop). Every replica
+//!   carries a bounded admission budget
 //!   ([`AdmissionPolicy`] — beyond it, `score` sheds with
 //!   [`FleetError::Overloaded`] instead of growing memory) and a circuit
 //!   breaker ([`BreakerPolicy`] — consecutive failed drains trip it to
 //!   Open, which fast-sheds with [`FleetError::CircuitOpen`] or degrades to
 //!   a synthetic escalation per [`FallbackPolicy`], and half-open probes
-//!   re-admit traffic). Supervision outcomes are observable per endpoint
+//!   re-admit traffic). Supervision outcomes are observable per replica
 //!   through [`HealthSnapshot`]; callers bound their own latency with
-//!   [`Ticket::wait_deadline`].
+//!   [`ShardTicket::wait_deadline`].
 //! * **Fault injection**: [`FaultInjector`] wraps any detector with a
 //!   deterministic [`FaultPlan`] (fail-nth, fail-after, slow-call,
 //!   width-corrupt) so chaos tests — `tests/chaos.rs` — can prove the
@@ -68,7 +66,7 @@
 //! ```
 //! use hmd_core::detector::{DetectorBackend, DetectorConfig};
 //! use hmd_data::{Dataset, Label, Matrix};
-//! use hmd_serve::{DetectorFleet, ShardedFleet};
+//! use hmd_serve::ShardedFleet;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let x = Matrix::from_rows(&[
@@ -76,27 +74,24 @@
 //! ])?;
 //! let y = vec![Label::Benign, Label::Benign, Label::Malware, Label::Malware];
 //! let train = Dataset::new(x, y)?;
-//! let detector = DetectorConfig::trusted(DetectorBackend::decision_tree())
-//!     .with_num_estimators(9)
-//!     .fit(&train, 3)?;
+//! let config = DetectorConfig::trusted(DetectorBackend::decision_tree())
+//!     .with_num_estimators(9);
 //!
-//! let fleet = DetectorFleet::new();
-//! let version = fleet.deploy("dvfs-hmd", detector);
+//! // One replica: the detector serves as deployed, no codec clone.
+//! let fleet = ShardedFleet::new(1);
+//! let version = fleet.deploy("dvfs-hmd", config.fit(&train, 3)?)?;
 //! assert_eq!(version, 1);
 //!
 //! // Single-row requests micro-batch behind the endpoint.
 //! let ticket = fleet.score("dvfs-hmd", &[0.15, 0.15])?;
 //! fleet.flush("dvfs-hmd")?;
 //! let scored = ticket.wait()?;
-//! assert_eq!(scored.version, 1);
+//! assert_eq!((scored.version, scored.replica), (1, 0));
 //! assert_eq!(fleet.stats("dvfs-hmd")?.windows, 1);
 //!
 //! // Scale out: the same model replicated across two shards.
 //! let sharded = ShardedFleet::new(2);
-//! let detector = DetectorConfig::trusted(DetectorBackend::decision_tree())
-//!     .with_num_estimators(9)
-//!     .fit(&train, 3)?;
-//! sharded.deploy("dvfs-hmd", detector)?;
+//! sharded.deploy("dvfs-hmd", config.fit(&train, 3)?)?;
 //! let ticket = sharded.score("dvfs-hmd", &[0.15, 0.15])?;
 //! sharded.flush("dvfs-hmd")?;
 //! assert!(ticket.wait()?.replica < 2);
@@ -106,6 +101,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+
+use std::time::{Duration, Instant};
 
 mod admission;
 mod breaker;
@@ -119,12 +116,18 @@ mod sync;
 pub use admission::AdmissionPolicy;
 pub use breaker::{degraded_escalation, BreakerPolicy, BreakerState, FallbackPolicy};
 pub use faults::{FaultCounters, FaultInjector, FaultPlan};
-pub use fleet::{
-    DetectorFleet, FleetConfig, FleetError, FlushPolicy, HealthSnapshot, ShadowSnapshot, Ticket,
-    VersionedReport,
-};
+pub use fleet::{FleetError, FlushPolicy, HealthSnapshot, ShadowSnapshot, ShardTicket};
 pub use net::{
     ClientConfig, ClientStats, FleetClient, FleetServer, NetError, RetryPolicy, ServerConfig,
     ServerStats,
 };
-pub use shard::{RoutePolicy, ShardConfig, ShardTicket, ShardedFleet, ShardedReport};
+pub use shard::{RoutePolicy, ShardConfig, ShardedFleet, ShardedReport};
+
+/// The instant `wait` after `now`, or `None` — "never" — when the sum is
+/// not representable. `Instant + Duration` panics on overflow, and a
+/// deadline that far out is indistinguishable from no deadline at all, so
+/// every deadline in the crate (tile flush, caller wait, breaker cooldown,
+/// client response) is computed here.
+pub(crate) fn deadline_after(now: Instant, wait: Duration) -> Option<Instant> {
+    now.checked_add(wait)
+}

@@ -22,6 +22,7 @@
 //! splitmix64 stream — chaos tests replay identical schedules, while
 //! concurrent clients with different seeds still decorrelate.
 
+use crate::deadline_after;
 use crate::fleet::{FleetError, HealthSnapshot};
 use crate::net::wire::{
     frame_bytes, parse_payload, FrameKind, FrameReader, ReadStep, Request, Response,
@@ -475,17 +476,19 @@ impl FleetClient {
             sent: true,
         })?;
         let sent = |error: NetError| Fault { error, sent: true };
-        let deadline = Instant::now() + self.config.response_timeout;
+        // `None`: a response timeout too large to represent never expires.
+        let deadline = deadline_after(Instant::now(), self.config.response_timeout);
         let mut reader = FrameReader::new(self.config.max_frame_bytes);
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            let remaining =
+                deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            if remaining.is_some_and(|remaining| remaining.is_zero()) {
                 return Err(sent(NetError::Io {
                     context: "read",
                     message: format!("no response within {:?}", self.config.response_timeout),
                 }));
             }
-            let _ = stream.set_read_timeout(Some(remaining));
+            let _ = stream.set_read_timeout(remaining);
             match reader.poll(stream) {
                 Ok(ReadStep::Pending) => {}
                 Ok(ReadStep::Eof) => {

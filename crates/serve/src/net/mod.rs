@@ -18,7 +18,7 @@
 //!   budget of pipelined score requests is reached the server stops
 //!   reading and drains responses — the TCP window, not server memory,
 //!   absorbs a pushy client), and per-request deadlines wired through
-//!   [`Ticket::wait_deadline`](crate::Ticket::wait_deadline).
+//!   [`ShardTicket::wait_deadline`](crate::ShardTicket::wait_deadline).
 //! * [`FleetClient`] — a small blocking client with deterministic
 //!   exponential backoff plus jitter ([`RetryPolicy`]) on connection
 //!   faults, and **idempotent-only retry**: once a `deploy`/`rollback`

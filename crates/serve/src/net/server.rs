@@ -17,7 +17,7 @@
 //!   [`AdmissionPolicy`](crate::AdmissionPolicy), exactly as in-process.
 //!
 //! Request deadlines: every pipelined score request is resolved through
-//! [`ShardTicket::wait_deadline`] with the remainder of
+//! [`crate::ShardTicket::wait_deadline`] with the remainder of
 //! [`ServerConfig::with_request_deadline`] measured from *enqueue*, so a
 //! stuck replica turns into a `DeadlineExceeded` error frame instead of a
 //! wedged connection.
@@ -408,7 +408,7 @@ enum Pending {
     /// An admitted row: resolve through `wait_deadline` at drain time.
     Ticket {
         endpoint: String,
-        ticket: crate::shard::ShardTicket,
+        ticket: crate::ShardTicket,
         enqueued: Instant,
     },
     /// A request refused at enqueue; the error frame holds its response

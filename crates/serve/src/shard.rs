@@ -1,19 +1,19 @@
-//! Sharded replica serving: N micro-batching replicas per endpoint with
-//! load-aware, breaker-aware routing.
+//! The fleet: named endpoints, each served by N micro-batching replicas
+//! with load-aware, breaker-aware routing.
 //!
-//! A [`crate::DetectorFleet`] endpoint funnels every concurrent scorer
-//! through **one** pending tile behind one mutex. That is the right shape
-//! for a single producer, but a burst of independent scorers serialises on
-//! the tile lock and shares one flush deadline. [`ShardedFleet`] replicates
-//! each endpoint across `N` shards — every replica is a full
-//! [`crate::fleet::Endpoint`]: its own versioned detector stack, its own
-//! tile, its own [`MonitorStats`], its own admission budget and circuit
-//! breaker — and routes each request to one replica with a pluggable
-//! [`RoutePolicy`].
+//! A 1-replica endpoint funnels every concurrent scorer through **one**
+//! pending tile behind one mutex. That is the right shape for a single
+//! producer, but a burst of independent scorers serialises on the tile lock
+//! and shares one flush deadline. [`ShardedFleet`] replicates each endpoint
+//! across `N` shards — every replica is a full [`crate::fleet::Endpoint`]:
+//! its own versioned detector stack, its own tile, its own
+//! [`MonitorStats`], its own admission budget and circuit breaker — and
+//! routes each request to one replica with a pluggable [`RoutePolicy`].
 //!
 //! Replicas are **clones through the persistence codec**: `deploy` saves the
-//! detector once and restores it per replica, which the PR-1 save/load
-//! guarantee makes bit-identical. Scoring a row on any replica therefore
+//! detector once and restores it per replica, which the save/load guarantee
+//! makes bit-identical (a 1-replica fleet skips the codec and serves the
+//! deployed detector itself). Scoring a row on any replica therefore
 //! produces the same report bits — sharding changes *where* a request is
 //! queued, never *what* it scores (the seeded equivalence test in
 //! `tests/shard.rs` enforces this). Administrative operations (`deploy`,
@@ -35,10 +35,7 @@ use crate::fleet::Endpoint;
 use crate::supervisor::Supervisor;
 use crate::sync::{LockExt, RwLockExt};
 use crate::{AdmissionPolicy, BreakerPolicy};
-use crate::{
-    BreakerState, DetectorFleet, FleetConfig, FleetError, FlushPolicy, HealthSnapshot,
-    ShadowSnapshot, Ticket, VersionedReport,
-};
+use crate::{BreakerState, FleetError, FlushPolicy, HealthSnapshot, ShadowSnapshot, ShardTicket};
 use hmd_core::detector::{load, save, Detector, MonitorStats};
 use hmd_core::trusted::DetectionReport;
 use hmd_data::RowsView;
@@ -132,18 +129,11 @@ impl ShardConfig {
         self.breaker = breaker;
         self
     }
-
-    /// The per-replica [`FleetConfig`] this shard config provisions.
-    fn fleet_config(&self) -> FleetConfig {
-        FleetConfig {
-            flush: self.flush,
-            admission: self.admission,
-            breaker: self.breaker,
-        }
-    }
 }
 
-/// A [`VersionedReport`] plus the replica that scored it.
+/// A detector report stamped with the endpoint version that produced it and
+/// the replica that served it, so every decision stays attributable across
+/// hot swaps, rollbacks and replicas.
 ///
 /// The `replica` field is pure attribution: replicas are bit-identical
 /// clones, so `version` and `report` are independent of which replica
@@ -152,89 +142,14 @@ impl ShardConfig {
 pub struct ShardedReport {
     /// Index (0-based) of the replica whose tile scored the request.
     pub replica: usize,
-    /// The endpoint version that scored the request. The lock-stepped
-    /// generation counter makes a given number name the same model bits on
-    /// every replica; mid-fan-out requests may still land on a replica the
-    /// deploy has not reached yet and carry the outgoing version.
+    /// The endpoint version (1-based, monotonically increasing per
+    /// endpoint) that scored the request. The lock-stepped generation
+    /// counter makes a given number name the same model bits on every
+    /// replica; mid-fan-out requests may still land on a replica the deploy
+    /// has not reached yet and carry the outgoing version.
     pub version: u64,
     /// The detector's full report.
     pub report: DetectionReport,
-}
-
-impl ShardedReport {
-    fn new(replica: usize, scored: VersionedReport) -> ShardedReport {
-        ShardedReport {
-            replica,
-            version: scored.version,
-            report: scored.report,
-        }
-    }
-}
-
-/// An ordered claim on one sharded scoring request: a [`Ticket`] on the
-/// replica the router chose, remembering which replica that was.
-pub struct ShardTicket {
-    replica: usize,
-    ticket: Ticket,
-}
-
-impl std::fmt::Debug for ShardTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardTicket")
-            .field("replica", &self.replica)
-            .field("ticket", &self.ticket)
-            .finish()
-    }
-}
-
-impl ShardTicket {
-    /// The replica index the request was routed to.
-    pub fn replica(&self) -> usize {
-        self.replica
-    }
-
-    /// Blocks until the request's micro-batch has been scored on its
-    /// replica; same drain-on-deadline semantics as [`Ticket::wait`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the error the replica's detector reported for the batch.
-    pub fn wait(self) -> Result<ShardedReport, FleetError> {
-        let replica = self.replica;
-        self.ticket
-            .wait()
-            .map(|scored| ShardedReport::new(replica, scored))
-    }
-
-    /// Like [`ShardTicket::wait`], but gives up after `timeout` with
-    /// [`FleetError::DeadlineExceeded`]; same semantics as
-    /// [`Ticket::wait_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::DeadlineExceeded`] if the replica's batch did not
-    /// drain within `timeout`, otherwise the batch's own outcome.
-    pub fn wait_deadline(self, timeout: std::time::Duration) -> Result<ShardedReport, FleetError> {
-        let replica = self.replica;
-        self.ticket
-            .wait_deadline(timeout)
-            .map(|scored| ShardedReport::new(replica, scored))
-    }
-
-    /// Non-blocking probe: returns the result if the replica's batch
-    /// already drained.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(self)` — the unconsumed ticket — while the batch is
-    /// still pending.
-    pub fn try_wait(self) -> Result<Result<ShardedReport, FleetError>, ShardTicket> {
-        let replica = self.replica;
-        match self.ticket.try_wait() {
-            Ok(result) => Ok(result.map(|scored| ShardedReport::new(replica, scored))),
-            Err(ticket) => Err(ShardTicket { replica, ticket }),
-        }
-    }
 }
 
 /// One logical endpoint of a [`ShardedFleet`]: `N` replica [`Endpoint`]s,
@@ -410,20 +325,25 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A fleet whose endpoints are replicated `N` ways with load-aware routing —
-/// the scale-out layer above [`DetectorFleet`].
+/// A registry of named, versioned, micro-batching detector endpoints — the
+/// fleet behind which every deployed pipeline serves — with each endpoint
+/// replicated `N` ways behind load-aware routing.
 ///
 /// Each deployed endpoint holds [`ShardConfig::replicas`] bit-identical
-/// copies of the detector (cloned through the persistence codec), each with
-/// its own micro-batch tile, [`MonitorStats`], admission budget and circuit
+/// copies of the detector (cloned through the persistence codec; a
+/// 1-replica fleet serves the deployed detector itself), each with its own
+/// micro-batch tile, [`MonitorStats`], admission budget and circuit
 /// breaker; [`ShardedFleet::score`] routes every request to one replica by
 /// [`RoutePolicy`], and [`ShardedFleet::stats`] merges the per-replica
 /// statistics back into one endpoint-wide view. `deploy` and `rollback` fan
 /// out to all replicas in lock-step, so a version number names the same
 /// model bits everywhere (requests that race the fan-out itself finish on
-/// the version their replica was serving when they enqueued). Like
-/// [`DetectorFleet`], a sharded fleet owns one background flusher thread
-/// covering every replica's tile deadline.
+/// the version their replica was serving when they enqueued). The fleet
+/// owns one background flusher thread (spawned lazily on the first deploy,
+/// joined when the fleet drops) covering every replica's tile deadline.
+/// Single-endpoint callers use `ShardedFleet::new(1)` and read the
+/// per-replica views ([`ShardedFleet::replica_health`],
+/// [`ShardedFleet::breaker_states`]) at index 0.
 ///
 /// # Example
 ///
@@ -555,13 +475,14 @@ impl ShardedFleet {
                 match endpoints.get(name) {
                     Some(endpoint) => endpoint.deploy(detectors),
                     None => {
-                        let config = self.config.fleet_config();
                         let replicas = detectors
                             .into_iter()
-                            .map(|detector| {
+                            .enumerate()
+                            .map(|(replica, detector)| {
                                 Arc::new(Endpoint::new(
                                     detector,
-                                    config,
+                                    replica,
+                                    &self.config,
                                     self.supervisor.notifier(),
                                 ))
                             })
@@ -597,20 +518,25 @@ impl ShardedFleet {
     /// previous + 1 afterwards — identical on all replicas).
     ///
     /// The detector is cloned per replica through the save/load codec, so
-    /// all replicas are bit-identical by the persistence guarantee. The
-    /// fan-out runs under the endpoint's generation lock, so concurrent
-    /// deploys/rollbacks cannot interleave their per-replica walks; scoring
-    /// does not take that lock, so requests racing the fan-out finish on
-    /// whichever version their replica was serving when they enqueued
-    /// (replicas the walk has not reached yet still stamp the outgoing
-    /// version), exactly like rows already queued in a tile.
+    /// all replicas are bit-identical by the persistence guarantee (a
+    /// 1-replica fleet publishes the detector itself, without a codec
+    /// round trip). The fan-out runs under the endpoint's generation lock,
+    /// so concurrent deploys/rollbacks cannot interleave their per-replica
+    /// walks; scoring does not take that lock, so requests racing the
+    /// fan-out finish on whichever version their replica was serving when
+    /// they enqueued (replicas the walk has not reached yet still stamp the
+    /// outgoing version), exactly like rows already queued in a tile. The
+    /// endpoint's monitor statistics persist across versions (they describe
+    /// the endpoint, not the model), and the last few retired versions are
+    /// kept for [`ShardedFleet::rollback`]; older ones are dropped so
+    /// periodic redeploys do not accumulate every model ever served.
     ///
     /// # Errors
     ///
     /// [`FleetError::Replication`] when the codec round trip that clones
     /// the detector fails — including detectors that do not implement
-    /// persistence at all (use [`ShardedFleet::deploy_replicas`] for
-    /// those).
+    /// persistence at all on fleets of two or more replicas (use
+    /// [`ShardedFleet::deploy_replicas`] for those).
     pub fn deploy(&self, name: &str, detector: Box<dyn Detector>) -> Result<u64, FleetError> {
         let detectors = self.replicate(detector)?;
         Ok(self.publish(name, detectors))
@@ -695,6 +621,9 @@ impl ShardedFleet {
 
     /// Enqueues one signature into the tile of the replica the routing
     /// policy picks, returning a [`ShardTicket`] that remembers the choice.
+    /// The row is copied into the tile (the only copy on the request path);
+    /// the tile drains through the detector's zero-copy batch view when the
+    /// flush policy fires.
     ///
     /// # Errors
     ///
@@ -702,12 +631,13 @@ impl ShardedFleet {
     /// [`FleetError::WidthMismatch`] when `features` disagrees with rows
     /// already queued in the chosen replica's tile,
     /// [`FleetError::Overloaded`] / [`FleetError::CircuitOpen`] when the
-    /// chosen replica sheds.
+    /// chosen replica sheds (under
+    /// [`FallbackPolicy::EscalateUncertain`](crate::FallbackPolicy::EscalateUncertain)
+    /// a shedding replica instead returns a ticket already resolved to a
+    /// synthetic escalation).
     pub fn score(&self, name: &str, features: &[f64]) -> Result<ShardTicket, FleetError> {
         let endpoint = self.endpoint(name)?;
-        let replica = endpoint.route(None);
-        let ticket = endpoint.replicas[replica].enqueue(features)?;
-        Ok(ShardTicket { replica, ticket })
+        endpoint.replicas[endpoint.route(None)].enqueue(features)
     }
 
     /// Like [`ShardedFleet::score`], but pins the request to the replica
@@ -727,31 +657,27 @@ impl ShardedFleet {
         features: &[f64],
     ) -> Result<ShardTicket, FleetError> {
         let endpoint = self.endpoint(name)?;
-        let replica = endpoint.route(Some(key));
-        let ticket = endpoint.replicas[replica].enqueue(features)?;
-        Ok(ShardTicket { replica, ticket })
+        endpoint.replicas[endpoint.route(Some(key))].enqueue(features)
     }
 
     /// Scores a whole borrowed batch view on one routed replica, bypassing
     /// the micro-batch queue but still stamping versions, attributing the
-    /// replica, and feeding that replica's statistics.
+    /// replica, and feeding that replica's statistics and circuit breaker
+    /// (the admission budget does not apply: a synchronous batch occupies
+    /// no queue).
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names, or the detector's
-    /// error for mismatched feature counts.
+    /// [`FleetError::UnknownEndpoint`] for unknown names,
+    /// [`FleetError::CircuitOpen`] while the replica's breaker sheds, or the
+    /// detector's error for mismatched feature counts.
     pub fn score_batch<'a>(
         &self,
         name: &str,
         batch: impl Into<RowsView<'a>>,
     ) -> Result<Vec<ShardedReport>, FleetError> {
         let endpoint = self.endpoint(name)?;
-        let replica = endpoint.route(None);
-        Ok(endpoint.replicas[replica]
-            .score_rows(batch.into())?
-            .into_iter()
-            .map(|scored| ShardedReport::new(replica, scored))
-            .collect())
+        endpoint.replicas[endpoint.route(None)].score_rows(batch.into())
     }
 
     /// Drains the pending tile of **every replica** of endpoint `name`,
@@ -770,7 +696,9 @@ impl ShardedFleet {
     }
 
     /// Endpoint-wide monitor statistics: every replica's [`MonitorStats`]
-    /// merged into one view with [`MonitorStats::merge`].
+    /// merged into one view with [`MonitorStats::merge`], across every
+    /// version the endpoint has served. Degraded (breaker-fallback) rows
+    /// are never recorded here — see [`HealthSnapshot`].
     ///
     /// # Errors
     ///
@@ -938,19 +866,6 @@ impl ShardedFleet {
     }
 }
 
-/// A 1-replica [`ShardedFleet`] behaves exactly like a [`DetectorFleet`],
-/// so converting a fleet's full configuration into a shard config is the
-/// upgrade path.
-impl From<&DetectorFleet> for ShardConfig {
-    fn from(fleet: &DetectorFleet) -> ShardConfig {
-        let config = fleet.config();
-        ShardConfig::new(1)
-            .with_flush(config.flush)
-            .with_admission(config.admission)
-            .with_breaker(config.breaker)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,19 +896,5 @@ mod tests {
             breaker: BreakerPolicy::default(),
         });
         assert_eq!(fleet.config().replicas, 1);
-    }
-
-    #[test]
-    fn shard_config_carries_fleet_supervision_settings() {
-        use std::time::Duration;
-        let fleet = DetectorFleet::with_config(
-            FleetConfig::default()
-                .with_admission(AdmissionPolicy::new(42))
-                .with_breaker(BreakerPolicy::new(2, Duration::from_millis(5))),
-        );
-        let config = ShardConfig::from(&fleet);
-        assert_eq!(config.replicas, 1);
-        assert_eq!(config.admission.max_pending_rows, 42);
-        assert_eq!(config.breaker.failure_threshold, 2);
     }
 }

@@ -1,12 +1,12 @@
 //! The background deadline flusher: one supervisor thread per fleet.
 //!
 //! Before this module existed, `FlushPolicy::max_wait` only fired when a
-//! ticket holder was *blocked in [`crate::Ticket::wait`]* — an idle endpoint
-//! whose callers polled with `try_wait`, or simply walked away, sat on its
-//! open tile forever. The supervisor makes the deadline real: each
-//! [`crate::DetectorFleet`] / [`crate::ShardedFleet`] lazily spawns **one**
-//! flusher thread that sleeps until the earliest open-tile deadline across
-//! all endpoints (replicas included), drains every expired tile through the
+//! ticket holder was *blocked in [`crate::ShardTicket::wait`]* — an idle
+//! endpoint whose callers polled with `try_wait`, or simply walked away, sat
+//! on its open tile forever. The supervisor makes the deadline real: each
+//! [`crate::ShardedFleet`] lazily spawns **one** flusher thread that sleeps
+//! until the earliest open-tile deadline across all endpoint replicas,
+//! drains every expired tile through the
 //! normal batch path, and goes back to sleep. With no open tile anywhere it
 //! parks indefinitely — an idle fleet costs zero wakeups.
 //!

@@ -1,6 +1,7 @@
 //! Seeded chaos tests: the serving layer under scheduled faults.
 //!
-//! Every test drives a fleet with a deterministic [`FaultPlan`] (fail-nth,
+//! Every test drives a fleet (one replica unless the test is about routing
+//! between replicas) with a deterministic [`FaultPlan`] (fail-nth,
 //! fail-after, slow-call, width-corrupt) and asserts the supervision
 //! contracts: overload sheds with `Overloaded` instead of growing memory,
 //! breakers trip and recover through half-open probes, degradation serves
@@ -12,9 +13,9 @@
 use hmd_core::detector::{Detector, DetectorBackend, DetectorConfig, DetectorExt, MonitorStats};
 use hmd_data::{Dataset, Label, Matrix};
 use hmd_serve::{
-    degraded_escalation, AdmissionPolicy, BreakerPolicy, BreakerState, DetectorFleet,
-    FallbackPolicy, FaultInjector, FaultPlan, FleetConfig, FleetError, FlushPolicy, RoutePolicy,
-    ShardConfig, ShardTicket, ShardedFleet, Ticket,
+    degraded_escalation, AdmissionPolicy, BreakerPolicy, BreakerState, FallbackPolicy,
+    FaultInjector, FaultPlan, FleetError, FlushPolicy, RoutePolicy, ShardConfig, ShardTicket,
+    ShardedFleet, ShardedReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,11 +87,14 @@ fn assert_bit_identical(
 
 /// Polls a ticket without ever blocking in `wait`, so nothing caller-side
 /// can drive the flush — only the background flusher can resolve it.
-fn poll_until_resolved(mut ticket: Ticket, budget: Duration) -> hmd_serve::VersionedReport {
+fn poll_until_resolved(
+    mut ticket: ShardTicket,
+    budget: Duration,
+) -> Result<ShardedReport, FleetError> {
     let deadline = Instant::now() + budget;
     loop {
         ticket = match ticket.try_wait() {
-            Ok(result) => return result.expect("batch scores"),
+            Ok(result) => return result,
             Err(ticket) => ticket,
         };
         assert!(
@@ -112,18 +116,19 @@ fn background_flusher_fires_max_wait_without_a_waiter() {
     let direct = detector.detect_batch(&requests).expect("direct");
 
     let max_wait = Duration::from_millis(30);
-    let fleet = DetectorFleet::with_policy(FlushPolicy::new(4096, max_wait));
-    fleet.deploy("hmd", detector);
+    let fleet =
+        ShardedFleet::with_config(ShardConfig::new(1).with_flush(FlushPolicy::new(4096, max_wait)));
+    fleet.deploy("hmd", detector).expect("deploys");
 
     let start = Instant::now();
     let ticket = fleet.score("hmd", requests.row(0)).expect("enqueue");
-    let scored = poll_until_resolved(ticket, Duration::from_secs(5));
+    let scored = poll_until_resolved(ticket, Duration::from_secs(5)).expect("batch scores");
     assert!(
         start.elapsed() >= max_wait,
         "the flusher cannot fire before the tile deadline"
     );
     assert_bit_identical(&scored.report, &direct[0], "unwaited lone request");
-    let health = fleet.health("hmd").expect("health");
+    let health = fleet.replica_health("hmd").expect("health")[0];
     assert!(
         health.expired_flushes >= 1,
         "the flush must be attributed to the supervisor, got {health:?}"
@@ -168,16 +173,54 @@ fn background_flusher_covers_every_shard_replica() {
     assert_eq!(fleet.stats("hmd").expect("stats").windows, 3);
 }
 
+/// A breaker cooldown too large to represent keeps a tripped breaker Open
+/// for good, and computing it must not panic: the trip happens inside a
+/// drain, which here runs on the background flusher. A second endpoint on
+/// the same fleet proves the flusher survived by still draining its tile.
+#[test]
+fn unrepresentable_cooldown_trips_without_killing_the_flusher() {
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1)
+            .with_flush(FlushPolicy::new(4096, Duration::from_millis(10)))
+            .with_breaker(BreakerPolicy::new(1, Duration::MAX)),
+    );
+    fleet
+        .deploy("broken", faulty(9, 96, FaultPlan::new().fail_call(1)))
+        .expect("deploys");
+    fleet.deploy("healthy", trained(9, 97)).expect("deploys");
+    let requests = request_matrix(2, 4, 98);
+    let direct = trained(9, 97).detect_batch(&requests).expect("direct");
+
+    // Only the flusher drives this tile; its failed drain trips the breaker
+    // before the tickets resolve.
+    let broken = fleet.score("broken", requests.row(0)).expect("enqueue");
+    let failed = poll_until_resolved(broken, Duration::from_secs(5));
+    assert!(matches!(failed, Err(FleetError::Detector { .. })));
+    assert_eq!(
+        fleet.breaker_states("broken").expect("states"),
+        vec![BreakerState::Open]
+    );
+    assert_eq!(
+        fleet.score("broken", requests.row(0)).unwrap_err(),
+        FleetError::CircuitOpen
+    );
+
+    let healthy = fleet.score("healthy", requests.row(1)).expect("enqueue");
+    let scored = poll_until_resolved(healthy, Duration::from_secs(5)).expect("scores");
+    assert_bit_identical(&scored.report, &direct[1], "row drained by the flusher");
+    assert!(fleet.replica_health("healthy").expect("health")[0].expired_flushes >= 1);
+}
+
 /// Admission sheds explicitly at the row budget: enqueues beyond it return
 /// `Overloaded` without copying anything, and draining re-admits.
 #[test]
 fn admission_budget_sheds_and_releases_under_burst() {
-    let fleet = DetectorFleet::with_config(
-        FleetConfig::default()
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1)
             .with_flush(FlushPolicy::new(4096, Duration::from_secs(10)))
             .with_admission(AdmissionPolicy::new(8)),
     );
-    fleet.deploy("hmd", trained(9, 74));
+    fleet.deploy("hmd", trained(9, 74)).expect("deploys");
 
     let requests = request_matrix(20, 4, 75);
     let mut admitted = Vec::new();
@@ -195,7 +238,7 @@ fn admission_budget_sheds_and_releases_under_burst() {
     }
     assert_eq!(admitted.len(), 8, "the budget bounds admitted rows");
     assert_eq!(shed, 12);
-    let health = fleet.health("hmd").expect("health");
+    let health = fleet.replica_health("hmd").expect("health")[0];
     assert_eq!(health.pending_rows, 8);
     assert_eq!(health.shed_overload, 12);
 
@@ -204,7 +247,10 @@ fn admission_budget_sheds_and_releases_under_burst() {
     for ticket in admitted {
         assert!(ticket.wait().is_ok());
     }
-    assert_eq!(fleet.health("hmd").expect("health").pending_rows, 0);
+    assert_eq!(
+        fleet.replica_health("hmd").expect("health")[0].pending_rows,
+        0
+    );
     assert!(fleet.score("hmd", requests.row(0)).is_ok());
 }
 
@@ -216,14 +262,14 @@ fn breaker_trips_on_consecutive_faults_and_recovers_via_probe() {
     let plan = FaultPlan::new().fail_call(1).fail_call(2).fail_call(3);
     let injector = FaultInjector::new(trained(9, 76), plan);
     let counters = injector.counters();
-    let fleet = DetectorFleet::with_config(
-        FleetConfig::default()
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1)
             // max_batch 1: every enqueue drains inline, so call numbers map
             // 1:1 onto scores and the schedule is exact.
             .with_flush(FlushPolicy::new(1, Duration::from_secs(10)))
             .with_breaker(BreakerPolicy::new(3, Duration::ZERO)),
     );
-    fleet.deploy("hmd", Box::new(injector));
+    fleet.deploy("hmd", Box::new(injector)).expect("deploys");
 
     let requests = request_matrix(6, 4, 77);
     for row in 0..3 {
@@ -233,7 +279,7 @@ fn breaker_trips_on_consecutive_faults_and_recovers_via_probe() {
             "scheduled fault surfaces as a detector error"
         );
     }
-    let health = fleet.health("hmd").expect("health");
+    let health = fleet.replica_health("hmd").expect("health")[0];
     assert_eq!(health.breaker, BreakerState::Open);
     assert_eq!(health.breaker_trips, 1);
 
@@ -244,7 +290,7 @@ fn breaker_trips_on_consecutive_faults_and_recovers_via_probe() {
     let scored = probe.wait().expect("probe succeeds");
     assert_bit_identical(&scored.report, &direct[3], "probe row");
     assert_eq!(
-        fleet.breaker_state("hmd").expect("state"),
+        fleet.breaker_states("hmd").expect("states")[0],
         BreakerState::Closed
     );
     for (row, expected) in direct.iter().enumerate().skip(4) {
@@ -267,20 +313,20 @@ fn breaker_trips_on_consecutive_faults_and_recovers_via_probe() {
 fn open_breaker_fast_sheds_with_circuit_open() {
     let injector = FaultInjector::new(trained(9, 78), FaultPlan::new().fail_call(1));
     let counters = injector.counters();
-    let fleet = DetectorFleet::with_config(
-        FleetConfig::default()
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1)
             .with_flush(FlushPolicy::new(1, Duration::from_secs(10)))
             // A 1-failure threshold and a long cooldown keep the breaker
             // deterministically Open for the rest of the test.
             .with_breaker(BreakerPolicy::new(1, Duration::from_secs(600))),
     );
-    fleet.deploy("hmd", Box::new(injector));
+    fleet.deploy("hmd", Box::new(injector)).expect("deploys");
 
     let requests = request_matrix(4, 4, 79);
     let ticket = fleet.score("hmd", requests.row(0)).expect("admitted");
     assert!(matches!(ticket.wait(), Err(FleetError::Detector { .. })));
     assert_eq!(
-        fleet.breaker_state("hmd").expect("state"),
+        fleet.breaker_states("hmd").expect("states")[0],
         BreakerState::Open
     );
 
@@ -292,7 +338,7 @@ fn open_breaker_fast_sheds_with_circuit_open() {
     }
     // The detector saw exactly one call: shedding never reached it.
     assert_eq!(counters.calls(), 1);
-    let health = fleet.health("hmd").expect("health");
+    let health = fleet.replica_health("hmd").expect("health")[0];
     assert_eq!(health.shed_circuit, 3);
     assert_eq!(health.pending_rows, 0, "shed requests occupy no budget");
     // The batch path sheds identically.
@@ -309,15 +355,15 @@ fn open_breaker_fast_sheds_with_circuit_open() {
 #[test]
 fn escalate_uncertain_serves_degraded_reports_without_polluting_stats() {
     let injector = FaultInjector::new(trained(9, 81), FaultPlan::new().fail_call(1));
-    let fleet = DetectorFleet::with_config(
-        FleetConfig::default()
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1)
             .with_flush(FlushPolicy::new(1, Duration::from_secs(10)))
             .with_breaker(
                 BreakerPolicy::new(1, Duration::from_secs(600))
                     .with_fallback(FallbackPolicy::EscalateUncertain),
             ),
     );
-    fleet.deploy("hmd", Box::new(injector));
+    fleet.deploy("hmd", Box::new(injector)).expect("deploys");
 
     let requests = request_matrix(3, 4, 82);
     let ticket = fleet.score("hmd", requests.row(0)).expect("admitted");
@@ -342,7 +388,7 @@ fn escalate_uncertain_serves_degraded_reports_without_polluting_stats() {
     // Monitor statistics saw zero rows: the failed drain recorded nothing
     // and the degraded rows are deliberately excluded.
     assert_eq!(fleet.stats("hmd").expect("stats"), MonitorStats::default());
-    let health = fleet.health("hmd").expect("health");
+    let health = fleet.replica_health("hmd").expect("health")[0];
     assert_eq!(health.degraded_rows, 4, "1 enqueue + 3 batch rows degraded");
     assert_eq!(health.shed_circuit, 2, "one shed enqueue + one shed batch");
 }
@@ -352,8 +398,12 @@ fn escalate_uncertain_serves_degraded_reports_without_polluting_stats() {
 /// panic, no misaligned results — and the next tile scores cleanly.
 #[test]
 fn width_corrupt_fails_the_batch_instead_of_panicking() {
-    let fleet = DetectorFleet::with_policy(FlushPolicy::new(2, Duration::from_secs(10)));
-    fleet.deploy("hmd", faulty(9, 83, FaultPlan::new().corrupt_width(1)));
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1).with_flush(FlushPolicy::new(2, Duration::from_secs(10))),
+    );
+    fleet
+        .deploy("hmd", faulty(9, 83, FaultPlan::new().corrupt_width(1)))
+        .expect("deploys");
 
     let requests = request_matrix(4, 4, 84);
     let a = fleet.score("hmd", requests.row(0)).expect("enqueue");
@@ -376,7 +426,10 @@ fn width_corrupt_fails_the_batch_instead_of_panicking() {
     assert_bit_identical(&c.wait().expect("clean").report, &direct[2], "row 2");
     assert_bit_identical(&d.wait().expect("clean").report, &direct[3], "row 3");
     assert_eq!(fleet.stats("hmd").expect("stats").windows, 2);
-    assert_eq!(fleet.health("hmd").expect("health").pending_rows, 0);
+    assert_eq!(
+        fleet.replica_health("hmd").expect("health")[0].pending_rows,
+        0
+    );
 }
 
 /// Mixed fault schedule over a tiled burst: tiles hit by faults fail their
@@ -388,8 +441,10 @@ fn surviving_rows_stay_bit_identical_under_mixed_faults() {
         .fail_call(2)
         .corrupt_width(4)
         .slow_call(3, Duration::from_millis(15));
-    let fleet = DetectorFleet::with_policy(FlushPolicy::new(4, Duration::from_secs(10)));
-    fleet.deploy("hmd", faulty(15, 85, plan));
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1).with_flush(FlushPolicy::new(4, Duration::from_secs(10))),
+    );
+    fleet.deploy("hmd", faulty(15, 85, plan)).expect("deploys");
 
     let requests = request_matrix(16, 4, 86);
     let direct = trained(15, 85).detect_batch(&requests).expect("direct");
@@ -397,7 +452,7 @@ fn surviving_rows_stay_bit_identical_under_mixed_faults() {
     // 16 single-row enqueues drain inline as four 4-row tiles, so rows 0-3
     // are batch call 1, rows 4-7 call 2 (fails), rows 8-11 call 3 (slow),
     // rows 12-15 call 4 (width-corrupt).
-    let tickets: Vec<Ticket> = (0..requests.rows())
+    let tickets: Vec<ShardTicket> = (0..requests.rows())
         .map(|row| fleet.score("hmd", requests.row(row)).expect("enqueue"))
         .collect();
     let mut failed = 0;
@@ -578,8 +633,10 @@ fn deploy_rollback_under_faults_stays_bit_identical() {
 #[test]
 fn slow_calls_delay_but_wait_deadline_bounds_the_caller() {
     let plan = FaultPlan::new().slow_call(1, Duration::from_millis(120));
-    let fleet = DetectorFleet::with_policy(FlushPolicy::new(2, Duration::from_secs(10)));
-    fleet.deploy("hmd", faulty(9, 94, plan));
+    let fleet = ShardedFleet::with_config(
+        ShardConfig::new(1).with_flush(FlushPolicy::new(2, Duration::from_secs(10))),
+    );
+    fleet.deploy("hmd", faulty(9, 94, plan)).expect("deploys");
 
     let requests = request_matrix(2, 4, 95);
     let direct = trained(9, 94).detect_batch(&requests).expect("direct");

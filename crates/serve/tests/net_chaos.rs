@@ -165,6 +165,33 @@ fn clean_round_trip_is_bit_identical_to_direct_scoring() {
     assert!(stats.frames_read >= 11, "8 scores + batch + flush + health");
 }
 
+/// Deadlines too large to represent mean "no deadline" on both sides of the
+/// wire: the server resolves pipelined rows through `wait_deadline` with
+/// the remainder of a `Duration::MAX` request deadline, and the client
+/// waits for responses without a read timeout. `Instant + Duration::MAX`
+/// panics, so neither side may compute these deadlines by plain addition.
+#[test]
+fn unrepresentable_deadlines_mean_no_deadline_across_the_wire() {
+    let (server, _fleet, requests, direct) = serve(
+        111,
+        4,
+        ServerConfig::new().with_request_deadline(Duration::MAX),
+    );
+    let mut client = FleetClient::connect(
+        server.local_addr(),
+        ClientConfig::new()
+            .with_retry(fast_retry())
+            .with_response_timeout(Duration::MAX),
+    )
+    .expect("connects");
+
+    for (row, expected) in direct.iter().enumerate() {
+        let report = client.score("hmd", requests.row(row)).expect("scores");
+        assert_bit_identical(&report.report, expected, &format!("row {row}"));
+    }
+    assert_eq!(client.stats().retries, 0, "no request was lost to a panic");
+}
+
 /// A dropped connection mid-stream: the client reconnects, retries with
 /// backoff, and every row still scores bit-identically.
 #[test]

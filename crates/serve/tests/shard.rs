@@ -1,15 +1,17 @@
-//! Sharded-fleet behaviour tests: the seeded multi-threaded equivalence
-//! proof (sharded scoring is report-identical to the unsharded fleet and to
-//! direct `detect_batch`, modulo replica attribution), routing-policy
-//! behaviour, lock-stepped deploy/rollback fan-out, and the flush-policy
-//! edge interactions the sharding layer introduces.
+//! Fleet behaviour tests: the seeded multi-threaded equivalence proof
+//! (fleet-routed scoring at 1 and 3 replicas is report-identical to direct
+//! `detect_batch`, modulo replica attribution), hot swap mid-stream,
+//! routing-policy behaviour, lock-stepped deploy/rollback fan-out, which
+//! detectors replicate, and the flush-policy edge cases.
 
 use hmd_core::detector::{
     load, save, Detector, DetectorBackend, DetectorConfig, DetectorExt, MonitorSession,
     MonitorStats,
 };
 use hmd_data::{Dataset, Label, Matrix};
-use hmd_serve::{DetectorFleet, FleetError, FlushPolicy, RoutePolicy, ShardConfig, ShardedFleet};
+use hmd_serve::{
+    FaultInjector, FaultPlan, FleetError, FlushPolicy, RoutePolicy, ShardConfig, ShardedFleet,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -99,115 +101,244 @@ fn keys_per_replica(fleet: &ShardedFleet, name: &str, replicas: usize) -> Vec<u6
         .collect()
 }
 
+/// A fleet of `replicas` round-robin replicas whose tiles flush at
+/// `max_batch` rows or after `max_wait`.
+fn fleet(replicas: usize, max_batch: usize, max_wait: Duration) -> ShardedFleet {
+    ShardedFleet::with_config(
+        ShardConfig::new(replicas).with_flush(FlushPolicy::new(max_batch, max_wait)),
+    )
+}
+
 /// The acceptance-criteria test: interleaved single-row `score()` calls from
-/// multiple threads through a 3-shard fleet produce reports bit-identical to
-/// one direct `detect_batch` — and to the unsharded `DetectorFleet` serving
-/// the same model — modulo which replica is attributed. Tile size 7
-/// deliberately misaligns with the request count and the thread
-/// interleaving, so replica tiles mix rows from every thread.
+/// multiple threads produce reports bit-identical to one direct
+/// `detect_batch` over the same rows — on one replica, where every thread
+/// shares one tile, and on three, where round-robin spreads the rows — no
+/// matter how the micro-batcher grouped them into tiles or which replica
+/// served them. The deployed copy is a save/load round trip of the
+/// directly-scored detector, exactly the registry deployment scenario.
+/// Tile size 7 deliberately misaligns with the request count and the thread
+/// interleaving, so tiles mix rows from every thread.
 #[test]
-fn sharded_multithreaded_scoring_is_report_identical_to_unsharded() {
+fn multithreaded_scoring_is_bit_identical_to_direct_batch() {
     let detector = trained(15, 21);
     let requests = request_matrix(173, 4, 22);
     let direct = detector.detect_batch(&requests).expect("direct batch");
-
-    // The unsharded reference fleet serves a codec clone of the detector.
-    let unsharded = DetectorFleet::with_policy(FlushPolicy::new(7, Duration::from_millis(20)));
-    unsharded.deploy(
-        "hmd",
-        load(&save(detector.as_ref()).expect("persistable")).expect("loads"),
-    );
-    let unsharded_reports = unsharded.score_batch("hmd", &requests).expect("unsharded");
-
-    let sharded = Arc::new(ShardedFleet::with_config(
-        ShardConfig::new(3).with_flush(FlushPolicy::new(7, Duration::from_millis(20))),
-    ));
-    sharded
-        .deploy(
-            "hmd",
-            load(&save(detector.as_ref()).expect("persistable")).expect("loads"),
-        )
-        .expect("replicates");
-    assert_eq!(sharded.replicas("hmd").unwrap(), 3);
-
-    let threads = 4;
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let fleet = Arc::clone(&sharded);
-            let requests = requests.clone();
-            std::thread::spawn(move || {
-                let mut results = Vec::new();
-                for row in (t..requests.rows()).step_by(threads) {
-                    let ticket = fleet.score("hmd", requests.row(row)).expect("enqueue");
-                    results.push((row, ticket.wait().expect("scores")));
-                }
-                results
-            })
-        })
-        .collect();
-
-    let mut replicas_used = vec![0usize; 3];
-    let mut by_row = vec![None; requests.rows()];
-    for handle in handles {
-        for (row, report) in handle.join().expect("thread completes") {
-            assert!(
-                by_row[row].replace(report).is_none(),
-                "row {row} scored once"
-            );
-        }
-    }
-    for (row, scored) in by_row.iter().enumerate() {
-        let scored = scored.as_ref().expect("every row scored");
-        assert_eq!(scored.version, 1, "replica versions are lock-stepped");
-        assert!(scored.replica < 3);
-        replicas_used[scored.replica] += 1;
-        assert_reports_bit_identical(
-            &scored.report,
-            &direct[row],
-            &format!("row {row} vs direct"),
-        );
-        assert_reports_bit_identical(
-            &scored.report,
-            &unsharded_reports[row].report,
-            &format!("row {row} vs unsharded fleet"),
-        );
-    }
-    assert!(
-        replicas_used.iter().all(|&n| n > 0),
-        "round-robin spreads across every replica: {replicas_used:?}"
-    );
-
-    // Merged per-replica stats equal one session fed every report: counters
-    // and extremes exactly; the mean is an f64 sum whose value depends on
-    // merge order, so it gets a tolerance.
     let mut session = MonitorSession::new(detector.as_ref());
     session.observe_batch(&requests).expect("session batch");
-    let merged = sharded.stats("hmd").expect("stats");
-    assert_eq!(merged.windows, session.stats().windows);
-    assert_eq!(merged.accepted, session.stats().accepted);
-    assert_eq!(merged.escalated, session.stats().escalated);
-    assert_eq!(merged.accepted_malware, session.stats().accepted_malware);
-    assert_eq!(merged.accepted_benign, session.stats().accepted_benign);
-    assert_eq!(
-        merged.min_entropy.to_bits(),
-        session.stats().min_entropy.to_bits()
-    );
-    assert_eq!(
-        merged.max_entropy.to_bits(),
-        session.stats().max_entropy.to_bits()
-    );
-    assert!((merged.mean_entropy() - session.stats().mean_entropy()).abs() < 1e-12);
+    let session = *session.stats();
 
-    // The per-replica view decomposes the merged one.
-    let per_replica = sharded.replica_stats("hmd").expect("replica stats");
-    assert_eq!(per_replica.len(), 3);
-    assert_eq!(
-        per_replica.iter().map(|s| s.windows).sum::<usize>(),
-        merged.windows
-    );
-    for (replica, stats) in per_replica.iter().enumerate() {
-        assert_eq!(stats.windows, replicas_used[replica]);
+    for replicas in [1, 3] {
+        let fleet = Arc::new(fleet(replicas, 7, Duration::from_millis(20)));
+        fleet
+            .deploy(
+                "hmd",
+                load(&save(detector.as_ref()).expect("persistable")).expect("loads"),
+            )
+            .expect("replicates");
+        assert_eq!(fleet.replicas("hmd").unwrap(), replicas);
+
+        let threads = 4;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let fleet = Arc::clone(&fleet);
+                let requests = requests.clone();
+                std::thread::spawn(move || {
+                    let mut results = Vec::new();
+                    for row in (t..requests.rows()).step_by(threads) {
+                        let ticket = fleet.score("hmd", requests.row(row)).expect("enqueue");
+                        results.push((row, ticket.wait().expect("scores")));
+                    }
+                    results
+                })
+            })
+            .collect();
+
+        let mut replicas_used = vec![0usize; replicas];
+        let mut by_row = vec![None; requests.rows()];
+        for handle in handles {
+            for (row, report) in handle.join().expect("thread completes") {
+                assert!(
+                    by_row[row].replace(report).is_none(),
+                    "row {row} scored once"
+                );
+            }
+        }
+        for (row, scored) in by_row.iter().enumerate() {
+            let scored = scored.as_ref().expect("every row scored");
+            assert_eq!(scored.version, 1, "replica versions are lock-stepped");
+            assert!(scored.replica < replicas);
+            replicas_used[scored.replica] += 1;
+            assert_reports_bit_identical(
+                &scored.report,
+                &direct[row],
+                &format!("{replicas} replica(s), row {row}"),
+            );
+        }
+        assert!(
+            replicas_used.iter().all(|&n| n > 0),
+            "round-robin spreads across every replica: {replicas_used:?}"
+        );
+
+        // Merged per-replica stats equal one session fed every report:
+        // counters and extremes exactly; the mean folds an f64 sum whose
+        // value depends on which order the threads won the enqueue locks
+        // and on merge order, so it gets a tolerance.
+        let merged = fleet.stats("hmd").expect("stats");
+        assert_eq!(merged.windows, session.windows);
+        assert_eq!(merged.accepted, session.accepted);
+        assert_eq!(merged.escalated, session.escalated);
+        assert_eq!(merged.accepted_malware, session.accepted_malware);
+        assert_eq!(merged.accepted_benign, session.accepted_benign);
+        assert_eq!(merged.min_entropy.to_bits(), session.min_entropy.to_bits());
+        assert_eq!(merged.max_entropy.to_bits(), session.max_entropy.to_bits());
+        assert!((merged.mean_entropy() - session.mean_entropy()).abs() < 1e-12);
+
+        // The per-replica view decomposes the merged one.
+        let per_replica = fleet.replica_stats("hmd").expect("replica stats");
+        assert_eq!(per_replica.len(), replicas);
+        for (replica, stats) in per_replica.iter().enumerate() {
+            assert_eq!(stats.windows, replicas_used[replica]);
+        }
     }
+}
+
+/// Hot swap mid-stream: requests keep flowing while a new version is
+/// published. Every report must be attributable — stamped v1 results match
+/// the v1 detector's direct output for that row, stamped v2 results match
+/// the v2 detector's.
+#[test]
+fn hot_swap_mid_stream_keeps_every_report_attributable() {
+    let v1 = trained(9, 31);
+    let v2 = trained(15, 32); // different ensemble size => different reports
+    let requests = request_matrix(120, 4, 33);
+    let direct_v1 = v1.detect_batch(&requests).expect("v1 direct");
+    let direct_v2 = v2.detect_batch(&requests).expect("v2 direct");
+
+    let fleet = Arc::new(fleet(1, 5, Duration::from_millis(10)));
+    fleet.deploy("hmd", v1).expect("deploys");
+
+    let scorer = {
+        let fleet = Arc::clone(&fleet);
+        let requests = requests.clone();
+        std::thread::spawn(move || {
+            let mut results = Vec::new();
+            for row in 0..requests.rows() {
+                let ticket = fleet.score("hmd", requests.row(row)).expect("enqueue");
+                results.push((row, ticket.wait().expect("scores")));
+            }
+            results
+        })
+    };
+    // Publish v2 while the scorer is mid-stream.
+    std::thread::sleep(Duration::from_millis(2));
+    assert_eq!(fleet.deploy("hmd", v2).expect("deploys"), 2);
+
+    let results = scorer.join().expect("scorer completes");
+    assert_eq!(results.len(), requests.rows());
+    let mut v2_seen = false;
+    for (row, scored) in results {
+        match scored.version {
+            1 => {
+                assert!(!v2_seen, "versions must not interleave backwards mid-tile");
+                assert_reports_bit_identical(&scored.report, &direct_v1[row], "v1 row");
+            }
+            2 => {
+                v2_seen = true;
+                assert_reports_bit_identical(&scored.report, &direct_v2[row], "v2 row");
+            }
+            other => panic!("unexpected version {other}"),
+        }
+    }
+
+    // Roll back and prove new traffic reverts to bit-identical v1 behaviour.
+    assert_eq!(fleet.rollback("hmd").expect("previous version exists"), 1);
+    let after = fleet.score_batch("hmd", &requests).expect("post-rollback");
+    for (row, scored) in after.iter().enumerate() {
+        assert_eq!(scored.version, 1);
+        assert_reports_bit_identical(&scored.report, &direct_v1[row], "rolled-back row");
+    }
+}
+
+/// An oversized burst from one producer drains tile by tile: every
+/// `max_batch`-th enqueue flushes inline, the remainder drains on demand,
+/// and nothing is lost or reordered.
+#[test]
+fn oversized_burst_drains_in_max_batch_tiles() {
+    let detector = trained(7, 51);
+    let requests = request_matrix(43, 4, 52);
+    let direct = detector.detect_batch(&requests).expect("direct");
+
+    let fleet = fleet(1, 8, Duration::from_secs(10));
+    fleet.deploy("hmd", detector).expect("deploys");
+
+    let tickets: Vec<_> = (0..requests.rows())
+        .map(|row| fleet.score("hmd", requests.row(row)).expect("enqueue"))
+        .collect();
+    // 43 = 5 full tiles of 8 drained inline + 3 rows still pending.
+    assert_eq!(fleet.stats("hmd").expect("stats").windows, 40);
+    assert_eq!(fleet.flush("hmd").expect("flush"), 3);
+    assert_eq!(fleet.stats("hmd").expect("stats").windows, 43);
+    // An empty flush afterwards is a no-op, not an error.
+    assert_eq!(fleet.flush("hmd").expect("empty flush"), 0);
+
+    for (row, ticket) in tickets.into_iter().enumerate() {
+        let scored = ticket
+            .try_wait()
+            .expect("all tiles drained")
+            .expect("scores");
+        assert_reports_bit_identical(&scored.report, &direct[row], "burst row");
+    }
+}
+
+/// Two endpoints serve independent detectors with independent statistics.
+#[test]
+fn endpoints_are_isolated() {
+    let fleet = ShardedFleet::new(1);
+    fleet.deploy("small", trained(5, 61)).expect("deploys");
+    fleet.deploy("large", trained(15, 62)).expect("deploys");
+    assert_eq!(
+        fleet.endpoints(),
+        vec!["large".to_string(), "small".to_string()]
+    );
+
+    let requests = request_matrix(12, 4, 63);
+    fleet.score_batch("small", &requests).expect("small scores");
+    assert_eq!(fleet.stats("small").expect("stats").windows, 12);
+    assert_eq!(fleet.stats("large").expect("stats").windows, 0);
+    assert!(matches!(
+        fleet.score_batch("ghost", &requests),
+        Err(FleetError::UnknownEndpoint { .. })
+    ));
+}
+
+/// A 1-replica fleet serves the deployed detector itself — it never
+/// serialises it — so a detector that cannot persist (the fault injector,
+/// whose plan must never leak through the codec) deploys through plain
+/// `deploy`. Two replicas need a codec clone, and the same deploy is
+/// refused with `Replication`.
+#[test]
+fn only_a_single_replica_deploys_detectors_that_cannot_persist() {
+    let injector = || Box::new(FaultInjector::new(trained(5, 71), FaultPlan::new()));
+    let requests = request_matrix(6, 4, 72);
+    let direct = trained(5, 71).detect_batch(&requests).expect("direct");
+
+    let single = ShardedFleet::new(1);
+    assert_eq!(single.deploy("hmd", injector()).expect("no codec clone"), 1);
+    let scored = single.score_batch("hmd", &requests).expect("scores");
+    for (row, s) in scored.iter().enumerate() {
+        assert_reports_bit_identical(&s.report, &direct[row], "injector row");
+    }
+    assert_eq!(single.deploy_shadow("hmd", injector()), Ok(()));
+
+    let pair = ShardedFleet::new(2);
+    assert!(matches!(
+        pair.deploy("hmd", injector()),
+        Err(FleetError::Replication { .. })
+    ));
+    assert!(
+        pair.endpoints().is_empty(),
+        "a refused deploy publishes nothing"
+    );
 }
 
 /// Key affinity pins every request of a session to one replica, so a
@@ -470,8 +601,8 @@ fn rollback_racing_an_in_flight_tile_keeps_attribution() {
     }
 }
 
-/// Unknown endpoints error uniformly across the whole sharded surface, and
-/// a 1-replica sharded fleet degenerates to DetectorFleet behaviour.
+/// Unknown endpoints error uniformly across the whole fleet surface, and a
+/// 1-replica fleet attributes every report to replica 0.
 #[test]
 fn unknown_endpoints_and_single_replica_degeneration() {
     let fleet = ShardedFleet::new(2);
@@ -487,9 +618,11 @@ fn unknown_endpoints_and_single_replica_degeneration() {
     assert_eq!(fleet.rollback("ghost").unwrap_err(), missing);
     assert_eq!(fleet.active_version("ghost").unwrap_err(), missing);
     assert_eq!(fleet.replicas("ghost").unwrap_err(), missing);
+    assert_eq!(fleet.replica_health("ghost").unwrap_err(), missing);
+    assert_eq!(fleet.breaker_states("ghost").unwrap_err(), missing);
     assert!(fleet.endpoints().is_empty());
 
-    // One replica: no codec clone, same reports as the unsharded fleet.
+    // One replica: no codec clone, same reports as the direct path.
     let single = ShardedFleet::new(1);
     let detector = trained(5, 91);
     let requests = request_matrix(9, 4, 92);

@@ -207,12 +207,12 @@ fn supervision_drill(document: &str, probe_row: &[f64]) -> Result<(), Box<dyn Er
     // four requests are admitted; the rest shed with `Overloaded` *before*
     // their rows are copied anywhere — overload costs the caller an error,
     // never the fleet memory.
-    let gate = DetectorFleet::with_config(
-        FleetConfig::default()
+    let gate = ShardedFleet::with_config(
+        ShardConfig::new(1)
             .with_flush(FlushPolicy::new(64, Duration::from_secs(1)))
             .with_admission(AdmissionPolicy::new(4)),
     );
-    gate.deploy("edge-hmd", load(document)?);
+    gate.deploy("edge-hmd", load(document)?)?;
     let mut admitted = Vec::new();
     for _ in 0..7 {
         match gate.score("edge-hmd", probe_row) {
@@ -227,7 +227,7 @@ fn supervision_drill(document: &str, probe_row: &[f64]) -> Result<(), Box<dyn Er
     for ticket in admitted {
         ticket.wait()?;
     }
-    let health = gate.health("edge-hmd")?;
+    let health = gate.replica_health("edge-hmd")?[0];
     println!(
         "overload: 4 admitted + {} shed; budget released, {} rows pending\n",
         health.shed_overload, health.pending_rows
@@ -237,25 +237,27 @@ fn supervision_drill(document: &str, probe_row: &[f64]) -> Result<(), Box<dyn Er
     // it to Open; under `EscalateUncertain` the shed requests are answered
     // with a synthetic maximum-uncertainty escalation — the paper's
     // rejection option applied to infrastructure faults: when the detector
-    // cannot be trusted, hand the window to the analyst, don't guess.
+    // cannot be trusted, hand the window to the analyst, don't guess. Fault
+    // plans are deliberately not persistable; a 1-replica fleet serves the
+    // deployed detector itself, so plain `deploy` takes the injector.
     let flaky = FaultInjector::new(load(document)?, FaultPlan::new().fail_call(1).fail_call(2));
-    let solo = DetectorFleet::with_config(
-        FleetConfig::default()
+    let solo = ShardedFleet::with_config(
+        ShardConfig::new(1)
             .with_flush(FlushPolicy::new(1, Duration::from_secs(1)))
             .with_breaker(
                 BreakerPolicy::new(2, Duration::from_millis(50))
                     .with_fallback(FallbackPolicy::EscalateUncertain),
             ),
     );
-    solo.deploy("edge-hmd", Box::new(flaky));
+    solo.deploy("edge-hmd", Box::new(flaky))?;
     for call in 1..=2 {
         let err = solo.score("edge-hmd", probe_row)?.wait().unwrap_err();
         println!("breaker: call {call} failed ({err})");
     }
     println!(
         "breaker: state {:?} after 2 consecutive failures ({} trip recorded)",
-        solo.breaker_state("edge-hmd")?,
-        solo.health("edge-hmd")?.breaker_trips
+        solo.breaker_states("edge-hmd")?[0],
+        solo.replica_health("edge-hmd")?[0].breaker_trips
     );
     let degraded = solo.score("edge-hmd", probe_row)?.wait()?;
     println!(
@@ -266,14 +268,13 @@ fn supervision_drill(document: &str, probe_row: &[f64]) -> Result<(), Box<dyn Er
     let recovered = solo.score("edge-hmd", probe_row)?.wait()?;
     println!(
         "breaker: half-open probe succeeded — state {:?}, real report {:?}\n",
-        solo.breaker_state("edge-hmd")?,
+        solo.breaker_states("edge-hmd")?[0],
         recovered.report.decision
     );
 
-    // Routing: the same flaky-first-call model behind a 2-replica sharded
-    // endpoint. Fault plans are deliberately not persistable, so
-    // `deploy_replicas` hands each replica its own detector instead of
-    // codec-cloning one. After replica 0 trips, breaker-aware LeastLoaded
+    // Routing: the same flaky-first-call model behind a 2-replica
+    // endpoint. Two replicas would need a codec clone of the injector, so
+    // `deploy_replicas` hands each replica its own detector instead. After replica 0 trips, breaker-aware LeastLoaded
     // steers every request to the healthy replica.
     let drill = ShardedFleet::with_config(
         ShardConfig::new(REPLICAS)

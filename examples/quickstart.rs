@@ -67,14 +67,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     let front_half = trusted.detect_batch(unknown.rows_view(0..unknown.rows() / 2))?;
     assert_eq!(front_half, reports[..unknown.rows() / 2]);
 
-    // 5. Deployment surface: both pipelines serve behind a DetectorFleet as
-    //    named, versioned endpoints with per-endpoint statistics. Results
-    //    come back in a version-stamped envelope and are bit-identical to
-    //    the direct calls above.
-    let fleet = DetectorFleet::new();
+    // 5. Deployment surface: both pipelines serve behind a 1-replica
+    //    ShardedFleet as named, versioned endpoints with per-endpoint
+    //    statistics. Results come back in a version-stamped envelope and are
+    //    bit-identical to the direct calls above.
+    let fleet = ShardedFleet::new(1);
     let document = save(trusted.as_ref())?; // for the sharded step below
-    fleet.deploy("trusted", trusted);
-    fleet.deploy("untrusted", untrusted);
+    fleet.deploy("trusted", trusted)?;
+    fleet.deploy("untrusted", untrusted)?;
     let served = fleet.score_batch("trusted", unknown)?;
     assert!(served
         .iter()

@@ -66,41 +66,41 @@
 //!
 //! # The serving fleet
 //!
-//! [`serve::DetectorFleet`] turns individual detectors into a deployment
+//! [`serve::ShardedFleet`] turns individual detectors into a deployment
 //! surface shaped like a DAQ central unit: producers submit signatures to
 //! *named endpoints*; each endpoint owns a versioned stack of
-//! `Box<dyn Detector>` models, its own running
-//! [`core::detector::MonitorStats`], and a micro-batching request tile.
-//! Single-row [`serve::DetectorFleet::score`] calls enqueue into the tile
-//! and return an ordered [`serve::Ticket`]; the tile drains through the
-//! detector's flat-engine batch path when it reaches
-//! [`serve::FlushPolicy::max_batch`] rows or the oldest waiter exceeds
-//! [`serve::FlushPolicy::max_wait`] — recovering batch-sized throughput at
-//! request granularity while staying **bit-identical** to direct
-//! `detect_batch` (enforced by a seeded multi-threaded equivalence test).
-//! [`serve::DetectorFleet::deploy`] hot-swaps a new model version while
-//! in-flight tickets finish on the version that accepted them,
-//! [`serve::DetectorFleet::rollback`] restores the previous one, and every
-//! result arrives as a version-stamped [`serve::VersionedReport`] envelope.
-//! `BENCH_serve.json` tracks the fleet-vs-direct throughput gap.
+//! `Box<dyn Detector>` models, running [`core::detector::MonitorStats`],
+//! and micro-batching request tiles. Single-row
+//! [`serve::ShardedFleet::score`] calls enqueue into a tile and return an
+//! ordered [`serve::ShardTicket`]; the tile drains through the detector's
+//! flat-engine batch path when it reaches [`serve::FlushPolicy::max_batch`]
+//! rows or the oldest waiter exceeds [`serve::FlushPolicy::max_wait`] —
+//! recovering batch-sized throughput at request granularity while staying
+//! **bit-identical** to direct `detect_batch` (enforced by a seeded
+//! multi-threaded equivalence test). [`serve::ShardedFleet::deploy`]
+//! hot-swaps a new model version while in-flight tickets finish on the
+//! version that accepted them, [`serve::ShardedFleet::rollback`] restores
+//! the previous one, and every result arrives as a [`serve::ShardedReport`]
+//! stamped with the version that scored it. `BENCH_serve.json` tracks the
+//! fleet-vs-direct throughput gap.
 //!
-//! When concurrent scorers outgrow one endpoint's tile,
-//! [`serve::ShardedFleet`] replicates each endpoint across N shards — every
-//! replica a full endpoint with its own tile, version stack and statistics —
-//! and routes requests with a pluggable [`serve::RoutePolicy`]: round-robin,
-//! least-loaded by open-tile depth, or key affinity
-//! ([`serve::ShardedFleet::score_keyed`]) so a session's requests micro-batch
-//! together. Replicas are bit-identical codec clones on lock-stepped
-//! versions, deploy/rollback fan out atomically per replica, and
-//! [`serve::ShardedFleet::stats`] merges per-replica
+//! Every endpoint runs on [`serve::ShardConfig::replicas`] replicas —
+//! `ShardedFleet::new(1)` is the single-endpoint fleet. When concurrent
+//! scorers outgrow one tile, more replicas each bring their own tile,
+//! version stack and statistics, and a pluggable [`serve::RoutePolicy`]
+//! picks one per request: round-robin, least-loaded by open-tile depth, or
+//! key affinity ([`serve::ShardedFleet::score_keyed`]) so a session's
+//! requests micro-batch together. Replicas are bit-identical codec clones
+//! on lock-stepped versions, deploy/rollback fan out atomically per
+//! replica, and [`serve::ShardedFleet::stats`] merges per-replica
 //! [`core::detector::MonitorStats`] into one fleet-wide view.
-//! `BENCH_serve_scaling.json` tracks the scorer-threads × shards matrix.
+//! `BENCH_serve_scaling.json` tracks the scorer-threads × replicas matrix.
 //!
 //! # The flat inference engine
 //!
 //! Training grows trees as nested tagged-enum nodes; serving runs on the
 //! compiled [`ml::flat`] engine instead. Fitted trees, forests and bagging
-//! ensembles flatten into cache-packed struct-of-arrays node storage
+//! ensembles flatten into packed 24-byte split-node records
 //! ([`ml::flat::FlatTree`], [`ml::flat::FlatForest`]) with leaves encoded as
 //! tagged indices and hard votes precompiled per leaf; batches are traversed
 //! in 64-row tiles with ensemble votes accumulated into reusable buffers and
@@ -169,13 +169,13 @@
 //!
 //! // Or deploy it behind the serving fleet: a named, versioned endpoint
 //! // with micro-batched single-row scoring and per-endpoint statistics.
-//! let fleet = DetectorFleet::new();
-//! fleet.deploy("dvfs-hmd", served);
+//! let fleet = ShardedFleet::new(1);
+//! fleet.deploy("dvfs-hmd", served)?;
 //! let scored = fleet.score_batch("dvfs-hmd", split.unknown.features())?;
-//! assert!(scored.iter().all(|r| r.version == 1));
+//! assert!(scored.iter().all(|r| (r.version, r.replica) == (1, 0)));
 //! assert_eq!(fleet.stats("dvfs-hmd")?.windows, split.unknown.len());
 //!
-//! // Scaling out: the same endpoint replicated across two shards with
+//! // Scaling out: the same endpoint replicated across two replicas with
 //! // session-sticky routing — replicas are bit-identical codec clones, so
 //! // the reports match the direct path no matter which replica serves.
 //! let sharded = ShardedFleet::with_config(
@@ -238,10 +238,10 @@ pub mod prelude {
     pub use hmd_ml::{Classifier, Estimator, ModelTag};
     pub use hmd_serve::{
         degraded_escalation, AdmissionPolicy, BreakerPolicy, BreakerState, ClientConfig,
-        ClientStats, DetectorFleet, FallbackPolicy, FaultCounters, FaultInjector, FaultPlan,
-        FleetClient, FleetConfig, FleetError, FleetServer, FlushPolicy, HealthSnapshot, NetError,
-        RetryPolicy, RoutePolicy, ServerConfig, ServerStats, ShadowSnapshot, ShardConfig,
-        ShardTicket, ShardedFleet, ShardedReport, Ticket, VersionedReport,
+        ClientStats, FallbackPolicy, FaultCounters, FaultInjector, FaultPlan, FleetClient,
+        FleetError, FleetServer, FlushPolicy, HealthSnapshot, NetError, RetryPolicy, RoutePolicy,
+        ServerConfig, ServerStats, ShadowSnapshot, ShardConfig, ShardTicket, ShardedFleet,
+        ShardedReport,
     };
 }
 
