@@ -183,7 +183,8 @@ pub struct LoopConfig {
     /// Drift thresholds (see [`DriftPolicy`]).
     pub drift: DriftPolicy,
     /// Capacity of the labelled sliding window; the oldest rows are evicted
-    /// first once full.
+    /// first once full. A capacity of 0 keeps no rows, so a retrain starves
+    /// like any window below [`LoopConfig::min_retrain_rows`].
     pub window_capacity: usize,
     /// Minimum labelled rows required before a retrain is attempted
     /// (ticking while starved returns [`LoopError::WindowStarved`]).
@@ -315,12 +316,16 @@ impl LoopSupervisor {
     }
 
     /// Adds one labelled row to the sliding retrain window, evicting the
-    /// oldest row once [`LoopConfig::window_capacity`] is reached.
+    /// oldest row once [`LoopConfig::window_capacity`] is reached (a
+    /// capacity of 0 drops every row).
     ///
     /// In a real deployment labels arrive late (forensics on escalated
     /// windows, periodic audits); the supervisor only requires that *some*
     /// labelled stream exists, not that it is synchronous with serving.
     pub fn ingest(&mut self, row: &[f64], label: Label) {
+        if self.config.window_capacity == 0 {
+            return;
+        }
         if self.window_rows.len() == self.config.window_capacity {
             self.window_rows.pop_front();
             self.window_labels.pop_front();
@@ -529,8 +534,10 @@ mod tests {
             .with_entropy_threshold(0.5)
     }
 
-    #[test]
-    fn starved_window_is_an_error_not_a_silent_skip() {
+    /// A supervisor over a fresh 1-replica fleet whose drift channel fires
+    /// after one calibration window, with a labelled window of
+    /// `window_capacity` rows and a retrain threshold of 64 rows.
+    fn quick_drift_loop(window_capacity: usize) -> (Arc<ShardedFleet>, LoopSupervisor) {
         let train = blobs(80, 5);
         let fleet = Arc::new(ShardedFleet::new(1));
         fleet
@@ -543,11 +550,19 @@ mod tests {
             min_window_rows: 4,
             ..DriftPolicy::default()
         };
+        config.window_capacity = window_capacity;
         config.min_retrain_rows = 64;
-        let mut supervisor = LoopSupervisor::new(Arc::clone(&fleet), "hmd", config);
+        let supervisor = LoopSupervisor::new(Arc::clone(&fleet), "hmd", config);
+        (fleet, supervisor)
+    }
 
-        // Calibrate on a confident batch, then flood with ambiguous rows
-        // (between the clusters) to force escalations and drift.
+    /// Calibrates on a confident batch, then floods the endpoint with
+    /// ambiguous rows (between the clusters) until drift fires, and returns
+    /// the error of the tick that tried to retrain.
+    fn drift_until_retrain_fails(
+        fleet: &ShardedFleet,
+        supervisor: &mut LoopSupervisor,
+    ) -> LoopError {
         let confident = Matrix::from_rows(&vec![vec![2.0, 2.0, 0.0]; 16]).expect("matrix");
         fleet.score_batch("hmd", &confident).expect("scores");
         supervisor.tick().expect("calibration tick");
@@ -555,16 +570,39 @@ mod tests {
         let ambiguous = Matrix::from_rows(&vec![vec![0.1, -0.1, 0.0]; 16]).expect("matrix");
         for _ in 0..4 {
             fleet.score_batch("hmd", &ambiguous).expect("scores");
-            match supervisor.tick() {
-                Ok(_) => continue,
-                Err(LoopError::WindowStarved { have, need }) => {
-                    assert_eq!((have, need), (0, 64));
-                    return;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
+            if let Err(error) = supervisor.tick() {
+                return error;
             }
         }
         panic!("drift never fired on an all-ambiguous stream");
+    }
+
+    #[test]
+    fn starved_window_is_an_error_not_a_silent_skip() {
+        let (fleet, mut supervisor) = quick_drift_loop(2048);
+        assert_eq!(
+            drift_until_retrain_fails(&fleet, &mut supervisor),
+            LoopError::WindowStarved { have: 0, need: 64 }
+        );
+    }
+
+    #[test]
+    fn zero_capacity_window_stays_empty_and_starves_retrains() {
+        for capacity in [0, 1, 8] {
+            let (_, mut supervisor) = quick_drift_loop(capacity);
+            for i in 0..1000 {
+                supervisor.ingest(&[2.0, 2.0, i as f64], Label::Malware);
+            }
+            assert_eq!(supervisor.window_len(), capacity, "capacity {capacity}");
+        }
+        let (fleet, mut supervisor) = quick_drift_loop(0);
+        for _ in 0..1000 {
+            supervisor.ingest(&[2.0, 2.0, 0.0], Label::Malware);
+        }
+        assert_eq!(
+            drift_until_retrain_fails(&fleet, &mut supervisor),
+            LoopError::WindowStarved { have: 0, need: 64 }
+        );
     }
 
     #[test]

@@ -21,11 +21,14 @@
 //!
 //! The injector deliberately does **not** implement persistence
 //! (`to_saved_json` stays `None`): a fault plan is test scaffolding, not a
-//! model, and must never survive a save/load round trip. Deploy it into a
-//! [`crate::ShardedFleet`] with
-//! [`ShardedFleet::deploy_replicas`](crate::ShardedFleet::deploy_replicas),
-//! which takes one pre-built detector per replica instead of cloning
-//! through the codec.
+//! model, and must never survive a save/load round trip. A fleet never
+//! serialises what it deploys, so the injector deploys into a
+//! [`crate::ShardedFleet`] as is. Through plain
+//! [`ShardedFleet::deploy`](crate::ShardedFleet::deploy) one injector is
+//! shared by every replica, so its call-numbered plan counts `detect_rows`
+//! calls across all of them;
+//! [`ShardedFleet::deploy_replicas`](crate::ShardedFleet::deploy_replicas)
+//! gives each replica its own injector and plan.
 
 use hmd_core::detector::Detector;
 use hmd_core::trusted::DetectionReport;
@@ -290,9 +293,10 @@ impl Detector for FaultInjector {
     }
 
     // No `to_saved_json` override: the default `None` is deliberate — a
-    // fault plan must not survive persistence (codec replication would
-    // silently drop it, so `ShardedFleet::deploy` rejects the injector and
-    // tests use `deploy_replicas` instead).
+    // fault plan must not survive persistence. Fleets never serialise a
+    // deployed detector, so the injector still deploys on any replica
+    // count: shared by every replica through `deploy`, or one per replica
+    // through `deploy_replicas`.
 }
 
 #[cfg(test)]

@@ -107,10 +107,11 @@ pub enum FleetError {
         /// Display form of the underlying `MlError`.
         message: String,
     },
-    /// Replicating a deployed detector across shard replicas failed (the
-    /// codec round trip that clones the model rejected the document).
+    /// [`crate::ShardedFleet::deploy_replicas`] was given a number of
+    /// detectors other than the fleet's replica count; nothing was
+    /// published.
     Replication {
-        /// Display form of the underlying persistence error.
+        /// What was expected and what was given.
         message: String,
     },
     /// The endpoint's admission budget is exhausted: `depth` rows were
@@ -257,10 +258,10 @@ struct Health {
 
 /// One published version of an endpoint's detector.
 ///
-/// The detector is held behind an `Arc` (not a `Box`) so a challenger
-/// promoted out of the shadow slot can become the active version without a
-/// codec round trip — the same instance that accumulated shadow statistics
-/// starts serving.
+/// The detector is held behind an `Arc` (not a `Box`) so every replica of
+/// an endpoint serves one shared instance, and a challenger promoted out of
+/// the shadow slot becomes the active version as is — the same instance
+/// that accumulated shadow statistics starts serving.
 pub(crate) struct Version {
     pub(crate) number: u64,
     pub(crate) detector: Arc<dyn Detector>,
@@ -386,7 +387,7 @@ impl Endpoint {
     /// version 1 under the flush, admission and breaker policies of
     /// `config`.
     pub(crate) fn new(
-        detector: Box<dyn Detector>,
+        detector: Arc<dyn Detector>,
         replica: usize,
         config: &ShardConfig,
         notifier: TileNotifier,
@@ -398,7 +399,7 @@ impl Endpoint {
             versions: Mutex::new(VersionStack {
                 active: Arc::new(Version {
                     number: 1,
-                    detector: Arc::from(detector),
+                    detector,
                 }),
                 retired: Vec::new(),
                 next: 2,
@@ -474,13 +475,7 @@ impl Endpoint {
     /// requests already enqueued finish on the old detector; the flush
     /// drains that tile to bound how long the retired version keeps
     /// serving.
-    pub(crate) fn deploy(&self, detector: Box<dyn Detector>) -> u64 {
-        self.deploy_shared(Arc::from(detector))
-    }
-
-    /// [`Endpoint::deploy`] for an already-shared detector — the promotion
-    /// path publishes the same instance that served as shadow.
-    pub(crate) fn deploy_shared(&self, detector: Arc<dyn Detector>) -> u64 {
+    pub(crate) fn deploy(&self, detector: Arc<dyn Detector>) -> u64 {
         let number = {
             let mut versions = self.versions.lock_unpoisoned();
             let number = versions.next;
@@ -546,7 +541,7 @@ impl Endpoint {
     pub(crate) fn promote_shadow(&self, name: &str) -> Result<u64, FleetError> {
         let taken = self.shadow.write_unpoisoned().take();
         match taken {
-            Some(shadow) => Ok(self.deploy_shared(Arc::clone(&shadow.detector))),
+            Some(shadow) => Ok(self.deploy(Arc::clone(&shadow.detector))),
             None => Err(FleetError::NoShadow {
                 name: name.to_string(),
             }),
@@ -1374,23 +1369,30 @@ mod tests {
                 })
             }
         }
-        let fleet = fleet(2, Duration::from_secs(5));
-        fleet.deploy("ep", trained(5, 35)).unwrap();
-        // Not persistable, but a 1-replica fleet never serialises.
-        fleet.deploy_shadow("ep", Box::new(BrokenShadow)).unwrap();
-        let test = blobs(4, 36);
-        let reports = fleet.score_batch("ep", test.features()).unwrap();
-        assert_eq!(reports.len(), 4);
-        let snapshot = fleet.shadow_stats("ep").unwrap().expect("shadow present");
-        assert_eq!(snapshot.rows, 4);
-        assert_eq!(snapshot.errors, 1);
-        assert_eq!(snapshot.stats.windows, 0);
-        // The champion's breaker and stats never saw the shadow failure.
-        assert_eq!(fleet.stats("ep").unwrap().windows, 4);
-        assert_eq!(
-            fleet.breaker_states("ep").unwrap(),
-            vec![BreakerState::Closed]
-        );
+        // Two batches: both on the one replica, or one per replica under
+        // round-robin — the merged evidence is the same either way.
+        for replicas in [1, 2] {
+            let fleet = ShardedFleet::with_config(
+                ShardConfig::new(replicas).with_flush(FlushPolicy::new(2, Duration::from_secs(5))),
+            );
+            fleet.deploy("ep", trained(5, 35)).unwrap();
+            fleet.deploy_shadow("ep", Box::new(BrokenShadow)).unwrap();
+            let test = blobs(4, 36);
+            for _ in 0..2 {
+                let reports = fleet.score_batch("ep", test.features()).unwrap();
+                assert_eq!(reports.len(), 4);
+            }
+            let snapshot = fleet.shadow_stats("ep").unwrap().expect("shadow present");
+            assert_eq!(snapshot.rows, 8, "{replicas} replica(s)");
+            assert_eq!(snapshot.errors, 2, "{replicas} replica(s)");
+            assert_eq!(snapshot.stats.windows, 0);
+            // The champion's breaker and stats never saw the shadow failure.
+            assert_eq!(fleet.stats("ep").unwrap().windows, 8);
+            assert_eq!(
+                fleet.breaker_states("ep").unwrap(),
+                vec![BreakerState::Closed; replicas]
+            );
+        }
     }
 
     #[test]
@@ -1398,7 +1400,7 @@ mod tests {
         let supervisor = Supervisor::new();
         let config = ShardConfig::new(1).with_flush(FlushPolicy::new(4, Duration::from_secs(5)));
         let endpoint = Arc::new(Endpoint::new(
-            trained(5, 21),
+            Arc::from(trained(5, 21)),
             0,
             &config,
             supervisor.notifier(),

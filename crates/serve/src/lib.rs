@@ -31,7 +31,7 @@
 //!   consumers can attribute each decision to the exact model that made it.
 //! * **Routing**: requests pick a replica with a pluggable [`RoutePolicy`]
 //!   (round-robin, least-loaded by open-tile depth, or key affinity for
-//!   session stickiness). Replicas are bit-identical codec clones on
+//!   session stickiness). Replicas share one detector instance on
 //!   lock-stepped versions, so routing changes *where* a request queues,
 //!   never *what* it scores.
 //! * **Supervision**: every fleet owns one background flusher thread that
@@ -77,7 +77,7 @@
 //! let config = DetectorConfig::trusted(DetectorBackend::decision_tree())
 //!     .with_num_estimators(9);
 //!
-//! // One replica: the detector serves as deployed, no codec clone.
+//! // One replica: the single-endpoint fleet.
 //! let fleet = ShardedFleet::new(1);
 //! let version = fleet.deploy("dvfs-hmd", config.fit(&train, 3)?)?;
 //! assert_eq!(version, 1);
@@ -89,7 +89,7 @@
 //! assert_eq!((scored.version, scored.replica), (1, 0));
 //! assert_eq!(fleet.stats("dvfs-hmd")?.windows, 1);
 //!
-//! // Scale out: the same model replicated across two shards.
+//! // Scale out: two shards serving one shared instance of the model.
 //! let sharded = ShardedFleet::new(2);
 //! sharded.deploy("dvfs-hmd", config.fit(&train, 3)?)?;
 //! let ticket = sharded.score("dvfs-hmd", &[0.15, 0.15])?;

@@ -10,33 +10,34 @@
 //! [`MonitorStats`], its own admission budget and circuit breaker — and
 //! routes each request to one replica with a pluggable [`RoutePolicy`].
 //!
-//! Replicas are **clones through the persistence codec**: `deploy` saves the
-//! detector once and restores it per replica, which the save/load guarantee
-//! makes bit-identical (a 1-replica fleet skips the codec and serves the
-//! deployed detector itself). Scoring a row on any replica therefore
-//! produces the same report bits — sharding changes *where* a request is
-//! queued, never *what* it scores (the seeded equivalence test in
-//! `tests/shard.rs` enforces this). Administrative operations (`deploy`,
-//! `rollback`) fan out to every replica in lock-step under a per-endpoint
-//! generation counter: replicas apply the same admin history in the same
-//! order, so a given version number names the same model bits on every
-//! replica and all replicas agree on the active version between fan-outs.
-//! *During* a fan-out, requests routed to a not-yet-swapped replica are
-//! stamped with the outgoing version — the same transitional semantics as
-//! rows already queued in a tile when a hot swap lands.
+//! Replicas **share one detector instance**: `deploy` publishes the same
+//! `Arc<dyn Detector>` on every replica, without copying the model.
+//! Detectors are immutable (`detect_rows` takes `&self`) and `Send + Sync`,
+//! so one instance serves every replica's tiles concurrently, and scoring a
+//! row on any replica produces the same report bits by construction —
+//! sharding changes *where* a request is queued, never *what* it scores
+//! (the seeded equivalence test in `tests/shard.rs` enforces this).
+//! Administrative operations (`deploy`, `rollback`) fan out to every
+//! replica in lock-step under a per-endpoint generation counter: replicas
+//! apply the same admin history in the same order, so a given version
+//! number names the same model on every replica and all replicas agree on
+//! the active version between fan-outs. *During* a fan-out, requests
+//! routed to a not-yet-swapped replica are stamped with the outgoing
+//! version — the same transitional semantics as rows already queued in a
+//! tile when a hot swap lands.
 //!
-//! For detectors that cannot round-trip the codec (notably the
-//! fault-injection wrapper [`crate::FaultInjector`], whose plan must never
-//! persist), [`ShardedFleet::deploy_replicas`] accepts one pre-built
-//! detector per replica instead — the caller owns the "replicas are
-//! equivalent" guarantee that codec cloning otherwise provides.
+//! For replicas that must differ (notably chaos tests that give each
+//! replica its own fault-injection wrapper [`crate::FaultInjector`] and
+//! plan), [`ShardedFleet::deploy_replicas`] accepts one pre-built detector
+//! per replica instead — the caller owns the "replicas are equivalent"
+//! guarantee that sharing one instance otherwise provides.
 
 use crate::fleet::Endpoint;
 use crate::supervisor::Supervisor;
 use crate::sync::{LockExt, RwLockExt};
 use crate::{AdmissionPolicy, BreakerPolicy};
 use crate::{BreakerState, FleetError, FlushPolicy, HealthSnapshot, ShadowSnapshot, ShardTicket};
-use hmd_core::detector::{load, save, Detector, MonitorStats};
+use hmd_core::detector::{Detector, MonitorStats};
 use hmd_core::trusted::DetectionReport;
 use hmd_data::RowsView;
 use std::collections::HashMap;
@@ -46,9 +47,9 @@ use std::time::Instant;
 
 /// How a sharded endpoint picks the replica that queues a request.
 ///
-/// Routing never changes *what* a request scores — replicas are
-/// bit-identical codec clones on the same version — only which tile it
-/// waits in, which controls contention and batching behaviour.
+/// Routing never changes *what* a request scores — replicas serve one
+/// shared detector on the same version — only which tile it waits in,
+/// which controls contention and batching behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RoutePolicy {
@@ -135,8 +136,8 @@ impl ShardConfig {
 /// the replica that served it, so every decision stays attributable across
 /// hot swaps, rollbacks and replicas.
 ///
-/// The `replica` field is pure attribution: replicas are bit-identical
-/// clones, so `version` and `report` are independent of which replica
+/// The `replica` field is pure attribution: replicas serve one shared
+/// detector, so `version` and `report` are independent of which replica
 /// served the request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedReport {
@@ -212,9 +213,8 @@ impl ShardedEndpoint {
     }
 
     /// Fans a deploy out to every replica in lock-step and returns the new
-    /// generation. `detectors` must hold one bit-identical clone per
-    /// replica.
-    fn deploy(&self, detectors: Vec<Box<dyn Detector>>) -> u64 {
+    /// generation. `detectors` holds one detector per replica.
+    fn deploy(&self, detectors: Vec<Arc<dyn Detector>>) -> u64 {
         debug_assert_eq!(detectors.len(), self.replicas.len());
         let mut generation = self.generation.lock_unpoisoned();
         let mut number = 0;
@@ -248,14 +248,13 @@ impl ShardedEndpoint {
         Ok(number)
     }
 
-    /// Installs one challenger clone per replica, in lock-step under the
+    /// Installs one challenger on every replica, in lock-step under the
     /// generation lock (shadow installation is administrative: it must not
     /// interleave with a concurrent deploy/rollback/promote walk).
-    fn deploy_shadow(&self, detectors: Vec<Box<dyn Detector>>) {
-        debug_assert_eq!(detectors.len(), self.replicas.len());
+    fn deploy_shadow(&self, detector: Arc<dyn Detector>) {
         let _generation = self.generation.lock_unpoisoned();
-        for (replica, detector) in self.replicas.iter().zip(detectors) {
-            replica.set_shadow(Arc::from(detector));
+        for replica in &self.replicas {
+            replica.set_shadow(Arc::clone(&detector));
         }
     }
 
@@ -329,11 +328,10 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// fleet behind which every deployed pipeline serves — with each endpoint
 /// replicated `N` ways behind load-aware routing.
 ///
-/// Each deployed endpoint holds [`ShardConfig::replicas`] bit-identical
-/// copies of the detector (cloned through the persistence codec; a
-/// 1-replica fleet serves the deployed detector itself), each with its own
-/// micro-batch tile, [`MonitorStats`], admission budget and circuit
-/// breaker; [`ShardedFleet::score`] routes every request to one replica by
+/// Each deployed endpoint runs on [`ShardConfig::replicas`] replicas that
+/// share one instance of the detector, each with its own micro-batch tile,
+/// [`MonitorStats`], admission budget and circuit breaker;
+/// [`ShardedFleet::score`] routes every request to one replica by
 /// [`RoutePolicy`], and [`ShardedFleet::stats`] merges the per-replica
 /// statistics back into one endpoint-wide view. `deploy` and `rollback` fan
 /// out to all replicas in lock-step, so a version number names the same
@@ -442,30 +440,10 @@ impl ShardedFleet {
             })
     }
 
-    /// Clones `detector` once per replica through the persistence codec.
-    /// The first clone slot reuses the original box, so a 1-replica fleet
-    /// never serialises at all.
-    fn replicate(&self, detector: Box<dyn Detector>) -> Result<Vec<Box<dyn Detector>>, FleetError> {
-        let extra = self.config.replicas - 1;
-        let mut detectors = Vec::with_capacity(self.config.replicas);
-        if extra > 0 {
-            let document = save(detector.as_ref()).map_err(|err| FleetError::Replication {
-                message: err.to_string(),
-            })?;
-            for _ in 0..extra {
-                detectors.push(load(&document).map_err(|err| FleetError::Replication {
-                    message: err.to_string(),
-                })?);
-            }
-        }
-        detectors.push(detector);
-        Ok(detectors)
-    }
-
     /// Publishes one prepared detector per replica as endpoint `name`,
     /// creating the endpoint on first deploy, and (lazily) starts the
     /// fleet's background flusher.
-    fn publish(&self, name: &str, detectors: Vec<Box<dyn Detector>>) -> u64 {
+    fn publish(&self, name: &str, detectors: Vec<Arc<dyn Detector>>) -> u64 {
         let version = match self.endpoint(name).ok() {
             Some(endpoint) => endpoint.deploy(detectors),
             None => {
@@ -517,38 +495,35 @@ impl ShardedFleet {
     /// returns the published version number (1 for a new endpoint,
     /// previous + 1 afterwards — identical on all replicas).
     ///
-    /// The detector is cloned per replica through the save/load codec, so
-    /// all replicas are bit-identical by the persistence guarantee (a
-    /// 1-replica fleet publishes the detector itself, without a codec
-    /// round trip). The fan-out runs under the endpoint's generation lock,
-    /// so concurrent deploys/rollbacks cannot interleave their per-replica
-    /// walks; scoring does not take that lock, so requests racing the
-    /// fan-out finish on whichever version their replica was serving when
-    /// they enqueued (replicas the walk has not reached yet still stamp the
-    /// outgoing version), exactly like rows already queued in a tile. The
-    /// endpoint's monitor statistics persist across versions (they describe
-    /// the endpoint, not the model), and the last few retired versions are
-    /// kept for [`ShardedFleet::rollback`]; older ones are dropped so
-    /// periodic redeploys do not accumulate every model ever served.
+    /// Every replica serves the one deployed instance, so replicas are
+    /// bit-identical by construction, and the model is never copied nor
+    /// required to persist. The fan-out runs under the endpoint's
+    /// generation lock, so concurrent deploys/rollbacks cannot interleave
+    /// their per-replica walks; scoring does not take that lock, so
+    /// requests racing the fan-out finish on whichever version their
+    /// replica was serving when they enqueued (replicas the walk has not
+    /// reached yet still stamp the outgoing version), exactly like rows
+    /// already queued in a tile. The endpoint's monitor statistics persist
+    /// across versions (they describe the endpoint, not the model), and the
+    /// last few retired versions are kept for [`ShardedFleet::rollback`];
+    /// older ones are dropped so periodic redeploys do not accumulate every
+    /// model ever served.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Replication`] when the codec round trip that clones
-    /// the detector fails — including detectors that do not implement
-    /// persistence at all on fleets of two or more replicas (use
-    /// [`ShardedFleet::deploy_replicas`] for those).
+    /// None: sharing one instance cannot fail. The `Result` matches
+    /// [`ShardedFleet::deploy_replicas`], so callers handle both alike.
     pub fn deploy(&self, name: &str, detector: Box<dyn Detector>) -> Result<u64, FleetError> {
-        let detectors = self.replicate(detector)?;
-        Ok(self.publish(name, detectors))
+        let detector: Arc<dyn Detector> = Arc::from(detector);
+        Ok(self.publish(name, vec![detector; self.config.replicas]))
     }
 
     /// Like [`ShardedFleet::deploy`], but takes one **pre-built detector
-    /// per replica** instead of cloning through the codec — the escape
-    /// hatch for detectors that cannot (or must not) round-trip
-    /// persistence, such as the fault-injection wrapper
-    /// [`crate::FaultInjector`] whose schedule is deliberately
-    /// non-persistable. The caller owns the guarantee that the detectors
-    /// are equivalent; the fleet only guarantees they version in lock-step.
+    /// per replica** instead of sharing one — for replicas that must
+    /// differ, such as chaos tests giving each replica its own
+    /// fault-injection wrapper [`crate::FaultInjector`] and plan. The
+    /// caller owns the guarantee that the detectors are equivalent; the
+    /// fleet only guarantees they version in lock-step.
     ///
     /// # Errors
     ///
@@ -568,13 +543,15 @@ impl ShardedFleet {
                 ),
             });
         }
-        Ok(self.publish(name, detectors))
+        Ok(self.publish(name, detectors.into_iter().map(Arc::from).collect()))
     }
 
     /// Rolls **every replica** of endpoint `name` back to the version
     /// retired by the latest deploy, returning the restored version number.
-    /// Each replica's pending tile is flushed first; in-flight tiles finish
-    /// on the version that accepted them.
+    /// Each replica swaps to the restored version first and then drains its
+    /// open tile, which captured the outgoing version: rows queued before
+    /// the rollback finish on the version that accepted them, and new
+    /// tiles open on the restored one.
     ///
     /// # Errors
     ///
@@ -804,22 +781,18 @@ impl ShardedFleet {
     }
 
     /// Installs `detector` as endpoint `name`'s **challenger on every
-    /// replica** (cloned through the persistence codec like
-    /// [`ShardedFleet::deploy`]): each replica's challenger scores every
-    /// batch that replica's champion serves, into its own statistics, while
+    /// replica** (one instance shared by all of them, like
+    /// [`ShardedFleet::deploy`]): it scores every batch each replica's
+    /// champion serves, into that replica's shadow statistics, while
     /// callers keep receiving exactly the champion's reports. Replaces any
     /// previous challenger. The fan-out runs under the endpoint's
     /// generation lock, in lock-step with deploys and promotions.
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownEndpoint`] for unknown names,
-    /// [`FleetError::Replication`] when the codec round trip that clones
-    /// the challenger fails.
+    /// [`FleetError::UnknownEndpoint`] for unknown names.
     pub fn deploy_shadow(&self, name: &str, detector: Box<dyn Detector>) -> Result<(), FleetError> {
-        let endpoint = self.endpoint(name)?;
-        let detectors = self.replicate(detector)?;
-        endpoint.deploy_shadow(detectors);
+        self.endpoint(name)?.deploy_shadow(Arc::from(detector));
         Ok(())
     }
 
@@ -851,9 +824,9 @@ impl ShardedFleet {
     }
 
     /// Promotes endpoint `name`'s challenger to champion on **every
-    /// replica** in lock-step: each replica publishes its own challenger
-    /// instance as the next version (the same version number everywhere,
-    /// by the shared administrative history), the outgoing champions are
+    /// replica** in lock-step: each replica publishes the challenger
+    /// instance it shadow-scored with as the next version (the same version
+    /// number everywhere, by the shared administrative history), the outgoing champions are
     /// retired for [`ShardedFleet::rollback`], and the shadow slots empty.
     /// Returns the published version number.
     ///

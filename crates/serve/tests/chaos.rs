@@ -485,8 +485,8 @@ fn least_loaded_routing_skips_open_replicas() {
             .with_breaker(BreakerPolicy::new(1, Duration::from_secs(600))),
     );
     // Replica 0 breaks on its first call; replica 1 is the same model,
-    // unwrapped. `deploy_replicas` is the injector path — fault plans are
-    // deliberately not persistable, so codec replication cannot carry them.
+    // unwrapped. Plain `deploy` would share one injector between both
+    // replicas, so `deploy_replicas` gives only replica 0 the faulty one.
     fleet
         .deploy_replicas(
             "hmd",

@@ -1,19 +1,24 @@
 //! Fleet behaviour tests: the seeded multi-threaded equivalence proof
 //! (fleet-routed scoring at 1 and 3 replicas is report-identical to direct
 //! `detect_batch`, modulo replica attribution), hot swap mid-stream,
-//! routing-policy behaviour, lock-stepped deploy/rollback fan-out, which
-//! detectors replicate, and the flush-policy edge cases.
+//! routing-policy behaviour, lock-stepped deploy/rollback fan-out, one
+//! shared detector instance per endpoint (never serialised on the write
+//! path), and the flush-policy edge cases.
 
+use hmd_codec::Json;
 use hmd_core::detector::{
     load, save, Detector, DetectorBackend, DetectorConfig, DetectorExt, MonitorSession,
     MonitorStats,
 };
-use hmd_data::{Dataset, Label, Matrix};
+use hmd_core::trusted::DetectionReport;
+use hmd_data::{Dataset, Label, Matrix, RowsView};
+use hmd_ml::MlError;
 use hmd_serve::{
     FaultInjector, FaultPlan, FleetError, FlushPolicy, RoutePolicy, ShardConfig, ShardedFleet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -311,34 +316,175 @@ fn endpoints_are_isolated() {
     ));
 }
 
-/// A 1-replica fleet serves the deployed detector itself — it never
-/// serialises it — so a detector that cannot persist (the fault injector,
-/// whose plan must never leak through the codec) deploys through plain
-/// `deploy`. Two replicas need a codec clone, and the same deploy is
-/// refused with `Replication`.
+/// Every replica serves the one deployed instance, so a detector that
+/// cannot persist (the fault injector, whose plan must never leak through
+/// the codec) deploys through plain `deploy` and `deploy_shadow` on any
+/// replica count. Its reports are bit-identical to direct scoring, and its
+/// call counter sees every batch scored on every replica — one instance,
+/// shared.
 #[test]
-fn only_a_single_replica_deploys_detectors_that_cannot_persist() {
-    let injector = || Box::new(FaultInjector::new(trained(5, 71), FaultPlan::new()));
+fn detectors_that_cannot_persist_deploy_shared_on_any_replica_count() {
     let requests = request_matrix(6, 4, 72);
     let direct = trained(5, 71).detect_batch(&requests).expect("direct");
+    let direct_challenger = trained(9, 73).detect_batch(&requests).expect("direct");
 
-    let single = ShardedFleet::new(1);
-    assert_eq!(single.deploy("hmd", injector()).expect("no codec clone"), 1);
-    let scored = single.score_batch("hmd", &requests).expect("scores");
-    for (row, s) in scored.iter().enumerate() {
-        assert_reports_bit_identical(&s.report, &direct[row], "injector row");
+    for replicas in [1, 3] {
+        let fleet = ShardedFleet::with_config(
+            ShardConfig::new(replicas).with_flush(FlushPolicy::new(64, Duration::from_secs(5))),
+        );
+        let champion = FaultInjector::new(trained(5, 71), FaultPlan::new());
+        let champion_calls = champion.counters();
+        assert_eq!(fleet.deploy("hmd", Box::new(champion)).expect("deploys"), 1);
+
+        // Round-robin batches: two per replica.
+        let batches = 2 * replicas as u64;
+        for _ in 0..batches {
+            let scored = fleet.score_batch("hmd", &requests).expect("scores");
+            for (row, s) in scored.iter().enumerate() {
+                assert_reports_bit_identical(&s.report, &direct[row], "injector row");
+            }
+        }
+        assert!(
+            fleet
+                .replica_stats("hmd")
+                .unwrap()
+                .iter()
+                .all(|s| s.windows > 0),
+            "every replica scored"
+        );
+        assert_eq!(champion_calls.calls(), batches, "{replicas} replica(s)");
+
+        // Tile path: one row per replica, each replica's tile drains once.
+        let tickets: Vec<_> = (0..replicas)
+            .map(|row| fleet.score("hmd", requests.row(row)).expect("enqueue"))
+            .collect();
+        assert_eq!(fleet.flush("hmd").expect("flush"), replicas);
+        for (row, ticket) in tickets.into_iter().enumerate() {
+            let scored = ticket.wait().expect("scores");
+            assert_reports_bit_identical(&scored.report, &direct[row], "tile row");
+        }
+        let served = batches + replicas as u64;
+        assert_eq!(champion_calls.calls(), served, "{replicas} replica(s)");
+
+        // The shadow slot shares one challenger the same way.
+        let challenger = FaultInjector::new(trained(9, 73), FaultPlan::new());
+        let challenger_calls = challenger.counters();
+        assert_eq!(fleet.deploy_shadow("hmd", Box::new(challenger)), Ok(()));
+        for _ in 0..batches {
+            fleet.score_batch("hmd", &requests).expect("scores");
+        }
+        assert_eq!(challenger_calls.calls(), batches, "{replicas} replica(s)");
+        assert_eq!(champion_calls.calls(), served + batches);
+
+        // Promotion publishes that one instance on every replica.
+        assert_eq!(fleet.promote_shadow("hmd").expect("promotes"), 2);
+        for _ in 0..batches {
+            let scored = fleet.score_batch("hmd", &requests).expect("scores");
+            for (row, s) in scored.iter().enumerate() {
+                assert_reports_bit_identical(&s.report, &direct_challenger[row], "promoted");
+            }
+        }
+        assert_eq!(
+            challenger_calls.calls(),
+            2 * batches,
+            "{replicas} replica(s)"
+        );
     }
-    assert_eq!(single.deploy_shadow("hmd", injector()), Ok(()));
+}
 
-    let pair = ShardedFleet::new(2);
-    assert!(matches!(
-        pair.deploy("hmd", injector()),
-        Err(FleetError::Replication { .. })
-    ));
-    assert!(
-        pair.endpoints().is_empty(),
-        "a refused deploy publishes nothing"
+/// `deploy_replicas` needs exactly one detector per replica: 0, n − 1 and
+/// n + 1 detectors are each refused with `Replication` and publish nothing,
+/// whether the endpoint is new or already serving.
+#[test]
+fn deploy_replicas_refuses_a_wrong_detector_count() {
+    let replicas = 3;
+    let fleet = ShardedFleet::new(replicas);
+    let detectors = |n: usize| (0..n).map(|_| trained(5, 74)).collect::<Vec<_>>();
+    for count in [0, replicas - 1, replicas + 1] {
+        assert!(
+            matches!(
+                fleet.deploy_replicas("hmd", detectors(count)),
+                Err(FleetError::Replication { .. })
+            ),
+            "{count} detectors for {replicas} replicas"
+        );
+        assert!(
+            fleet.endpoints().is_empty(),
+            "a refused deploy publishes nothing"
+        );
+    }
+
+    assert_eq!(fleet.deploy_replicas("hmd", detectors(replicas)), Ok(1));
+    for count in [0, replicas - 1, replicas + 1] {
+        assert!(matches!(
+            fleet.deploy_replicas("hmd", detectors(count)),
+            Err(FleetError::Replication { .. })
+        ));
+        assert_eq!(fleet.active_version("hmd").unwrap(), 1, "nothing published");
+    }
+    assert_eq!(
+        fleet.rollback("hmd").unwrap_err(),
+        FleetError::NoPreviousVersion { name: "hmd".into() },
+        "a refused redeploy retires nothing"
     );
+}
+
+/// A persistable detector that counts how often it is serialised.
+struct SaveCounting {
+    inner: Box<dyn Detector>,
+    saves: Arc<AtomicUsize>,
+}
+
+impl Detector for SaveCounting {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn entropy_threshold(&self) -> f64 {
+        self.inner.entropy_threshold()
+    }
+
+    fn detect_rows(&self, batch: RowsView<'_>) -> Result<Vec<DetectionReport>, MlError> {
+        self.inner.detect_rows(batch)
+    }
+
+    fn to_saved_json(&self) -> Option<Json> {
+        self.saves.fetch_add(1, Ordering::SeqCst);
+        self.inner.to_saved_json()
+    }
+}
+
+/// The serve write path never serialises a model: deploy, deploy_shadow,
+/// promote_shadow and rollback on a 3-replica fleet all share the instance
+/// they were given instead of cloning it through the codec.
+#[test]
+fn the_write_path_never_serialises_a_detector() {
+    let saves = Arc::new(AtomicUsize::new(0));
+    let counting = |num_estimators, seed| {
+        Box::new(SaveCounting {
+            inner: trained(num_estimators, seed),
+            saves: Arc::clone(&saves),
+        })
+    };
+    let requests = request_matrix(9, 4, 75);
+    let direct_champion = trained(7, 76).detect_batch(&requests).expect("direct");
+    let direct_challenger = trained(11, 77).detect_batch(&requests).expect("direct");
+
+    let fleet = ShardedFleet::new(3);
+    assert_eq!(fleet.deploy("hmd", counting(7, 76)).expect("deploys"), 1);
+    fleet
+        .deploy_shadow("hmd", counting(11, 77))
+        .expect("shadows");
+    fleet.score_batch("hmd", &requests).expect("scores");
+    assert_eq!(fleet.promote_shadow("hmd").expect("promotes"), 2);
+    let promoted = fleet.score_batch("hmd", &requests).expect("scores");
+    assert_eq!(fleet.rollback("hmd").expect("rolls back"), 1);
+    let restored = fleet.score_batch("hmd", &requests).expect("scores");
+    for row in 0..requests.rows() {
+        assert_reports_bit_identical(&promoted[row].report, &direct_challenger[row], "promoted");
+        assert_reports_bit_identical(&restored[row].report, &direct_champion[row], "restored");
+    }
+    assert_eq!(saves.load(Ordering::SeqCst), 0, "no codec clone anywhere");
 }
 
 /// Key affinity pins every request of a session to one replica, so a
@@ -622,7 +768,7 @@ fn unknown_endpoints_and_single_replica_degeneration() {
     assert_eq!(fleet.breaker_states("ghost").unwrap_err(), missing);
     assert!(fleet.endpoints().is_empty());
 
-    // One replica: no codec clone, same reports as the direct path.
+    // One replica: the direct path's reports, attributed to replica 0.
     let single = ShardedFleet::new(1);
     let detector = trained(5, 91);
     let requests = request_matrix(9, 4, 92);

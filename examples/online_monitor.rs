@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Train offline, persist, and deploy the restored pipeline — the
     // save/load round trip is exactly what a model registry would do, and
-    // the sharded fleet repeats it per replica.
+    // every replica of the sharded fleet serves that one restored instance.
     let config = DetectorConfig::trusted(DetectorBackend::decision_tree())
         .with_num_estimators(25)
         .with_entropy_threshold(0.4);
@@ -273,9 +273,10 @@ fn supervision_drill(document: &str, probe_row: &[f64]) -> Result<(), Box<dyn Er
     );
 
     // Routing: the same flaky-first-call model behind a 2-replica
-    // endpoint. Two replicas would need a codec clone of the injector, so
-    // `deploy_replicas` hands each replica its own detector instead. After replica 0 trips, breaker-aware LeastLoaded
-    // steers every request to the healthy replica.
+    // endpoint. Plain `deploy` would share one injector (and its plan)
+    // between both replicas, so `deploy_replicas` gives only replica 0 the
+    // faulty one. After replica 0 trips, breaker-aware LeastLoaded steers
+    // every request to the healthy replica.
     let drill = ShardedFleet::with_config(
         ShardConfig::new(REPLICAS)
             .with_policy(RoutePolicy::LeastLoaded)

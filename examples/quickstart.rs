@@ -88,10 +88,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 6. Scale out: restore the same trusted model from its saved document
-    //    and replicate it across 3 shards with round-robin routing.
-    //    Replicas are bit-identical codec clones, so the reports still
-    //    match the direct path — only the replica attribution varies — and
-    //    the per-replica statistics merge back into one endpoint-wide view.
+    //    and serve it on 3 shards with round-robin routing. The replicas
+    //    share that one instance, so the reports still match the direct
+    //    path — only the replica attribution varies — and the per-replica
+    //    statistics merge back into one endpoint-wide view.
     let sharded = ShardedFleet::new(3);
     sharded.deploy("trusted", load(&document)?)?;
     let mut tickets = Vec::new();

@@ -90,7 +90,7 @@
 //! version stack and statistics, and a pluggable [`serve::RoutePolicy`]
 //! picks one per request: round-robin, least-loaded by open-tile depth, or
 //! key affinity ([`serve::ShardedFleet::score_keyed`]) so a session's
-//! requests micro-batch together. Replicas are bit-identical codec clones
+//! requests micro-batch together. Replicas share one detector instance
 //! on lock-stepped versions, deploy/rollback fan out atomically per
 //! replica, and [`serve::ShardedFleet::stats`] merges per-replica
 //! [`core::detector::MonitorStats`] into one fleet-wide view.
@@ -176,7 +176,7 @@
 //! assert_eq!(fleet.stats("dvfs-hmd")?.windows, split.unknown.len());
 //!
 //! // Scaling out: the same endpoint replicated across two replicas with
-//! // session-sticky routing — replicas are bit-identical codec clones, so
+//! // session-sticky routing — replicas share one detector instance, so
 //! // the reports match the direct path no matter which replica serves.
 //! let sharded = ShardedFleet::with_config(
 //!     ShardConfig::new(2).with_policy(RoutePolicy::KeyAffinity),
