@@ -20,10 +20,11 @@
 //! ```
 //!
 //! The header is fixed-size on purpose: a reader always knows it needs
-//! exactly [`HEADER_LEN`] bytes before it can size the payload read, so a
-//! bounded reader never over-buffers. Header parsing validates the magic
-//! only — version and length policy are enforced by the layer that knows
-//! the limits.
+//! exactly [`HEADER_LEN`] bytes before it can size the payload, so a
+//! bounded reader can refuse an oversized frame before reserving any
+//! payload space, even when it reads ahead. Header parsing validates the
+//! magic only — version and length policy are enforced by the layer that
+//! knows the limits.
 
 use crate::CodecError;
 

@@ -3,8 +3,12 @@
 //! The build environment has no crates.io access, so model persistence
 //! (`hmd_core::detector`'s `save`/`load`) cannot lean on `serde_json` or
 //! `bincode`. This crate provides the substitute: a small [`Json`] value
-//! type, a strict parser, a writer, and the [`JsonCodec`] trait that fitted
-//! models across the workspace implement field by field.
+//! type, one strict tokenizer ([`Parser`], a pull reader that
+//! [`Json::parse`] builds trees with and schema-aware decoders read from
+//! directly), the value writers ([`write_f64`], [`write_int`],
+//! [`write_string`]) that [`Json`]'s `Display` and direct encoders share,
+//! and the [`JsonCodec`] trait that fitted models across the workspace
+//! implement field by field.
 //!
 //! Exactness matters more than prettiness here: a saved detector must
 //! reproduce **bit-identical** reports after a load. Finite `f64` values are
@@ -32,7 +36,9 @@
 
 pub mod frame;
 
+use std::borrow::Cow;
 use std::fmt;
+use std::io::Write;
 
 /// Error produced by parsing or by typed decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,14 +139,8 @@ impl Json {
         match self {
             Json::Int(i) => Ok(*i as f64),
             Json::Float(f) => Ok(*f),
-            Json::Str(s) => match s.as_str() {
-                "NaN" => Ok(f64::NAN),
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                _ => Err(CodecError::new(format!(
-                    "expected number, found string {s:?}"
-                ))),
-            },
+            Json::Str(s) => tagged_f64(s)
+                .ok_or_else(|| CodecError::new(format!("expected number, found string {s:?}"))),
             other => Err(CodecError::new(format!(
                 "expected number, found {}",
                 other.kind()
@@ -218,58 +218,48 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document into a tree.
     ///
     /// # Errors
     ///
     /// Returns an error describing the first syntax problem, with its byte
     /// offset.
     pub fn parse(text: &str) -> Result<Json, CodecError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.parse_value()?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after document"));
-        }
+        let mut parser = Parser::new(text.as_bytes());
+        let value = parser.value()?;
+        parser.finish()?;
         Ok(value)
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                out.push_str(&i.to_string());
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Int(i) => write_int(*i, out),
             Json::Float(f) => write_f64(*f, out),
             Json::Str(s) => write_string(s, out),
             Json::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_string(key, out);
-                    out.push(':');
+                    out.push(b':');
                     value.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -277,68 +267,153 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out);
-        f.write_str(&out)
+        // The writers append only `str` content and ASCII, so this never
+        // fails; a failure would be a writer bug, reported as a fmt error.
+        f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
     }
 }
 
-fn write_f64(value: f64, out: &mut String) {
+/// The `f64` a tagged non-finite string stands for (`"NaN"`, `"inf"`,
+/// `"-inf"`), the encoding [`write_f64`] uses for values JSON numbers
+/// cannot hold.
+fn tagged_f64(text: &str) -> Option<f64> {
+    match text {
+        "NaN" => Some(f64::NAN),
+        "inf" => Some(f64::INFINITY),
+        "-inf" => Some(f64::NEG_INFINITY),
+        _ => None,
+    }
+}
+
+/// Appends the JSON text of an integer, as [`Json::Int`] writes it.
+pub fn write_int(value: i64, out: &mut Vec<u8>) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{value}");
+}
+
+/// Appends the JSON text of a float, as [`Json::Float`] writes it: the
+/// shortest representation that parses back to the identical bits, always
+/// recognisable as a float (`2.0`, never `2`), with the non-finite values
+/// as the tagged strings `"NaN"`, `"inf"` and `"-inf"`.
+pub fn write_f64(value: f64, out: &mut Vec<u8>) {
     if value.is_nan() {
-        out.push_str("\"NaN\"");
+        out.extend_from_slice(b"\"NaN\"");
     } else if value == f64::INFINITY {
-        out.push_str("\"inf\"");
+        out.extend_from_slice(b"\"inf\"");
     } else if value == f64::NEG_INFINITY {
-        out.push_str("\"-inf\"");
+        out.extend_from_slice(b"\"-inf\"");
     } else {
         // Rust's float Display is the shortest representation that parses
         // back to the identical bits — exactly what persistence needs.
-        let text = value.to_string();
-        out.push_str(&text);
-        if !text.contains(['.', 'e', 'E']) {
+        let start = out.len();
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{value}");
+        if !out[start..]
+            .iter()
+            .any(|&b| matches!(b, b'.' | b'e' | b'E'))
+        {
             // Keep the token recognisable as a float ("2" → "2.0") so the
             // Int/Float distinction survives a round trip.
-            out.push_str(".0");
+            out.extend_from_slice(b".0");
         }
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `s` as a JSON string literal, as [`Json::Str`] writes it.
+pub fn write_string(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.extend_from_slice(escape);
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
-/// Maximum container nesting the parser accepts. The parser recurses per
-/// nesting level, so this bounds stack use; persisted detector documents
-/// nest no more than a handful of levels, while a crafted or corrupted
-/// document of thousands of `[`s would otherwise overflow the stack instead
-/// of returning an error.
+/// Maximum container nesting the parser accepts. The tree builder recurses
+/// per nesting level, so this bounds stack use; persisted detector
+/// documents nest no more than a handful of levels, while a crafted or
+/// corrupted document of thousands of `[`s would otherwise overflow the
+/// stack instead of returning an error.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// A pull reader over one JSON document — the workspace's only JSON
+/// tokenizer.
+///
+/// [`Json::parse`] builds a tree with it. A decoder that knows its schema
+/// can instead pull values straight out of the bytes: open an object with
+/// [`Parser::begin_object`], walk its keys with [`Parser::next_key`], read
+/// each value with the typed readers ([`Parser::string`], [`Parser::f64`],
+/// [`Parser::value`], ...) or [`Parser::skip_value`] it, and end with
+/// [`Parser::finish`]. Every reader checks the same grammar, depth limit and
+/// UTF-8 rules as the tree builder, so a document the pull decoder accepts
+/// is one [`Json::parse`] accepts.
+///
+/// ```
+/// use hmd_codec::Parser;
+///
+/// let mut parser = Parser::new(br#"{"name": "ep", "row": [1, 2.5], "extra": {}}"#);
+/// parser.begin_object()?;
+/// let (mut name, mut row) = (String::new(), Vec::new());
+/// while let Some(key) = parser.next_key()? {
+///     match &*key {
+///         "name" => name = parser.string()?.into_owned(),
+///         "row" => {
+///             parser.begin_array()?;
+///             while parser.next_item()? {
+///                 row.push(parser.f64()?);
+///             }
+///         }
+///         _ => parser.skip_value()?,
+///     }
+/// }
+/// parser.finish()?;
+/// assert_eq!((name.as_str(), row), ("ep", vec![1.0, 2.5]));
+/// # Ok::<(), hmd_codec::CodecError>(())
+/// ```
+pub struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// A container was just opened: the next `next_key`/`next_item` reads
+    /// its first entry, with no `,` before it.
+    fresh: bool,
 }
 
 impl<'a> Parser<'a> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Parser<'a> {
+        Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
     fn error(&self, message: &str) -> CodecError {
         CodecError::new(format!("{message} at byte {}", self.pos))
     }
 
+    #[inline]
     fn skip_whitespace(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -349,10 +424,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), CodecError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -362,116 +439,119 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Json, CodecError> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(self.error(&format!("unexpected character `{}`", b as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn parse_literal(&mut self, literal: &str, value: Json) -> Result<Json, CodecError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
-            self.pos += literal.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("invalid literal, expected `{literal}`")))
-        }
-    }
-
-    fn enter(&mut self) -> Result<(), CodecError> {
+    fn enter(&mut self, open: u8) -> Result<(), CodecError> {
+        self.skip_whitespace();
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             return Err(self.error("document nests deeper than the supported limit"));
         }
+        self.expect(open)?;
+        self.fresh = true;
         Ok(())
     }
 
-    fn parse_object(&mut self) -> Result<Json, CodecError> {
-        self.enter()?;
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    /// Steps to the next entry of the open container: `true` when one
+    /// follows, `false` (the container closed) at `close`.
+    #[inline]
+    fn next_entry(&mut self, close: u8, what: &str) -> Result<bool, CodecError> {
         self.skip_whitespace();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Object(fields));
+            self.depth = self.depth.saturating_sub(1);
+            self.fresh = false;
+            return Ok(false);
         }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
+        if !std::mem::take(&mut self.fresh) {
+            if self.peek() != Some(b',') {
+                return Err(self.error(&format!("expected `,` or `{}` in {what}", close as char)));
             }
+            self.pos += 1;
         }
+        Ok(true)
     }
 
-    fn parse_array(&mut self) -> Result<Json, CodecError> {
-        self.enter()?;
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
+    /// Opens an object: the next value must be `{`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an object, or nests too deep.
+    pub fn begin_object(&mut self) -> Result<(), CodecError> {
+        self.enter(b'{')
     }
 
-    fn parse_string(&mut self) -> Result<String, CodecError> {
+    /// The next key of the object opened last, positioned at its value —
+    /// which the caller must read or skip before asking for another key.
+    /// `None` once the object closes.
+    ///
+    /// # Errors
+    ///
+    /// On a syntax error between entries or inside the key.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, CodecError> {
+        if !self.next_entry(b'}', "object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_whitespace();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Opens an array: the next value must be `[`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array, or nests too deep.
+    pub fn begin_array(&mut self) -> Result<(), CodecError> {
+        self.enter(b'[')
+    }
+
+    /// Whether the array opened last has another item, positioned at it —
+    /// which the caller must read or skip before asking again. `false`
+    /// once the array closes.
+    ///
+    /// # Errors
+    ///
+    /// On a syntax error between items.
+    pub fn next_item(&mut self) -> Result<bool, CodecError> {
+        self.next_entry(b']', "array")
+    }
+
+    /// Reads a string value. Borrowed from the input unless it contains
+    /// escapes.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a well-formed string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, CodecError> {
+        self.skip_whitespace();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.bytes;
+        let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
             // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
+            while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8 in string"))?,
-            );
+            let run = std::str::from_utf8(&bytes[start..self.pos])
+                .map_err(|_| self.error("invalid UTF-8 in string"))?;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
                     let escape = self
                         .peek()
@@ -487,8 +567,7 @@ impl<'a> Parser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
+                            let hex = bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -513,7 +592,130 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Json, CodecError> {
+    /// Reads a number as an `f64`, accepting what [`Json::as_f64`] accepts:
+    /// either number encoding, or a tagged non-finite string.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is malformed or not numeric.
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        self.skip_whitespace();
+        if self.peek() == Some(b'"') {
+            let text = self.string()?;
+            return tagged_f64(&text)
+                .ok_or_else(|| CodecError::new(format!("expected number, found string {text:?}")));
+        }
+        self.value()?.as_f64()
+    }
+
+    /// Consumes the next value if it is `null`; `false` (nothing consumed)
+    /// otherwise.
+    pub fn null(&mut self) -> bool {
+        self.skip_whitespace();
+        let found = self.bytes[self.pos..].starts_with(b"null");
+        if found {
+            self.pos += 4;
+        }
+        found
+    }
+
+    /// Reads the next value as a tree.
+    ///
+    /// # Errors
+    ///
+    /// On the first syntax error inside the value.
+    pub fn value(&mut self) -> Result<Json, CodecError> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    fields.push((key.into_owned(), value));
+                }
+                Ok(Json::Object(fields))
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            _ => self.scalar(),
+        }
+    }
+
+    /// Skips the next value, checking it as strictly as [`Parser::value`]
+    /// would, without building it.
+    ///
+    /// # Errors
+    ///
+    /// On the first syntax error inside the value.
+    pub fn skip_value(&mut self) -> Result<(), CodecError> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            _ => {
+                self.scalar()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the document: only whitespace may follow the value read.
+    ///
+    /// # Errors
+    ///
+    /// When anything else follows.
+    pub fn finish(mut self) -> Result<(), CodecError> {
+        self.skip_whitespace();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    /// A literal or a number; anything else is an error.
+    #[inline]
+    fn scalar(&mut self) -> Result<Json, CodecError> {
+        match self.peek() {
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) => Err(self.error(&format!("unexpected character `{}`", b as char))),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, CodecError> {
+        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(value)
+        } else {
+            Err(self.error(&format!("invalid literal, expected `{literal}`")))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, CodecError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -727,6 +929,89 @@ mod tests {
         let text = v.to_json().to_string();
         let back: Vec<Option<f64>> = Vec::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn float_writer_matches_display_formatting() {
+        // The writer appends exactly what `f64::to_string` produces (plus
+        // `.0` for integral values), without the intermediate `String`.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut values = vec![0.0, -0.0, 2.0, 1e-300, 5e-324, 1e21, 123456789.0, -1.5e-7];
+        for _ in 0..2000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let value = f64::from_bits(state);
+            if value.is_finite() {
+                values.push(value);
+            }
+        }
+        for value in values {
+            let mut expected = value.to_string();
+            if !expected.contains(['.', 'e', 'E']) {
+                expected.push_str(".0");
+            }
+            let mut out = b"x".to_vec();
+            write_f64(value, &mut out);
+            assert_eq!(&out[1..], expected.as_bytes(), "{value:e}");
+        }
+    }
+
+    #[test]
+    fn string_writer_escapes_as_before() {
+        let s = "a\"b\\c\nd\re\tf\u{1}g\u{1f}\u{7f}☂";
+        let mut out = Vec::new();
+        write_string(s, &mut out);
+        assert_eq!(
+            std::str::from_utf8(&out).unwrap(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001f\u{7f}☂\""
+        );
+        assert_eq!(
+            Json::parse(std::str::from_utf8(&out).unwrap()).unwrap(),
+            Json::Str(s.to_string())
+        );
+    }
+
+    #[test]
+    fn skipping_checks_the_same_grammar_as_building() {
+        let deep = format!("{}1{}", "[".repeat(200), "]".repeat(200));
+        let docs = [
+            r#"{"a": [1, -2.5, true, null, "x\ny"], "b": {"c": 1e-3}}"#,
+            "[]",
+            "{}",
+            " [ [ ] , { } ] ",
+            "[1,]",
+            "[,1]",
+            "{\"a\":1,}",
+            "{,}",
+            "[1 2]",
+            "{\"a\" 1}",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "nul",
+            "-",
+            "1e",
+            "[\"\u{1}\"]",
+            deep.as_str(),
+        ];
+        for doc in docs {
+            let mut parser = Parser::new(doc.as_bytes());
+            let skipped = parser.skip_value().and_then(|()| parser.finish());
+            assert_eq!(skipped.is_ok(), Json::parse(doc).is_ok(), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn null_consumes_only_null() {
+        let mut parser = Parser::new(b"[null, 7]");
+        parser.begin_array().unwrap();
+        assert!(parser.next_item().unwrap());
+        assert!(parser.null());
+        assert!(parser.next_item().unwrap());
+        assert!(!parser.null());
+        assert_eq!(parser.value().unwrap(), Json::Int(7));
+        assert!(!parser.next_item().unwrap());
+        parser.finish().unwrap();
     }
 
     #[test]

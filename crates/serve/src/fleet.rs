@@ -2,7 +2,7 @@
 //! its own supervision.
 //!
 //! This module is the substrate of the serving crate. An [`Endpoint`] owns a
-//! versioned stack of `Box<dyn Detector>` models, its own [`MonitorStats`],
+//! versioned stack of `Arc<dyn Detector>` models, its own [`MonitorStats`],
 //! one pending micro-batch tile, an admission budget
 //! ([`crate::AdmissionPolicy`]) and a circuit breaker
 //! ([`crate::BreakerPolicy`]). [`crate::ShardedFleet`] holds one endpoint per
@@ -704,9 +704,9 @@ impl Endpoint {
         };
         if opened && drained.is_none() {
             // A fresh tile means a fresh deadline the background flusher
-            // must learn about. Notified outside the tile lock — the
+            // may have to learn about. Notified outside the tile lock — the
             // supervisor's condvar never nests inside a critical section.
-            self.notifier.notify();
+            self.notifier.notify(ticket.deadline);
         }
         if let Some(tile) = drained {
             self.drain(tile);
@@ -1393,6 +1393,33 @@ mod tests {
                 vec![BreakerState::Closed; replicas]
             );
         }
+    }
+
+    /// Ceiling (a ratchet: lower it freely, raise it only with a
+    /// CHANGES.md line saying why). With one tile open on an anchor
+    /// endpoint, a thousand tiles opened and flushed on another endpoint
+    /// all expire later than the anchor, so none of them wakes the
+    /// flusher: at most 2 scans in all (its first, and the one the anchor
+    /// tile may cause). A flusher woken by every tile scanned up to once
+    /// per tile.
+    #[test]
+    fn later_deadlines_never_wake_the_flusher() {
+        let fleet = fleet(64, Duration::from_secs(10));
+        fleet.deploy("anchor", trained(3, 1)).unwrap();
+        fleet.deploy("busy", trained(3, 2)).unwrap();
+        let anchor = fleet.score("anchor", &[0.1, 0.2]).unwrap();
+        while !fleet.supervisor.armed() {
+            std::thread::yield_now();
+        }
+        for _ in 0..1000 {
+            let ticket = fleet.score("busy", &[0.3, -0.4]).unwrap();
+            fleet.flush("busy").unwrap();
+            ticket.wait().unwrap();
+        }
+        let scans = fleet.supervisor.scans();
+        assert!(scans <= 2, "{scans} flusher scans");
+        fleet.flush("anchor").unwrap();
+        anchor.wait().unwrap();
     }
 
     #[test]

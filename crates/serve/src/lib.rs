@@ -7,7 +7,7 @@
 //! producers. See `ARCHITECTURE.md` at the repository root for where this
 //! crate sits in the workspace's data flow.
 //!
-//! * [`ShardedFleet`] — a registry of named, versioned `Box<dyn Detector>`
+//! * [`ShardedFleet`] — a registry of named, versioned `Arc<dyn Detector>`
 //!   endpoints, the one fleet type. Every endpoint runs on `N` replicas
 //!   ([`ShardConfig::replicas`]; `ShardedFleet::new(1)` is the
 //!   single-endpoint fleet), and every replica owns its own

@@ -187,13 +187,21 @@ struct Fault {
     sent: bool,
 }
 
+/// An open connection and its frame reader. The reader reads ahead, so
+/// bytes past the frame being waited for belong to this connection and
+/// go when it goes.
+struct Connection {
+    stream: TcpStream,
+    reader: FrameReader,
+}
+
 /// A small blocking client for a [`FleetServer`](crate::net::FleetServer):
 /// one connection, one in-flight request, automatic reconnect-and-retry
 /// per [`RetryPolicy`].
 pub struct FleetClient {
     addr: SocketAddr,
     config: ClientConfig,
-    stream: Option<TcpStream>,
+    connection: Option<Connection>,
     stats: ClientStats,
     /// Jitter draw counter; one draw per backoff keeps the schedule
     /// deterministic across the client's lifetime.
@@ -204,7 +212,7 @@ impl std::fmt::Debug for FleetClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetClient")
             .field("addr", &self.addr)
-            .field("connected", &self.stream.is_some())
+            .field("connected", &self.connection.is_some())
             .field("stats", &self.stats)
             .finish()
     }
@@ -221,7 +229,7 @@ impl FleetClient {
         let mut client = FleetClient {
             addr,
             config,
-            stream: None,
+            connection: None,
             stats: ClientStats::default(),
             draws: 0,
         };
@@ -410,7 +418,7 @@ impl FleetClient {
                 Ok(response) => return Ok(response),
                 Err(fault) => {
                     // The connection can no longer be trusted.
-                    self.stream = None;
+                    self.connection = None;
                     if fault.sent && !idempotent {
                         return Err(NetError::InFlight {
                             message: fault.error.to_string(),
@@ -435,7 +443,7 @@ impl FleetClient {
     }
 
     fn ensure_connected(&mut self) -> Result<(), Fault> {
-        if self.stream.is_some() {
+        if self.connection.is_some() {
             return Ok(());
         }
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout).map_err(
@@ -449,7 +457,10 @@ impl FleetClient {
         )?;
         let _ = stream.set_nodelay(true);
         self.stats.connects += 1;
-        self.stream = Some(stream);
+        self.connection = Some(Connection {
+            stream,
+            reader: FrameReader::new(self.config.max_frame_bytes),
+        });
         Ok(())
     }
 
@@ -459,7 +470,7 @@ impl FleetClient {
         self.ensure_connected()?;
         let bytes = frame_bytes(request.kind(), &request.to_json())
             .map_err(|error| Fault { error, sent: false })?;
-        let Some(stream) = self.stream.as_mut() else {
+        let Some(Connection { stream, reader }) = self.connection.as_mut() else {
             return Err(Fault {
                 error: NetError::Io {
                     context: "connect",
@@ -478,7 +489,6 @@ impl FleetClient {
         let sent = |error: NetError| Fault { error, sent: true };
         // `None`: a response timeout too large to represent never expires.
         let deadline = deadline_after(Instant::now(), self.config.response_timeout);
-        let mut reader = FrameReader::new(self.config.max_frame_bytes);
         loop {
             let remaining =
                 deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
@@ -509,7 +519,7 @@ impl FleetClient {
                             message: format!("unknown response kind {:#04x}", header.kind),
                         }));
                     };
-                    let json = parse_payload(&payload).map_err(&sent)?;
+                    let json = parse_payload(payload).map_err(&sent)?;
                     return Response::from_wire(kind, &json).map_err(&sent);
                 }
                 Err(error) => return Err(sent(error)),
@@ -557,6 +567,54 @@ mod tests {
         let policy =
             RetryPolicy::new().with_backoff(Duration::from_secs(1), Duration::from_secs(2));
         assert!(policy.delay(u32::MAX, 0) <= Duration::from_millis(2500));
+    }
+
+    /// Replies read ahead stay with the connection: when a server answers
+    /// the first `score` with two reply frames in one write, the next
+    /// `score` returns the second frame.
+    #[test]
+    fn read_ahead_replies_stay_with_the_connection() {
+        use crate::net::wire::ReadStep;
+        use hmd_core::estimator::UncertainPrediction;
+        use hmd_core::trusted::{Decision, DetectionReport};
+        use hmd_data::Label;
+        use std::net::{Ipv4Addr, TcpListener};
+
+        let report = |replica| ShardedReport {
+            replica,
+            version: 1,
+            report: DetectionReport {
+                prediction: UncertainPrediction {
+                    label: Label::Benign,
+                    malware_vote_fraction: 0.25,
+                    entropy: 0.8112781244591328,
+                    num_estimators: 4,
+                },
+                decision: Decision::Escalate,
+            },
+        };
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+            assert!(matches!(reader.poll(&mut socket), Ok(ReadStep::Frame(..))));
+            let mut both = Vec::new();
+            for replica in [3, 4] {
+                let reply = Response::ScoreRow(report(replica));
+                both.extend(frame_bytes(reply.kind(), &reply.to_json()).unwrap());
+            }
+            socket.write_all(&both).unwrap();
+            // The second request needs no answer: it was sent ahead.
+            let _ = reader.poll(&mut socket);
+        });
+        let mut client =
+            FleetClient::connect(addr, ClientConfig::new().with_retry(RetryPolicy::none()))
+                .unwrap();
+        assert_eq!(client.score("ep", &[1.0]).unwrap(), report(3));
+        assert_eq!(client.score("ep", &[1.0]).unwrap(), report(4));
+        drop(client);
+        fake.join().unwrap();
     }
 
     #[test]

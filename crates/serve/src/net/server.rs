@@ -9,10 +9,12 @@
 //!   an accept beyond the cap is answered with one `Overloaded` error
 //!   frame and closed — never queued.
 //! * **Frames** are bounded per connection by the in-flight budget: score
-//!   requests pipeline until the budget is reached, then the server stops
-//!   reading and drains responses in request order. A client that keeps
-//!   writing fills the kernel's TCP window and blocks — the server's
-//!   memory use stays flat ([`ServerStats::peak_inflight`] proves it).
+//!   requests pipeline until the budget is reached, then the server drains
+//!   responses in request order before it admits another frame. Frames
+//!   past the budget wait in the connection's bounded read buffer; a
+//!   client that keeps writing fills the kernel's TCP window and blocks —
+//!   the server's memory use stays flat ([`ServerStats::peak_inflight`]
+//!   proves it).
 //! * **Rows** are bounded by each endpoint's
 //!   [`AdmissionPolicy`](crate::AdmissionPolicy), exactly as in-process.
 //!
@@ -21,16 +23,25 @@
 //! [`ServerConfig::with_request_deadline`] measured from *enqueue*, so a
 //! stuck replica turns into a `DeadlineExceeded` error frame instead of a
 //! wedged connection.
+//!
+//! Per-row cost: one socket read takes every frame the kernel holds
+//! (read-ahead, see [`FrameReader`]), every complete frame is served
+//! before the socket is read again, and the replies of a drain leave in
+//! one write. `ScoreRow` requests decode straight into per-connection
+//! buffers and their replies are written straight into the output buffer,
+//! with no JSON tree either way; the socket's blocking mode changes only
+//! when it must, and its read timeout is set once per connection.
 
 use crate::faults::FaultPlan;
 use crate::fleet::FleetError;
 use crate::net::wire::{
-    error_json, frame_bytes, parse_payload, FrameKind, FrameReader, ReadStep, Request, Response,
-    DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    decode_score_row, error_json, frame_bytes, push_frame, write_report, Fill, FrameKind,
+    FrameReader, Request, Response, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::net::NetError;
 use crate::shard::ShardedFleet;
 use crate::sync::LockExt;
+use hmd_codec::frame::FrameHeader;
 use hmd_codec::Json;
 use hmd_data::Matrix;
 use std::io::Write;
@@ -40,13 +51,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll tick while a connection has no pending responses: bounds how long
-/// shutdown and idle detection wait on a quiet socket.
+/// Read timeout of every connection's socket, set once when the
+/// connection opens: while a connection has no pending responses, it
+/// bounds how long shutdown and idle detection wait on a quiet socket.
 ///
-/// While responses ARE pending the socket is polled non-blocking instead:
-/// any frames the kernel already buffered join the pipeline, and the first
-/// `WouldBlock` starts the drain immediately. A timed read here would add
-/// kernel timer granularity (several ms) to every request's latency.
+/// While responses ARE pending the server never waits on the socket: the
+/// drain starts as soon as a read comes back short (the kernel held no
+/// more bytes) or would block, and only a read that filled its whole chunk
+/// is followed by a non-blocking one. A timed read here would add kernel
+/// timer granularity (several ms) to every request's latency.
 const IDLE_TICK: Duration = Duration::from_millis(25);
 
 /// Configuration of a [`FleetServer`]; start from [`ServerConfig::new`]
@@ -162,6 +175,13 @@ struct Shared {
     faults_injected: AtomicU64,
     peak_inflight: AtomicUsize,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Socket reads, socket writes and blocking-mode switches across all
+    /// connections: the per-row cost the count tests pin. Idle ticks
+    /// (blocking reads that timed out) are not counted as reads: they cost
+    /// one read per [`IDLE_TICK`] of silence, not per row.
+    socket_reads: AtomicU64,
+    socket_writes: AtomicU64,
+    mode_switches: AtomicU64,
 }
 
 /// A loopback TCP server fronting one [`ShardedFleet`]. Binds on
@@ -211,6 +231,9 @@ impl FleetServer {
             faults_injected: AtomicU64::new(0),
             peak_inflight: AtomicUsize::new(0),
             handles: Mutex::new(Vec::new()),
+            socket_reads: AtomicU64::new(0),
+            socket_writes: AtomicU64::new(0),
+            mode_switches: AtomicU64::new(0),
         });
         let for_loop = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -327,79 +350,108 @@ fn shed_connection(mut stream: TcpStream, depth: usize, limit: usize) {
     }
 }
 
-/// A [`TcpStream`] whose frame-level reads and writes misbehave on the
-/// schedule of the [`FaultPlan`]'s transport half. Frame numbers count
-/// across the server's lifetime (shared atomics), so a scheduled fault
-/// fires exactly once even though the faults themselves force clients to
-/// reconnect.
+/// A [`TcpStream`] plus the connection's output buffer, whose frame-level
+/// reads and writes misbehave on the schedule of the [`FaultPlan`]'s
+/// transport half. Frame numbers count across the server's lifetime
+/// (shared atomics), so a scheduled fault fires exactly once even though
+/// the faults themselves force clients to reconnect.
 struct FaultStream<'a> {
     stream: TcpStream,
-    plan: &'a FaultPlan,
-    reads: &'a AtomicU64,
-    writes: &'a AtomicU64,
-    injected: &'a AtomicU64,
-}
-
-/// Outcome of one read attempt against a [`FaultStream`].
-enum ReadOutcome {
-    /// A complete request frame (after any scheduled read delay).
-    Frame(hmd_codec::frame::FrameHeader, Vec<u8>),
-    /// Nothing available within the poll tick.
-    Pending,
-    /// The connection is over: peer EOF, socket error, or an injected
-    /// drop. The handler closes without responding.
-    Disconnect,
+    shared: &'a Shared,
+    /// The socket's `O_NONBLOCK` state, tracked so it is switched only
+    /// when it must change.
+    nonblocking: bool,
+    /// Reply frames not yet sent; they leave in one write before the next
+    /// read.
+    out: Vec<u8>,
+    /// Set by a truncate fault: send `out[..cut]`, then close.
+    cut: Option<usize>,
 }
 
 impl FaultStream<'_> {
-    /// Advances the reader; applies drop/slow faults when a frame
-    /// completes.
-    fn read_request(&mut self, reader: &mut FrameReader) -> Result<ReadOutcome, NetError> {
-        match reader.poll(&mut self.stream) {
-            Ok(ReadStep::Frame(header, payload)) => {
-                let frame = self.reads.fetch_add(1, Ordering::SeqCst) + 1;
-                if self.plan.drops_read(frame) {
-                    self.injected.fetch_add(1, Ordering::SeqCst);
-                    return Ok(ReadOutcome::Disconnect);
-                }
-                if let Some(delay) = self.plan.read_delay(frame) {
-                    self.injected.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(delay);
-                }
-                Ok(ReadOutcome::Frame(header, payload))
+    fn set_nonblocking(&mut self, nonblocking: bool) {
+        if self.nonblocking != nonblocking {
+            self.shared.mode_switches.fetch_add(1, Ordering::Relaxed);
+            if self.stream.set_nonblocking(nonblocking).is_ok() {
+                self.nonblocking = nonblocking;
             }
-            Ok(ReadStep::Pending) => Ok(ReadOutcome::Pending),
-            Ok(ReadStep::Eof) => Ok(ReadOutcome::Disconnect),
-            Err(NetError::Io { .. }) => Ok(ReadOutcome::Disconnect),
-            Err(error) => Err(error),
         }
     }
 
-    /// Writes one response frame; applies truncate/garble faults. `Err`
-    /// means the connection is unusable and the handler must close.
-    fn write_response(&mut self, kind: FrameKind, payload: &Json) -> Result<(), ()> {
-        // The connection loop may have left the socket non-blocking for its
-        // drain poll; response writes must block until the frame is out.
-        let _ = self.stream.set_nonblocking(false);
-        let Ok(mut bytes) = frame_bytes(kind, payload) else {
-            return Err(());
-        };
-        let frame = self.writes.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.plan.truncates_write(frame) {
-            self.injected.fetch_add(1, Ordering::SeqCst);
+    /// One socket read into `reader`: non-blocking while responses are
+    /// pending, otherwise blocking up to [`IDLE_TICK`].
+    fn fill(&mut self, reader: &mut FrameReader, nonblocking: bool) -> Result<Fill, NetError> {
+        self.set_nonblocking(nonblocking);
+        let filled = reader.fill(&mut self.stream);
+        if nonblocking || !matches!(filled, Ok(Fill::Pending)) {
+            self.shared.socket_reads.fetch_add(1, Ordering::Relaxed);
+        }
+        filled
+    }
+
+    /// Numbers a request frame just read and applies drop/slow faults to
+    /// it; `false` means an injected drop: close without responding.
+    fn frame_read(&mut self) -> bool {
+        let frame = self.shared.frames_read.fetch_add(1, Ordering::SeqCst) + 1;
+        let plan = &self.shared.config.fault_plan;
+        if plan.drops_read(frame) {
+            self.shared.faults_injected.fetch_add(1, Ordering::SeqCst);
+            return false;
+        }
+        if let Some(delay) = plan.read_delay(frame) {
+            self.shared.faults_injected.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(delay);
+        }
+        true
+    }
+
+    /// Appends one response frame (`push` writes it whole) to the output
+    /// and applies truncate/garble faults to it. `Err` means the
+    /// connection ends: send what is buffered, then close.
+    fn reply(&mut self, push: impl FnOnce(&mut Vec<u8>) -> Result<(), NetError>) -> Result<(), ()> {
+        let start = self.out.len();
+        push(&mut self.out).map_err(|_| ())?;
+        let frame = self.shared.frames_written.fetch_add(1, Ordering::SeqCst) + 1;
+        let plan = &self.shared.config.fault_plan;
+        if plan.truncates_write(frame) {
+            self.shared.faults_injected.fetch_add(1, Ordering::SeqCst);
             // Half the frame always cuts inside the header or payload: the
             // peer sees a length it can never satisfy, then EOF.
-            let half = bytes.len() / 2;
-            let _ = self.stream.write_all(&bytes[..half]);
+            self.cut = Some(start + (self.out.len() - start) / 2);
+            return Err(());
+        }
+        if plan.garbles_write(frame) {
+            self.shared.faults_injected.fetch_add(1, Ordering::SeqCst);
+            self.out[start] = 0x58;
+            self.out[start + 1] = 0x58;
+        }
+        Ok(())
+    }
+
+    fn reply_json(&mut self, kind: FrameKind, payload: &Json) -> Result<(), ()> {
+        self.reply(|out| {
+            out.extend_from_slice(&frame_bytes(kind, payload)?);
+            Ok(())
+        })
+    }
+
+    /// Sends every buffered response with one blocking write. `Err` means
+    /// the connection is unusable (or a truncate fault cut it) and the
+    /// handler must close.
+    fn send(&mut self) -> Result<(), ()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.set_nonblocking(false);
+        let end = self.cut.unwrap_or(self.out.len());
+        self.shared.socket_writes.fetch_add(1, Ordering::Relaxed);
+        let written = self.stream.write_all(&self.out[..end]);
+        self.out.clear();
+        if self.cut.is_some() {
             let _ = self.stream.flush();
             return Err(());
         }
-        if self.plan.garbles_write(frame) {
-            self.injected.fetch_add(1, Ordering::SeqCst);
-            bytes[0] = 0x58;
-            bytes[1] = 0x58;
-        }
-        self.stream.write_all(&bytes).map_err(|_| ())
+        written.map_err(|_| ())
     }
 }
 
@@ -407,7 +459,6 @@ impl FaultStream<'_> {
 enum Pending {
     /// An admitted row: resolve through `wait_deadline` at drain time.
     Ticket {
-        endpoint: String,
         ticket: crate::ShardTicket,
         enqueued: Instant,
     },
@@ -416,174 +467,221 @@ enum Pending {
     Refused(FleetError),
 }
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+/// Whether a connection keeps serving after a frame.
+enum Flow {
+    Continue,
+    Close,
+}
+
+/// One connection's serving state.
+struct Handler<'a> {
+    io: FaultStream<'a>,
+    shared: &'a Shared,
+    pending: Vec<Pending>,
+    /// Endpoints of the admitted rows in `pending`, each flushed once per
+    /// drain.
+    touched: Vec<String>,
+    /// `ScoreRow` decode buffers, reused for every row of the connection.
+    endpoint: String,
+    row: Vec<f64>,
+}
+
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    let mut faults = FaultStream {
-        stream,
-        plan: &shared.config.fault_plan,
-        reads: &shared.frames_read,
-        writes: &shared.frames_written,
-        injected: &shared.faults_injected,
+    let _ = stream.set_read_timeout(Some(IDLE_TICK));
+    let mut handler = Handler {
+        io: FaultStream {
+            stream,
+            shared,
+            nonblocking: false,
+            out: Vec::new(),
+            cut: None,
+        },
+        shared,
+        pending: Vec::new(),
+        touched: Vec::new(),
+        endpoint: String::new(),
+        row: Vec::new(),
     };
     let mut reader = FrameReader::new(shared.config.max_frame_bytes);
-    let mut pending: Vec<Pending> = Vec::new();
+    // The last read filled its whole chunk, so the kernel may hold more.
+    let mut more = false;
     loop {
-        if pending.is_empty() {
-            let _ = faults.stream.set_nonblocking(false);
-            let _ = faults.stream.set_read_timeout(Some(IDLE_TICK));
-        } else {
-            let _ = faults.stream.set_nonblocking(true);
-        }
         if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = drain(&mut pending, &mut faults, shared);
+            handler.close();
             return;
         }
-        match faults.read_request(&mut reader) {
-            Ok(ReadOutcome::Pending) => {
-                if !pending.is_empty() && drain(&mut pending, &mut faults, shared).is_err() {
-                    return;
+        // Serve every complete frame already read before reading again.
+        loop {
+            let flow = match reader.next_frame() {
+                Ok(Some((header, payload))) => handler.frame(header, payload),
+                Ok(None) => break,
+                Err(error) => {
+                    // Protocol-fatal read (bad magic / oversized frame):
+                    // the stream cannot be re-synchronised. Best-effort
+                    // error frame, then close.
+                    let _ = handler.answer(&error);
+                    Flow::Close
                 }
-            }
-            Ok(ReadOutcome::Disconnect) => return,
-            Ok(ReadOutcome::Frame(header, payload)) => {
-                if header.version != PROTOCOL_VERSION {
-                    let _ = drain(&mut pending, &mut faults, shared);
-                    let error = NetError::VersionMismatch {
-                        ours: PROTOCOL_VERSION,
-                        theirs: header.version,
-                    };
-                    let _ = faults.write_response(FrameKind::Error, &error_json(&error));
-                    return;
-                }
-                let kind = match FrameKind::from_u8(header.kind) {
-                    Some(kind) if kind.is_request() => kind,
-                    _ => {
-                        // The stream is still framed correctly — answer in
-                        // place and keep serving.
-                        let error = NetError::Protocol {
-                            message: format!("unknown request kind {:#04x}", header.kind),
-                        };
-                        if drain(&mut pending, &mut faults, shared).is_err()
-                            || faults
-                                .write_response(FrameKind::Error, &error_json(&error))
-                                .is_err()
-                        {
-                            return;
-                        }
-                        continue;
-                    }
-                };
-                let request =
-                    parse_payload(&payload).and_then(|json| Request::from_wire(kind, &json));
-                let request = match request {
-                    Ok(request) => request,
-                    Err(error) => {
-                        if drain(&mut pending, &mut faults, shared).is_err()
-                            || faults
-                                .write_response(FrameKind::Error, &error_json(&error))
-                                .is_err()
-                        {
-                            return;
-                        }
-                        continue;
-                    }
-                };
-                match request {
-                    Request::ScoreRow { endpoint, key, row } => {
-                        let admitted = match key {
-                            Some(key) => shared.fleet.score_keyed(&endpoint, key, &row),
-                            None => shared.fleet.score(&endpoint, &row),
-                        };
-                        pending.push(match admitted {
-                            Ok(ticket) => Pending::Ticket {
-                                endpoint,
-                                ticket,
-                                enqueued: Instant::now(),
-                            },
-                            Err(error) => Pending::Refused(error),
-                        });
-                        shared
-                            .peak_inflight
-                            .fetch_max(pending.len(), Ordering::SeqCst);
-                        if pending.len() >= shared.config.inflight_budget
-                            && drain(&mut pending, &mut faults, shared).is_err()
-                        {
-                            return;
-                        }
-                    }
-                    barrier => {
-                        // Non-pipelined requests are barriers: every
-                        // earlier response is written first, then the
-                        // request runs synchronously.
-                        if drain(&mut pending, &mut faults, shared).is_err() {
-                            return;
-                        }
-                        let (kind, json) = match execute(barrier, shared) {
-                            Ok(response) => (response.kind(), response.to_json()),
-                            Err(error) => (FrameKind::Error, error_json(&error)),
-                        };
-                        if faults.write_response(kind, &json).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(error) => {
-                // Protocol-fatal read (bad magic / oversized frame): the
-                // stream cannot be re-synchronised. Best-effort error
-                // frame, then close.
-                let _ = drain(&mut pending, &mut faults, shared);
-                let _ = faults.write_response(FrameKind::Error, &error_json(&error));
+            };
+            if let Flow::Close = flow {
+                let _ = handler.io.send();
                 return;
             }
         }
+        // A short read drained the kernel's buffer: nothing else can join
+        // this pipeline without waiting for the peer.
+        if !more && handler.drain().is_err() {
+            let _ = handler.io.send();
+            return;
+        }
+        if handler.io.send().is_err() {
+            return;
+        }
+        match handler.io.fill(&mut reader, !handler.pending.is_empty()) {
+            Ok(Fill::Data { drained }) => more = !drained,
+            Ok(Fill::Pending) => more = false,
+            Ok(Fill::Eof) => {
+                // A clean EOF (the peer half-closed or closed between
+                // frames): answer every admitted request, best effort.
+                handler.close();
+                return;
+            }
+            // A socket error: close without responding.
+            Err(_) => return,
+        }
     }
 }
 
-/// Writes every pending response in request order. Flushes each touched
-/// endpoint once first, so responses never wait for the background
-/// flusher's `max_wait` deadline.
-fn drain(
-    pending: &mut Vec<Pending>,
-    faults: &mut FaultStream<'_>,
-    shared: &Arc<Shared>,
-) -> Result<(), ()> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    let mut flushed: Vec<&str> = Vec::new();
-    for entry in pending.iter() {
-        if let Pending::Ticket { endpoint, .. } = entry {
-            if !flushed.contains(&endpoint.as_str()) {
-                let _ = shared.fleet.flush(endpoint);
-                flushed.push(endpoint);
+impl Handler<'_> {
+    /// Serves one request frame.
+    fn frame(&mut self, header: FrameHeader, payload: &[u8]) -> Flow {
+        if !self.io.frame_read() {
+            return Flow::Close;
+        }
+        if header.version != PROTOCOL_VERSION {
+            let error = NetError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: header.version,
+            };
+            let _ = self.answer(&error);
+            return Flow::Close;
+        }
+        let kind = match FrameKind::from_u8(header.kind) {
+            Some(FrameKind::ScoreRow) => return self.score_row(payload),
+            Some(kind) if kind.is_request() => kind,
+            // The stream is still framed correctly — answer in place and
+            // keep serving.
+            _ => {
+                return self.answer(&NetError::Protocol {
+                    message: format!("unknown request kind {:#04x}", header.kind),
+                })
             }
+        };
+        let request = match Request::decode(kind, payload) {
+            Ok(request) => request,
+            Err(error) => return self.answer(&error),
+        };
+        // Non-pipelined requests are barriers: every earlier response is
+        // written first, then the request runs synchronously.
+        if self.drain().is_err() {
+            return Flow::Close;
+        }
+        let replied = match execute(request, self.shared) {
+            Ok(response) => self.io.reply_json(response.kind(), &response.to_json()),
+            Err(error) => self.io.reply_json(FrameKind::Error, &error_json(&error)),
+        };
+        match replied {
+            Ok(()) => Flow::Continue,
+            Err(()) => Flow::Close,
         }
     }
-    let deadline = shared.config.request_deadline;
-    for entry in std::mem::take(pending) {
-        let (kind, json) = match entry {
-            Pending::Ticket {
-                ticket, enqueued, ..
-            } => {
-                let remaining = deadline.saturating_sub(enqueued.elapsed());
-                match ticket.wait_deadline(remaining) {
-                    Ok(report) => {
-                        let response = Response::ScoreRow(report);
-                        (response.kind(), response.to_json())
-                    }
-                    Err(error) => (FrameKind::Error, error_json(&NetError::Fleet(error))),
+
+    /// Admits one pipelined row; drains once the in-flight budget is full.
+    fn score_row(&mut self, payload: &[u8]) -> Flow {
+        let key = match decode_score_row(payload, &mut self.endpoint, &mut self.row) {
+            Ok(key) => key,
+            Err(error) => return self.answer(&error),
+        };
+        let fleet = &self.shared.fleet;
+        let admitted = match key {
+            Some(key) => fleet.score_keyed(&self.endpoint, key, &self.row),
+            None => fleet.score(&self.endpoint, &self.row),
+        };
+        self.pending.push(match admitted {
+            Ok(ticket) => {
+                if !self.touched.contains(&self.endpoint) {
+                    self.touched.push(self.endpoint.clone());
+                }
+                Pending::Ticket {
+                    ticket,
+                    enqueued: Instant::now(),
                 }
             }
-            Pending::Refused(error) => (FrameKind::Error, error_json(&NetError::Fleet(error))),
-        };
-        faults.write_response(kind, &json)?;
+            Err(error) => Pending::Refused(error),
+        });
+        self.shared
+            .peak_inflight
+            .fetch_max(self.pending.len(), Ordering::SeqCst);
+        if self.pending.len() >= self.shared.config.inflight_budget && self.drain().is_err() {
+            return Flow::Close;
+        }
+        Flow::Continue
     }
-    Ok(())
+
+    /// Answers every pending request and sends, best effort, before the
+    /// connection closes.
+    fn close(&mut self) {
+        let _ = self.drain();
+        let _ = self.io.send();
+    }
+
+    /// Answers a request with an error frame, in order: every earlier
+    /// response first.
+    fn answer(&mut self, error: &NetError) -> Flow {
+        let answered = self
+            .drain()
+            .and_then(|()| self.io.reply_json(FrameKind::Error, &error_json(error)));
+        match answered {
+            Ok(()) => Flow::Continue,
+            Err(()) => Flow::Close,
+        }
+    }
+
+    /// Appends every pending response, in request order, to the output.
+    /// Flushes each touched endpoint once first, so responses never wait
+    /// for the background flusher's `max_wait` deadline.
+    fn drain(&mut self) -> Result<(), ()> {
+        for endpoint in self.touched.drain(..) {
+            let _ = self.shared.fleet.flush(&endpoint);
+        }
+        let deadline = self.shared.config.request_deadline;
+        for entry in self.pending.drain(..) {
+            match entry {
+                Pending::Ticket { ticket, enqueued } => {
+                    let remaining = deadline.saturating_sub(enqueued.elapsed());
+                    match ticket.wait_deadline(remaining) {
+                        Ok(report) => self.io.reply(|out| {
+                            push_frame(out, FrameKind::ScoreRowReply, |out| {
+                                write_report(&report, out)
+                            })
+                        })?,
+                        Err(error) => self
+                            .io
+                            .reply_json(FrameKind::Error, &error_json(&NetError::Fleet(error)))?,
+                    }
+                }
+                Pending::Refused(error) => self
+                    .io
+                    .reply_json(FrameKind::Error, &error_json(&NetError::Fleet(error)))?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs one barrier request synchronously against the fleet.
-fn execute(request: Request, shared: &Arc<Shared>) -> Result<Response, NetError> {
+fn execute(request: Request, shared: &Shared) -> Result<Response, NetError> {
     let fleet = &shared.fleet;
     match request {
         Request::ScoreRow { endpoint, key, row } => {
@@ -624,5 +722,75 @@ fn execute(request: Request, shared: &Arc<Shared>) -> Result<Response, NetError>
             let snapshots = fleet.replica_health(&endpoint)?;
             Ok(Response::Health(snapshots))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::wire::ReadStep;
+    use hmd_core::detector::{DetectorBackend, DetectorConfig};
+    use hmd_data::{Dataset, Label};
+    use std::io::Read;
+    use std::net::Shutdown;
+
+    fn detector() -> Box<dyn hmd_core::detector::Detector> {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let c = if i % 2 == 0 { 2.0 } else { -2.0 };
+                vec![c + f64::from(i % 5) * 0.1, c - f64::from(i % 3) * 0.1]
+            })
+            .collect();
+        let labels = (0..40).map(|i| Label::from(i % 2 == 0)).collect();
+        let data = Dataset::new(Matrix::from_rows(&rows).unwrap(), labels).unwrap();
+        DetectorConfig::trusted(DetectorBackend::decision_tree())
+            .with_num_estimators(5)
+            .fit(&data, 3)
+            .unwrap()
+    }
+
+    /// Ceiling (a ratchet: lower it when the server gets cheaper, raise it
+    /// only with a CHANGES.md line saying why). One in-flight budget of
+    /// pipelined rows, sent in one client write and followed by a
+    /// half-close, costs the server one socket write for all 16 replies,
+    /// at most two reads (the burst, then EOF) and no blocking-mode
+    /// switch. Reading exactly one header and then one payload, writing
+    /// each reply on its own and switching modes per frame, it cost 16
+    /// writes and 32 reads.
+    #[test]
+    fn a_pipelined_budget_costs_one_write_and_at_most_two_reads() {
+        let fleet = Arc::new(ShardedFleet::new(1));
+        fleet.deploy("ep", detector()).unwrap();
+        let server = FleetServer::bind(fleet, ServerConfig::new()).unwrap();
+        let budget = ServerConfig::new().inflight_budget;
+        assert_eq!(budget, 16);
+
+        let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+        let mut burst = Vec::new();
+        for i in 0..budget {
+            let request = Request::ScoreRow {
+                endpoint: "ep".into(),
+                key: None,
+                row: vec![i as f64 - 8.0, 0.5],
+            };
+            burst.extend(frame_bytes(request.kind(), &request.to_json()).unwrap());
+        }
+        socket.write_all(&burst).unwrap();
+        socket.shutdown(Shutdown::Write).unwrap();
+        let mut replies = Vec::new();
+        socket.read_to_end(&mut replies).unwrap();
+
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        let mut frames = 0;
+        let mut bytes = replies.as_slice();
+        while let ReadStep::Frame(header, _) = reader.poll(&mut bytes).unwrap() {
+            assert_eq!(header.kind, FrameKind::ScoreRowReply.as_u8());
+            frames += 1;
+        }
+        assert_eq!(frames, budget);
+        let shared = &server.shared;
+        assert_eq!(shared.socket_writes.load(Ordering::SeqCst), 1);
+        assert!(shared.socket_reads.load(Ordering::SeqCst) <= 2);
+        assert_eq!(shared.mode_switches.load(Ordering::SeqCst), 0);
     }
 }

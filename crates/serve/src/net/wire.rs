@@ -4,8 +4,10 @@
 //! `PROTOCOL.md` at the repository root is the normative spec; this module
 //! is its implementation. Every message is one frame: the 8-byte header
 //! (magic, version, kind, payload length) followed by a UTF-8
-//! [`Json`] document. Request payloads decode into [`Request`], response
-//! payloads into [`Response`]; error frames carry a stable numeric code
+//! [`Json`] document. Request payloads decode into [`Request`] straight from
+//! their bytes (no tree; the server's `ScoreRow` path decodes into reused
+//! buffers and writes its replies straight into the connection's output),
+//! response payloads into [`Response`]; error frames carry a stable numeric code
 //! (fleet codes below 100 via [`FleetError::code`], transport codes at
 //! [`CODE_FRAME_TOO_LARGE`]+) and enough structured detail to reconstruct
 //! the original [`FleetError`] on the client.
@@ -21,7 +23,7 @@ use crate::fleet::{FleetError, HealthSnapshot};
 use crate::net::NetError;
 use crate::shard::ShardedReport;
 use hmd_codec::frame::{FrameHeader, HEADER_LEN};
-use hmd_codec::{CodecError, Json};
+use hmd_codec::{write_f64, write_int, write_string, CodecError, Json, Parser};
 use hmd_core::estimator::UncertainPrediction;
 use hmd_core::trusted::{Decision, DetectionReport};
 use hmd_data::Label;
@@ -216,54 +218,136 @@ impl Request {
         }
     }
 
-    /// Decodes a request payload arriving under `kind`.
+    /// Decodes a request payload arriving under `kind`, straight from its
+    /// bytes. Unknown keys are skipped; when a key repeats, its first value
+    /// counts (as [`Json::get`] resolves it).
     ///
     /// # Errors
     ///
     /// [`NetError::Protocol`] if `kind` is not a request kind or the
-    /// payload does not match its schema.
-    pub fn from_wire(kind: FrameKind, payload: &Json) -> Result<Request, NetError> {
-        let endpoint = payload
-            .get("endpoint")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .map_err(protocol)?;
+    /// payload is not a JSON object matching its schema.
+    pub fn decode(kind: FrameKind, payload: &[u8]) -> Result<Request, NetError> {
         match kind {
             FrameKind::ScoreRow => {
-                let key = match payload.get("key").map_err(protocol)? {
-                    Json::Null => None,
-                    value => Some(json_u64(value).map_err(protocol)?),
-                };
-                let row = json_floats(payload.get("row").map_err(protocol)?).map_err(protocol)?;
+                let (mut endpoint, mut row) = (String::new(), Vec::new());
+                let key = decode_score_row(payload, &mut endpoint, &mut row)?;
                 Ok(Request::ScoreRow { endpoint, key, row })
             }
-            FrameKind::ScoreBatch => {
-                let rows = payload
-                    .get("rows")
-                    .and_then(Json::as_array)
-                    .map_err(protocol)?
-                    .iter()
-                    .map(json_floats)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(protocol)?;
-                Ok(Request::ScoreBatch { endpoint, rows })
-            }
-            FrameKind::Flush => Ok(Request::Flush { endpoint }),
-            FrameKind::Deploy => Ok(Request::Deploy {
-                endpoint,
-                document: payload
-                    .get("document")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .map_err(protocol)?,
-            }),
-            FrameKind::Rollback => Ok(Request::Rollback { endpoint }),
-            FrameKind::Health => Ok(Request::Health { endpoint }),
+            kind if kind.is_request() => decode_barrier(kind, payload).map_err(protocol),
             other => Err(NetError::Protocol {
                 message: format!("frame kind {:#04x} is not a request", other.as_u8()),
             }),
         }
     }
+}
+
+/// Decodes a `ScoreRow` payload into caller-owned buffers (cleared first),
+/// returning its routing key — the server reuses one pair of buffers per
+/// connection. Same rules as [`Request::decode`].
+pub(crate) fn decode_score_row(
+    payload: &[u8],
+    endpoint: &mut String,
+    row: &mut Vec<f64>,
+) -> Result<Option<u64>, NetError> {
+    endpoint.clear();
+    row.clear();
+    score_row_fields(payload, endpoint, row).map_err(protocol)
+}
+
+fn score_row_fields(
+    payload: &[u8],
+    endpoint: &mut String,
+    row: &mut Vec<f64>,
+) -> Result<Option<u64>, CodecError> {
+    let (mut has_endpoint, mut has_row) = (false, false);
+    let mut key = None;
+    let mut parser = Parser::new(payload);
+    parser.begin_object()?;
+    while let Some(name) = parser.next_key()? {
+        match &*name {
+            "endpoint" if !has_endpoint => {
+                endpoint.push_str(&parser.string()?);
+                has_endpoint = true;
+            }
+            "key" if key.is_none() => {
+                key = Some(if parser.null() {
+                    None
+                } else {
+                    Some(json_u64(&parser.value()?)?)
+                });
+            }
+            "row" if !has_row => {
+                pull_floats(&mut parser, row)?;
+                has_row = true;
+            }
+            _ => parser.skip_value()?,
+        }
+    }
+    parser.finish()?;
+    if !has_endpoint {
+        return Err(missing("endpoint"));
+    }
+    if !has_row {
+        return Err(missing("row"));
+    }
+    key.ok_or_else(|| missing("key"))
+}
+
+/// The fields of a barrier request (every kind but `ScoreRow`).
+fn decode_barrier(kind: FrameKind, payload: &[u8]) -> Result<Request, CodecError> {
+    let (mut endpoint, mut rows, mut document) = (None, None, None);
+    let mut parser = Parser::new(payload);
+    parser.begin_object()?;
+    while let Some(name) = parser.next_key()? {
+        match (&*name, kind) {
+            ("endpoint", _) if endpoint.is_none() => {
+                endpoint = Some(parser.string()?.into_owned());
+            }
+            ("rows", FrameKind::ScoreBatch) if rows.is_none() => {
+                let mut all = Vec::new();
+                parser.begin_array()?;
+                while parser.next_item()? {
+                    let mut row = Vec::new();
+                    pull_floats(&mut parser, &mut row)?;
+                    all.push(row);
+                }
+                rows = Some(all);
+            }
+            ("document", FrameKind::Deploy) if document.is_none() => {
+                document = Some(parser.string()?.into_owned());
+            }
+            _ => parser.skip_value()?,
+        }
+    }
+    parser.finish()?;
+    let endpoint = endpoint.ok_or_else(|| missing("endpoint"))?;
+    Ok(match kind {
+        FrameKind::ScoreBatch => Request::ScoreBatch {
+            endpoint,
+            rows: rows.ok_or_else(|| missing("rows"))?,
+        },
+        FrameKind::Deploy => Request::Deploy {
+            endpoint,
+            document: document.ok_or_else(|| missing("document"))?,
+        },
+        FrameKind::Rollback => Request::Rollback { endpoint },
+        FrameKind::Health => Request::Health { endpoint },
+        _ => Request::Flush { endpoint },
+    })
+}
+
+/// Reads an array of numbers (as [`Json::as_f64`] accepts them) onto `row`.
+fn pull_floats(parser: &mut Parser<'_>, row: &mut Vec<f64>) -> Result<(), CodecError> {
+    parser.begin_array()?;
+    while parser.next_item()? {
+        row.push(parser.f64()?);
+    }
+    Ok(())
+}
+
+/// The error [`Json::get`] gives for an absent key.
+fn missing(key: &str) -> CodecError {
+    CodecError::new(format!("missing field `{key}`"))
 }
 
 /// One decoded response payload.
@@ -397,7 +481,11 @@ fn u64_json(value: u64) -> Json {
     // Wire integers are i64; u64 values beyond that range do not occur
     // (versions and keys are small), but encode saturating rather than
     // wrapping so a pathological value stays obviously pathological.
-    Json::Int(i64::try_from(value).unwrap_or(i64::MAX))
+    Json::Int(saturating_u64(value))
+}
+
+fn saturating_u64(value: u64) -> i64 {
+    i64::try_from(value).unwrap_or(i64::MAX)
 }
 
 fn json_u64(value: &Json) -> Result<u64, CodecError> {
@@ -406,16 +494,16 @@ fn json_u64(value: &Json) -> Result<u64, CodecError> {
         .map_err(|_| CodecError::new(format!("expected unsigned integer, found {raw}")))
 }
 
+fn saturating_i64(value: usize) -> i64 {
+    i64::try_from(value).unwrap_or(i64::MAX)
+}
+
 fn usize_json(value: usize) -> Json {
-    Json::Int(i64::try_from(value).unwrap_or(i64::MAX))
+    Json::Int(saturating_i64(value))
 }
 
 fn floats_json(row: &[f64]) -> Json {
     Json::Array(row.iter().map(|&v| Json::Float(v)).collect())
-}
-
-fn json_floats(value: &Json) -> Result<Vec<f64>, CodecError> {
-    value.as_array()?.iter().map(Json::as_f64).collect()
 }
 
 fn label_str(label: Label) -> &'static str {
@@ -449,12 +537,39 @@ fn report_json(report: &ShardedReport) -> Json {
         ("estimators", usize_json(prediction.num_estimators)),
         (
             "decision",
-            Json::Str(match report.report.decision {
-                Decision::Accept(label) => format!("accept_{}", label_str(label)),
-                Decision::Escalate => "escalate".to_string(),
-            }),
+            Json::Str(decision_str(report.report.decision).to_string()),
         ),
     ])
+}
+
+fn decision_str(decision: Decision) -> &'static str {
+    match decision {
+        Decision::Accept(Label::Benign) => "accept_benign",
+        Decision::Accept(Label::Malware) => "accept_malware",
+        Decision::Escalate => "escalate",
+    }
+}
+
+/// Appends the payload of a `ScoreRowReply` for `report` — byte for byte
+/// what [`report_json`] writes, through the same codec writers, without
+/// building the tree.
+pub(crate) fn write_report(report: &ShardedReport, out: &mut Vec<u8>) {
+    let prediction = &report.report.prediction;
+    out.extend_from_slice(b"{\"replica\":");
+    write_int(saturating_i64(report.replica), out);
+    out.extend_from_slice(b",\"version\":");
+    write_int(saturating_u64(report.version), out);
+    out.extend_from_slice(b",\"label\":");
+    write_string(label_str(prediction.label), out);
+    out.extend_from_slice(b",\"vote_fraction\":");
+    write_f64(prediction.malware_vote_fraction, out);
+    out.extend_from_slice(b",\"entropy\":");
+    write_f64(prediction.entropy, out);
+    out.extend_from_slice(b",\"estimators\":");
+    write_int(saturating_i64(prediction.num_estimators), out);
+    out.extend_from_slice(b",\"decision\":");
+    write_string(decision_str(report.report.decision), out);
+    out.push(b'}');
 }
 
 fn json_report(payload: &Json) -> Result<ShardedReport, CodecError> {
@@ -678,11 +793,42 @@ pub(crate) fn frame_bytes(kind: FrameKind, payload: &Json) -> Result<Vec<u8>, Ne
     )
 }
 
+/// Appends one complete frame to `out`: the header, then the payload
+/// `write` appends. On error `out` is left as it was.
+pub(crate) fn push_frame(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), NetError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    write(out);
+    let Ok(len) = u32::try_from(out.len() - start - HEADER_LEN) else {
+        let len = out.len() - start - HEADER_LEN;
+        out.truncate(start);
+        return Err(NetError::Protocol {
+            message: format!("frame payload of {len} bytes exceeds the u32 length field"),
+        });
+    };
+    let header = FrameHeader {
+        version: PROTOCOL_VERSION,
+        kind: kind.as_u8(),
+        len,
+    };
+    out[start..start + HEADER_LEN].copy_from_slice(&header.encode());
+    Ok(())
+}
+
+/// Bytes one socket read asks for (unless the frame in progress needs
+/// more): room for dozens of single-row frames, so a pipelined burst
+/// costs one `recv`.
+const READ_CHUNK: usize = 16 << 10;
+
 /// One step of incremental frame reading.
 #[derive(Debug)]
-pub(crate) enum ReadStep {
-    /// A complete frame: its header and raw payload bytes.
-    Frame(FrameHeader, Vec<u8>),
+pub(crate) enum ReadStep<'a> {
+    /// A complete frame: its header and payload bytes.
+    Frame(FrameHeader, &'a [u8]),
     /// The read would block (timeout); partial state is preserved and the
     /// next [`FrameReader::poll`] resumes exactly where this one stopped.
     Pending,
@@ -690,16 +836,40 @@ pub(crate) enum ReadStep {
     Eof,
 }
 
-/// Incremental, bounded frame reader.
+/// What one socket read brought.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// Bytes arrived. `drained` when the read returned less than it asked
+    /// for: the kernel held no more bytes at that moment.
+    Data {
+        /// The read came back short.
+        drained: bool,
+    },
+    /// Nothing arrived before the socket's timeout, or it would block.
+    Pending,
+    /// The peer closed its sending side.
+    Eof,
+}
+
+/// Incremental, bounded, read-ahead frame reader.
 ///
-/// Both peers read through this: it never buffers more than one frame
-/// (bounded by its `max_frame_bytes`), survives read timeouts without
-/// losing partial bytes — which is what lets the server poll for new
-/// frames and drain pending responses on one thread — and rejects
-/// oversized or desynchronised streams before allocating payload space.
+/// Both peers read through this. One read takes whatever the kernel holds,
+/// up to [`READ_CHUNK`] bytes (or the rest of a larger frame in progress),
+/// and every complete frame in the buffer is handed out before the next
+/// read. A reader is only refilled once no complete frame is left, so it
+/// buffers at most one chunk plus one `max_frame_bytes` frame. It survives
+/// read timeouts without losing partial bytes — which is what lets the
+/// server poll for new frames and drain pending responses on one thread —
+/// and rejects oversized or desynchronised streams from the header alone,
+/// before reserving any payload space.
 pub(crate) struct FrameReader {
     max_frame_bytes: usize,
+    /// `buf[start..end]` holds bytes read but not yet handed out; the rest
+    /// is initialised room for the next read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The validated header of the frame at `start`, once its bytes are in.
     header: Option<FrameHeader>,
 }
 
@@ -708,55 +878,88 @@ impl FrameReader {
         FrameReader {
             max_frame_bytes,
             buf: Vec::new(),
+            start: 0,
+            end: 0,
             header: None,
         }
     }
 
-    /// Advances the reader by at most one frame.
+    /// The header of the frame at the front of the buffer, checked (magic,
+    /// size limit) as soon as its bytes are in.
+    fn header(&mut self) -> Result<Option<FrameHeader>, NetError> {
+        if self.header.is_none() && self.end - self.start >= HEADER_LEN {
+            let mut head = [0u8; HEADER_LEN];
+            head.copy_from_slice(&self.buf[self.start..self.start + HEADER_LEN]);
+            let header = FrameHeader::parse(&head).map_err(protocol)?;
+            let len = header.len as usize;
+            if len > self.max_frame_bytes {
+                return Err(NetError::FrameTooLarge {
+                    len,
+                    limit: self.max_frame_bytes,
+                });
+            }
+            self.header = Some(header);
+        }
+        Ok(self.header)
+    }
+
+    fn has_frame(&mut self) -> Result<bool, NetError> {
+        Ok(self
+            .header()?
+            .is_some_and(|header| self.end - self.start >= HEADER_LEN + header.len as usize))
+    }
+
+    /// Hands out the next complete frame in the buffer, or `None` when the
+    /// buffer holds less than one. No socket I/O.
     ///
     /// # Errors
     ///
     /// [`NetError::Protocol`] on bad magic, [`NetError::FrameTooLarge`] if
-    /// the announced payload exceeds the limit, [`NetError::Io`] on any
-    /// other socket error. All three poison the stream: the caller must
-    /// close it.
-    pub(crate) fn poll(&mut self, stream: &mut impl Read) -> Result<ReadStep, NetError> {
+    /// the announced payload exceeds the limit. Both poison the stream:
+    /// the caller must close it.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(FrameHeader, &[u8])>, NetError> {
+        if !self.has_frame()? {
+            return Ok(None);
+        }
+        let Some(header) = self.header else {
+            return Ok(None);
+        };
+        let payload = self.start + HEADER_LEN..self.start + HEADER_LEN + header.len as usize;
+        self.start = payload.end;
+        self.header = None;
+        Ok(Some((header, &self.buf[payload])))
+    }
+
+    /// One read from `stream` into the buffer. Call only once
+    /// [`FrameReader::next_frame`] has returned `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Io`] on any socket error other than a timeout; the
+    /// caller must close the stream.
+    pub(crate) fn fill(&mut self, stream: &mut impl Read) -> Result<Fill, NetError> {
+        // What is left is less than one frame, so this moves little.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let rest = self.header.map_or(0, |header| {
+            (HEADER_LEN + header.len as usize).saturating_sub(self.end)
+        });
+        let want = READ_CHUNK.max(rest);
+        if self.buf.len() < self.end + want {
+            self.buf.resize(self.end + want, 0);
+        }
         loop {
-            if self.header.is_none() && self.buf.len() >= HEADER_LEN {
-                let mut head = [0u8; HEADER_LEN];
-                head.copy_from_slice(&self.buf[..HEADER_LEN]);
-                let header = FrameHeader::parse(&head).map_err(protocol)?;
-                let len = header.len as usize;
-                if len > self.max_frame_bytes {
-                    return Err(NetError::FrameTooLarge {
-                        len,
-                        limit: self.max_frame_bytes,
-                    });
+            match stream.read(&mut self.buf[self.end..self.end + want]) {
+                Ok(0) => return Ok(Fill::Eof),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(Fill::Data { drained: n < want });
                 }
-                self.header = Some(header);
-            }
-            if let Some(header) = self.header {
-                let total = HEADER_LEN + header.len as usize;
-                if self.buf.len() >= total {
-                    let payload = self.buf[HEADER_LEN..total].to_vec();
-                    self.buf.drain(..total);
-                    self.header = None;
-                    return Ok(ReadStep::Frame(header, payload));
-                }
-            }
-            let need = match self.header {
-                Some(header) => HEADER_LEN + header.len as usize - self.buf.len(),
-                None => HEADER_LEN - self.buf.len(),
-            };
-            let mut chunk = [0u8; 4096];
-            let want = need.min(chunk.len());
-            match stream.read(&mut chunk[..want]) {
-                Ok(0) => return Ok(ReadStep::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(error)
                     if matches!(error.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
                 {
-                    return Ok(ReadStep::Pending)
+                    return Ok(Fill::Pending)
                 }
                 Err(error) if error.kind() == ErrorKind::Interrupted => {}
                 Err(error) => {
@@ -767,6 +970,27 @@ impl FrameReader {
                 }
             }
         }
+    }
+
+    /// Reads until one complete frame is available, the stream would
+    /// block, or it ends.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameReader::next_frame`] and [`FrameReader::fill`]; every
+    /// error poisons the stream.
+    pub(crate) fn poll(&mut self, stream: &mut impl Read) -> Result<ReadStep<'_>, NetError> {
+        while !self.has_frame()? {
+            match self.fill(stream)? {
+                Fill::Data { .. } => {}
+                Fill::Pending => return Ok(ReadStep::Pending),
+                Fill::Eof => return Ok(ReadStep::Eof),
+            }
+        }
+        Ok(match self.next_frame()? {
+            Some((header, payload)) => ReadStep::Frame(header, payload),
+            None => ReadStep::Pending,
+        })
     }
 }
 
@@ -825,10 +1049,211 @@ mod tests {
             },
         ];
         for request in requests {
-            let json = Json::parse(&request.to_json().to_string()).unwrap();
-            let back = Request::from_wire(request.kind(), &json).unwrap();
+            let payload = request.to_json().to_string();
+            let back = Request::decode(request.kind(), payload.as_bytes()).unwrap();
             assert_eq!(back, request);
             assert!(request.kind().is_request());
+        }
+    }
+
+    /// The tree decode `Request::decode` replaced, kept as its reference:
+    /// parse the payload into a [`Json`] tree, then look fields up with
+    /// [`Json::get`].
+    fn tree_decode(kind: FrameKind, payload: &[u8]) -> Result<Request, NetError> {
+        fn floats(value: &Json) -> Result<Vec<f64>, CodecError> {
+            value.as_array()?.iter().map(Json::as_f64).collect()
+        }
+        let payload = parse_payload(payload)?;
+        let endpoint = payload
+            .get("endpoint")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .map_err(protocol)?;
+        match kind {
+            FrameKind::ScoreRow => {
+                let key = match payload.get("key").map_err(protocol)? {
+                    Json::Null => None,
+                    value => Some(json_u64(value).map_err(protocol)?),
+                };
+                let row = floats(payload.get("row").map_err(protocol)?).map_err(protocol)?;
+                Ok(Request::ScoreRow { endpoint, key, row })
+            }
+            FrameKind::ScoreBatch => {
+                let rows = payload
+                    .get("rows")
+                    .and_then(Json::as_array)
+                    .map_err(protocol)?
+                    .iter()
+                    .map(floats)
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(protocol)?;
+                Ok(Request::ScoreBatch { endpoint, rows })
+            }
+            FrameKind::Flush => Ok(Request::Flush { endpoint }),
+            FrameKind::Deploy => Ok(Request::Deploy {
+                endpoint,
+                document: payload
+                    .get("document")
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .map_err(protocol)?,
+            }),
+            FrameKind::Rollback => Ok(Request::Rollback { endpoint }),
+            FrameKind::Health => Ok(Request::Health { endpoint }),
+            other => Err(NetError::Protocol {
+                message: format!("frame kind {:#04x} is not a request", other.as_u8()),
+            }),
+        }
+    }
+
+    #[test]
+    fn byte_decode_matches_the_tree_decode() {
+        use FrameKind::{Deploy, Flush, Health, ScoreBatch, ScoreRow, ScoreRowReply};
+        let cases: &[(FrameKind, &str)] = &[
+            (
+                ScoreRow,
+                r#"{"endpoint":"ep","key":null,"row":[0.5,-1.25]}"#,
+            ),
+            (
+                ScoreRow,
+                " {\n \"endpoint\" : \"ep\" ,\t\"key\":7 , \"row\" : [ 1 , 2 ] }\r\n",
+            ),
+            (ScoreRow, r#"{"row":[3.5],"key":null,"endpoint":"ep"}"#),
+            (
+                ScoreRow,
+                r#"{"trace":{"id":[1,{"a":null}]},"endpoint":"ep","x":"y","key":3,"row":[1e-300],"z":false}"#,
+            ),
+            (
+                ScoreRow,
+                r#"{"endpoint":"a","endpoint":"b","key":1,"key":"bad","row":[1],"row":"bad"}"#,
+            ),
+            (
+                ScoreRow,
+                r#"{"endpoint":"a","key":"bad","key":1,"row":[1]}"#,
+            ),
+            (
+                ScoreRow,
+                r#"{"endpoint":"e\u0070\n\"\\☂","key":null,"row":[]}"#,
+            ),
+            (ScoreRow, r#"{"end\u0070oint":"ep","key":null,"row":[1]}"#),
+            (
+                ScoreRow,
+                r#"{"endpoint":"ep","key":null,"row":[1,-2,0,9007199254740993,99999999999999999999]}"#,
+            ),
+            (
+                ScoreRow,
+                r#"{"endpoint":"ep","key":null,"row":["NaN","inf","-inf",-0.0]}"#,
+            ),
+            (
+                ScoreRow,
+                r#"{"endpoint":"ep","key":9223372036854775807,"row":[1]}"#,
+            ),
+            (ScoreRow, r#"{"endpoint":"ep","key":-1,"row":[1]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":1.5,"row":[1]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","row":[1]}"#),
+            (ScoreRow, r#"{"key":null,"row":[1]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":null}"#),
+            (ScoreRow, r#"{"endpoint":5,"key":null,"row":[1]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":null,"row":["nan"]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":null,"row":[[1]]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":null,"row":[1,]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":null,"row":[1]} x"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":nul,"row":[1]}"#),
+            (ScoreRow, r#"{"endpoint":"ep","key":null,"row":[1]"#),
+            (ScoreRow, r#"["endpoint","ep"]"#),
+            (ScoreRow, ""),
+            (
+                ScoreBatch,
+                r#"{"endpoint":"ep","rows":[[1,2],[3,"inf"]],"rows":7}"#,
+            ),
+            (ScoreBatch, r#"{"rows":[],"endpoint":"ep"}"#),
+            (ScoreBatch, r#"{"endpoint":"ep","rows":[1]}"#),
+            (ScoreBatch, r#"{"endpoint":"ep"}"#),
+            (Flush, r#"{"endpoint":"ep","rows":"ignored","document":[]}"#),
+            (Flush, r#"{"endpoint":"ep","extra":[[[[]]]]}"#),
+            (Flush, r#"{"endpoint":"ep","extra":[[[[]]]}"#),
+            (Deploy, r#"{"document":"{\"model\":true}","endpoint":"ep"}"#),
+            (Deploy, r#"{"endpoint":"ep"}"#),
+            (Health, r#"{"endpoint":"ep","endpoint":7}"#),
+            (ScoreRowReply, r#"{"endpoint":"ep"}"#),
+        ];
+        let deep = format!(
+            r#"{{"endpoint":"ep","key":null,"row":[1],"x":{}{}}}"#,
+            "[".repeat(200),
+            "]".repeat(200)
+        );
+        let not_utf8 = b"{\"endpoint\":\"\xff\",\"key\":null,\"row\":[1]}".as_slice();
+        let inputs = cases
+            .iter()
+            .map(|&(kind, text)| (kind, text.as_bytes()))
+            .chain([(ScoreRow, deep.as_bytes()), (ScoreRow, not_utf8)]);
+        for (kind, payload) in inputs {
+            let text = String::from_utf8_lossy(payload);
+            match (Request::decode(kind, payload), tree_decode(kind, payload)) {
+                // Debug formatting compares floats bit for bit, NaN included.
+                (Ok(direct), Ok(tree)) => {
+                    assert_eq!(format!("{direct:?}"), format!("{tree:?}"), "{text}")
+                }
+                (Err(NetError::Protocol { .. }), Err(NetError::Protocol { .. })) => {}
+                (direct, tree) => panic!("{text}: byte decode {direct:?}, tree decode {tree:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn direct_reply_frames_match_the_tree_encoding_byte_for_byte() {
+        let floats = [
+            0.0,
+            -0.0,
+            2.0,
+            1e-300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2.0 / 3.0,
+            0.9182958340544896,
+        ];
+        let decisions = [
+            Decision::Accept(Label::Benign),
+            Decision::Accept(Label::Malware),
+            Decision::Escalate,
+        ];
+        let mut out = Vec::new();
+        for (i, &label) in [Label::Benign, Label::Malware].iter().enumerate() {
+            for &decision in &decisions {
+                for (j, &vote_fraction) in floats.iter().enumerate() {
+                    let entropy = floats[(j + 3) % floats.len()];
+                    let report = ShardedReport {
+                        replica: [0, usize::MAX][i],
+                        version: [1, u64::MAX][i],
+                        report: DetectionReport {
+                            prediction: UncertainPrediction {
+                                label,
+                                malware_vote_fraction: vote_fraction,
+                                entropy,
+                                num_estimators: 25 + j,
+                            },
+                            decision,
+                        },
+                    };
+                    let tree = frame_bytes(
+                        FrameKind::ScoreRowReply,
+                        &Response::ScoreRow(report).to_json(),
+                    )
+                    .unwrap();
+                    let start = out.len();
+                    push_frame(&mut out, FrameKind::ScoreRowReply, |out| {
+                        write_report(&report, out)
+                    })
+                    .unwrap();
+                    assert_eq!(
+                        String::from_utf8_lossy(&out[start..]),
+                        String::from_utf8_lossy(&tree)
+                    );
+                    assert_eq!(&out[start..], &tree[..]);
+                }
+            }
         }
     }
 
@@ -990,6 +1415,59 @@ mod tests {
     }
 
     #[test]
+    fn one_read_serves_every_buffered_frame() {
+        struct Counting<'a> {
+            bytes: &'a [u8],
+            reads: usize,
+        }
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.reads += 1;
+                self.bytes.read(buf)
+            }
+        }
+        let mut burst = Vec::new();
+        for row in 0..40 {
+            let request = Request::ScoreRow {
+                endpoint: "ep".into(),
+                key: Some(row),
+                row: vec![row as f64; 8],
+            };
+            burst.extend(frame_bytes(request.kind(), &request.to_json()).unwrap());
+        }
+        // A frame larger than one chunk follows: it is read in one go too.
+        let big = Request::Deploy {
+            endpoint: "ep".into(),
+            document: "d".repeat(3 * READ_CHUNK),
+        };
+        burst.extend(frame_bytes(big.kind(), &big.to_json()).unwrap());
+        let mut stream = Counting {
+            bytes: &burst,
+            reads: 0,
+        };
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        let mut rows = 0;
+        while let ReadStep::Frame(header, payload) = reader.poll(&mut stream).unwrap() {
+            if header.kind == FrameKind::ScoreRow.as_u8() {
+                let request = Request::decode(FrameKind::ScoreRow, payload).unwrap();
+                assert!(matches!(request, Request::ScoreRow { key: Some(k), .. } if k == rows));
+                rows += 1;
+                assert_eq!(stream.reads, 1, "frame {rows} came from the first read");
+            } else {
+                assert_eq!(header.kind, FrameKind::Deploy.as_u8());
+                assert_eq!(payload, big.to_json().to_string().as_bytes());
+                break;
+            }
+        }
+        assert_eq!(rows, 40);
+        assert_eq!(
+            stream.reads, 2,
+            "one read for the burst, one for the big frame's rest"
+        );
+        assert!(reader.buf.len() <= READ_CHUNK + HEADER_LEN + DEFAULT_MAX_FRAME_BYTES);
+    }
+
+    #[test]
     fn oversized_frames_are_refused_before_allocation() {
         let mut header = FrameHeader {
             version: PROTOCOL_VERSION,
@@ -1001,6 +1479,7 @@ mod tests {
         header.extend_from_slice(&[0u8; 16]);
         let mut reader = FrameReader::new(1024);
         let err = reader.poll(&mut header.as_slice()).unwrap_err();
+        assert!(reader.buf.len() <= READ_CHUNK, "no payload space reserved");
         assert!(matches!(
             err,
             NetError::FrameTooLarge {

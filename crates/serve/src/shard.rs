@@ -395,7 +395,7 @@ pub struct ShardedFleet {
     /// `Arc`ed so the background flusher can hold a `Weak` snapshot closure
     /// without keeping the fleet alive.
     endpoints: Arc<RwLock<HashMap<String, Arc<ShardedEndpoint>>>>,
-    supervisor: Supervisor,
+    pub(crate) supervisor: Supervisor,
 }
 
 impl Drop for ShardedFleet {

@@ -12,9 +12,15 @@
 //!
 //! Coordination is a single epoch-counted condvar:
 //!
-//! * opening a tile bumps the epoch via [`TileNotifier::notify`] (outside
-//!   the tile lock — the notification never nests inside a critical
-//!   section), waking the flusher to re-derive its earliest deadline;
+//! * opening a tile reports its deadline through [`TileNotifier::notify`]
+//!   (outside the tile lock — the notification never nests inside a
+//!   critical section). The epoch moves only when the flusher must look
+//!   again: it is idle, it sleeps until a *later* deadline (then it is
+//!   woken to re-derive its earliest one), or it is scanning (then it scans
+//!   again before it sleeps, so no tile is missed). A tile that expires no
+//!   earlier than the one the flusher is armed for, or never, wakes
+//!   nothing — a busy endpoint opening thousands of tiles costs the flusher
+//!   no wakeups;
 //! * dropping the fleet sets the shutdown flag and **joins** the thread, so
 //!   no flusher outlives its endpoints;
 //! * every lock site goes through [`crate::sync`], so a panicking scorer
@@ -29,6 +35,7 @@
 
 use crate::fleet::Endpoint;
 use crate::sync::{unpoison, LockExt};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -36,15 +43,34 @@ use std::time::Instant;
 #[derive(Default)]
 struct State {
     shutdown: bool,
-    /// Bumped whenever a tile opens; the flusher re-derives its earliest
-    /// deadline whenever the epoch moves, so a tile opened between its scan
-    /// and its sleep can never be missed (the classic lost-wakeup shape).
+    /// Bumped whenever a tile opens that the flusher must consider; the
+    /// flusher re-derives its earliest deadline whenever the epoch moves,
+    /// so a tile opened between its scan and its sleep can never be missed
+    /// (the classic lost-wakeup shape).
     epoch: u64,
+    /// What the flusher is doing, as of its last look at the state.
+    flusher: Flusher,
+}
+
+/// The flusher's phase, which decides whether a new tile must move the
+/// epoch.
+#[derive(Default, Clone, Copy, PartialEq, Eq)]
+enum Flusher {
+    /// Scanning (or not started): it will look at the epoch before it
+    /// sleeps.
+    #[default]
+    Scanning,
+    /// Asleep with no open tile anywhere.
+    Idle,
+    /// Asleep until this deadline.
+    Until(Instant),
 }
 
 struct Shared {
     state: Mutex<State>,
     wake: Condvar,
+    /// Scans the flusher has made: what the wakeup-count test pins.
+    scans: AtomicU64,
 }
 
 /// Handed to every [`Endpoint`] at construction: pokes the fleet's flusher
@@ -56,12 +82,26 @@ pub(crate) struct TileNotifier {
 }
 
 impl TileNotifier {
-    pub(crate) fn notify(&self) {
-        {
+    /// Reports a tile opened with `deadline` (`None`: it never expires).
+    pub(crate) fn notify(&self, deadline: Option<Instant>) {
+        let Some(deadline) = deadline else {
+            return;
+        };
+        let wake = {
             let mut state = self.shared.state.lock_unpoisoned();
-            state.epoch = state.epoch.wrapping_add(1);
+            let look = match state.flusher {
+                Flusher::Until(armed) => deadline < armed,
+                Flusher::Scanning | Flusher::Idle => true,
+            };
+            if look {
+                state.epoch = state.epoch.wrapping_add(1);
+            }
+            // A scanning flusher sees the epoch move before it sleeps.
+            look && state.flusher != Flusher::Scanning
+        };
+        if wake {
+            self.shared.wake.notify_all();
         }
-        self.shared.wake.notify_all();
     }
 }
 
@@ -78,6 +118,7 @@ impl Supervisor {
             shared: Arc::new(Shared {
                 state: Mutex::new(State::default()),
                 wake: Condvar::new(),
+                scans: AtomicU64::new(0),
             }),
             handle: Mutex::new(None),
         }
@@ -111,6 +152,21 @@ impl Supervisor {
             .ok();
     }
 
+    /// Scans the flusher has made so far.
+    #[cfg(test)]
+    pub(crate) fn scans(&self) -> u64 {
+        self.shared.scans.load(Ordering::SeqCst)
+    }
+
+    /// Whether the flusher sleeps until an open tile's deadline.
+    #[cfg(test)]
+    pub(crate) fn armed(&self) -> bool {
+        matches!(
+            self.shared.state.lock_unpoisoned().flusher,
+            Flusher::Until(_)
+        )
+    }
+
     /// Signals shutdown and joins the flusher. Idempotent; called from the
     /// owning fleet's `Drop`.
     pub(crate) fn shutdown(&self) {
@@ -135,12 +191,14 @@ where
 {
     loop {
         let seen = {
-            let state = shared.state.lock_unpoisoned();
+            let mut state = shared.state.lock_unpoisoned();
             if state.shutdown {
                 return;
             }
+            state.flusher = Flusher::Scanning;
             state.epoch
         };
+        shared.scans.fetch_add(1, Ordering::SeqCst);
         let endpoints = match snapshot() {
             Some(endpoints) => endpoints,
             None => return,
@@ -157,6 +215,7 @@ where
         }
         let mut state = shared.state.lock_unpoisoned();
         while !state.shutdown && state.epoch == seen {
+            state.flusher = next.map_or(Flusher::Idle, Flusher::Until);
             match next {
                 Some(deadline) => {
                     let now = Instant::now();
@@ -195,7 +254,7 @@ mod tests {
         // A snapshot whose owner is already gone: the thread must exit on
         // its own, and shutdown must join it without hanging.
         supervisor.ensure_spawned(|| None);
-        supervisor.notifier().notify();
+        supervisor.notifier().notify(Some(Instant::now()));
         supervisor.shutdown();
     }
 }

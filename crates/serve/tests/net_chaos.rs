@@ -23,16 +23,17 @@ use hmd_codec::Json;
 use hmd_core::detector::{Detector, DetectorBackend, DetectorConfig, DetectorExt};
 use hmd_data::{Dataset, Label, Matrix};
 use hmd_serve::net::wire::{
-    Request, CODE_FRAME_TOO_LARGE, CODE_VERSION_MISMATCH, PROTOCOL_VERSION,
+    FrameKind, Request, Response, CODE_FRAME_TOO_LARGE, CODE_PROTOCOL, CODE_VERSION_MISMATCH,
+    PROTOCOL_VERSION,
 };
 use hmd_serve::{
     AdmissionPolicy, BreakerState, ClientConfig, FaultPlan, FleetClient, FleetError, FleetServer,
-    FlushPolicy, NetError, RetryPolicy, ServerConfig, ShardConfig, ShardedFleet,
+    FlushPolicy, NetError, RetryPolicy, ServerConfig, ShardConfig, ShardedFleet, ShardedReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,8 +109,22 @@ fn serve(
     Matrix,
     Vec<hmd_core::trusted::DetectionReport>,
 ) {
+    serve_replicas(2, seed, rows, config)
+}
+
+fn serve_replicas(
+    replicas: usize,
+    seed: u64,
+    rows: usize,
+    config: ServerConfig,
+) -> (
+    FleetServer,
+    Arc<ShardedFleet>,
+    Matrix,
+    Vec<hmd_core::trusted::DetectionReport>,
+) {
     let fleet = Arc::new(ShardedFleet::with_config(
-        ShardConfig::new(2).with_flush(FlushPolicy::new(4096, Duration::from_secs(10))),
+        ShardConfig::new(replicas).with_flush(FlushPolicy::new(4096, Duration::from_secs(10))),
     ));
     fleet.deploy("hmd", trained(9, seed)).expect("deploys");
     let requests = request_matrix(rows, 4, seed.wrapping_add(1));
@@ -163,6 +178,190 @@ fn clean_round_trip_is_bit_identical_to_direct_scoring() {
     assert_eq!(stats.accepted, 1);
     assert_eq!(stats.faults_injected, 0);
     assert!(stats.frames_read >= 11, "8 scores + batch + flush + health");
+}
+
+/// `ScoreRow` request frames for `rows`, concatenated for one write.
+fn score_frames(requests: &Matrix, rows: std::ops::Range<usize>) -> Vec<u8> {
+    let mut burst = Vec::new();
+    for row in rows {
+        let request = Request::ScoreRow {
+            endpoint: "hmd".to_string(),
+            key: None,
+            row: requests.row(row).to_vec(),
+        };
+        let payload = request.to_json().to_string();
+        burst.extend(
+            encode_frame(PROTOCOL_VERSION, request.kind().as_u8(), &payload).expect("frame"),
+        );
+    }
+    burst
+}
+
+/// The reference bytes of a `ScoreRow` reply: the tree encoding of the
+/// report direct scoring produced, as served by replica 0 at version 1.
+fn reference_reply(report: &hmd_core::trusted::DetectionReport) -> Vec<u8> {
+    let response = Response::ScoreRow(ShardedReport {
+        replica: 0,
+        version: 1,
+        report: *report,
+    });
+    encode_frame(
+        PROTOCOL_VERSION,
+        response.kind().as_u8(),
+        &response.to_json().to_string(),
+    )
+    .expect("frame")
+}
+
+/// Splits the first whole frame off `bytes`; `None` when fewer bytes than
+/// a whole frame remain.
+fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let header: [u8; HEADER_LEN] = bytes.get(..HEADER_LEN)?.try_into().ok()?;
+    let len =
+        HEADER_LEN + u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
+    (bytes.len() >= len).then(|| bytes.split_at(len))
+}
+
+/// A client that pipelines rows and then half-closes its socket still gets
+/// every reply, in order and byte-identical to the tree encoding of direct
+/// scoring, before the server closes. (The server used to treat the EOF as
+/// a disconnect and drop every pending reply.)
+#[test]
+fn a_half_closed_pipeline_still_gets_every_reply() {
+    let (server, _fleet, requests, direct) = serve_replicas(1, 120, 3, ServerConfig::new());
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connects");
+    socket
+        .write_all(&score_frames(&requests, 0..3))
+        .expect("burst written");
+    socket.shutdown(Shutdown::Write).expect("half-closes");
+    let mut replies = Vec::new();
+    socket.read_to_end(&mut replies).expect("reads to EOF");
+    let mut rest = replies.as_slice();
+    for (row, reference) in direct.iter().enumerate() {
+        let (frame, tail) = split_frame(rest).unwrap_or_else(|| panic!("reply {row} missing"));
+        assert_eq!(frame, reference_reply(reference).as_slice(), "reply {row}");
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "three replies, then EOF");
+}
+
+/// Malformed and truncated payloads inside a correctly framed stream are
+/// answered in place with a code-102 error frame, in request order, and
+/// the connection stays open for the next request.
+#[test]
+fn malformed_payloads_get_protocol_errors_and_the_connection_stays_open() {
+    let (server, _fleet, requests, direct) = serve_replicas(1, 121, 2, ServerConfig::new());
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connects");
+    let good = encode_frame(
+        PROTOCOL_VERSION,
+        FrameKind::ScoreRow.as_u8(),
+        &Request::ScoreRow {
+            endpoint: "hmd".to_string(),
+            key: None,
+            row: requests.row(0).to_vec(),
+        }
+        .to_json()
+        .to_string(),
+    )
+    .expect("frame");
+    let valid = String::from_utf8(good[HEADER_LEN..].to_vec()).expect("UTF-8");
+    let truncated = &valid.as_bytes()[..valid.len() - 3];
+    let bad: Vec<(u8, &[u8])> = vec![
+        (0x01, b"not json"),
+        (0x01, truncated),
+        (0x01, b""),
+        (0x01, br#"{"endpoint":"hmd","key":null}"#),
+        (0x01, br#"{"endpoint":"hmd","key":null,"row":["x"]}"#),
+        (0x01, br#"{"endpoint":"hmd","key":-4,"row":[1,2,3,4]}"#),
+        (
+            0x01,
+            br#"{"endpoint":"hmd","key":null,"row":[1,2,3,4]} trailing"#,
+        ),
+        (0x01, b"{\"endpoint\":\"\xff\",\"key\":null,\"row\":[1]}"),
+        (0x03, br#"{"endpoint":["hmd"]}"#),
+        (0x02, br#"{"endpoint":"hmd","rows":[[1,2],[3,"four"]]}"#),
+    ];
+    for (kind, payload) in bad {
+        // A valid row on each side of the bad frame, all in one write:
+        // the error holds its slot in the pipeline.
+        let mut burst = good.clone();
+        burst.extend(
+            FrameHeader {
+                version: PROTOCOL_VERSION,
+                kind,
+                len: payload.len() as u32,
+            }
+            .encode(),
+        );
+        burst.extend_from_slice(payload);
+        burst.extend(score_frames(&requests, 1..2));
+        socket.write_all(&burst).expect("burst written");
+
+        let context = String::from_utf8_lossy(payload);
+        let (header, _) = read_frame(&mut socket).expect("first reply");
+        assert_eq!(header.kind, 0x81, "{context}");
+        let (header, payload) = read_frame(&mut socket).expect("error frame");
+        assert_eq!(header.kind, 0xFF, "{context}");
+        let json = Json::parse(&payload).expect("payload parses");
+        let code = json.get("code").and_then(Json::as_i64).expect("code");
+        assert_eq!(code, i64::from(CODE_PROTOCOL), "{context}");
+        let (header, payload) = read_frame(&mut socket).expect("last reply");
+        assert_eq!(header.kind, 0x81, "{context}");
+        let entropy = Json::parse(&payload)
+            .and_then(|json| json.get("entropy").and_then(Json::as_f64))
+            .expect("entropy");
+        assert_eq!(entropy.to_bits(), direct[1].prediction.entropy.to_bits());
+    }
+}
+
+/// Transport faults that land inside a pipelined burst keep their
+/// per-frame numbering and exact bytes: with frames 1–3 answered in one
+/// write, `truncate_frame(3)` sends frames 1–2 whole plus the first half of
+/// frame 3, then closes; `garbage_frame(3)` sends frame 3 whole with its
+/// magic overwritten. Frames 1–2 are byte-identical to the tree encoding
+/// of direct scoring either way.
+#[test]
+fn faults_inside_a_pipelined_burst_keep_earlier_frames_whole() {
+    for truncate in [true, false] {
+        let plan = if truncate {
+            FaultPlan::new().truncate_frame(3)
+        } else {
+            FaultPlan::new().garbage_frame(3)
+        };
+        let (server, _fleet, requests, direct) =
+            serve_replicas(1, 122, 3, ServerConfig::new().with_fault_plan(plan));
+        let mut socket = TcpStream::connect(server.local_addr()).expect("connects");
+        socket
+            .write_all(&score_frames(&requests, 0..3))
+            .expect("burst written");
+        socket.shutdown(Shutdown::Write).expect("half-closes");
+        let mut replies = Vec::new();
+        socket.read_to_end(&mut replies).expect("reads to EOF");
+
+        let mut rest = replies.as_slice();
+        for (row, reference) in direct.iter().take(2).enumerate() {
+            let (frame, tail) = split_frame(rest).expect("whole frame");
+            assert_eq!(
+                frame,
+                reference_reply(reference).as_slice(),
+                "frame {}",
+                row + 1
+            );
+            rest = tail;
+        }
+        let mut third = reference_reply(&direct[2]);
+        if truncate {
+            third.truncate(third.len() / 2);
+        } else {
+            third[..2].copy_from_slice(b"XX");
+        }
+        assert_eq!(
+            rest,
+            third.as_slice(),
+            "truncate {truncate}: frame 3, then EOF"
+        );
+        assert_eq!(server.stats().faults_injected, 1);
+    }
 }
 
 /// Deadlines too large to represent mean "no deadline" on both sides of the

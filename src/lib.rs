@@ -69,7 +69,7 @@
 //! [`serve::ShardedFleet`] turns individual detectors into a deployment
 //! surface shaped like a DAQ central unit: producers submit signatures to
 //! *named endpoints*; each endpoint owns a versioned stack of
-//! `Box<dyn Detector>` models, running [`core::detector::MonitorStats`],
+//! `Arc<dyn Detector>` models, running [`core::detector::MonitorStats`],
 //! and micro-batching request tiles. Single-row
 //! [`serve::ShardedFleet::score`] calls enqueue into a tile and return an
 //! ordered [`serve::ShardTicket`]; the tile drains through the detector's
