@@ -14,11 +14,20 @@
 /// assert!((shannon_entropy(&[0.5, 0.5]) - 1.0).abs() < 1e-12);
 /// ```
 pub fn shannon_entropy(probabilities: &[f64]) -> f64 {
+    entropy_bits(probabilities.iter().copied())
+}
+
+/// Sums `-p * log2(p)` over the positive entries, starting from `+0.0`.
+///
+/// At `p = 1` the term is `-0.0`, and `Iterator::sum` starts from `-0.0`
+/// too, so a certain distribution would report `-0.0`. From `+0.0` it
+/// reports `+0.0`, and every other sum keeps its exact bits, as
+/// `+0.0 + x == x`.
+fn entropy_bits(probabilities: impl Iterator<Item = f64>) -> f64 {
     probabilities
-        .iter()
-        .filter(|&&p| p > 0.0)
-        .map(|&p| -p * p.log2())
-        .sum()
+        .filter(|&p| p > 0.0)
+        .map(|p| -p * p.log2())
+        .fold(0.0, |h, term| h + term)
 }
 
 /// Entropy (bits) of the frequency distribution of ensemble votes.
@@ -41,8 +50,7 @@ pub fn vote_entropy(counts: &[usize]) -> f64 {
     if total == 0 {
         return 0.0;
     }
-    let probabilities: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
-    shannon_entropy(&probabilities)
+    entropy_bits(counts.iter().map(|&c| c as f64 / total as f64))
 }
 
 /// Maximum achievable entropy (bits) for `num_classes` classes.
@@ -114,6 +122,42 @@ mod tests {
         assert!(binary_entropy(0.3) < binary_entropy(0.5));
         assert_eq!(binary_entropy(-0.5), 0.0);
         assert_eq!(binary_entropy(1.5), 0.0);
+    }
+
+    /// The summed form: probabilities collected, then summed with
+    /// `Iterator::sum` (which starts from `-0.0`).
+    fn summed_vote_entropy(counts: &[usize]) -> f64 {
+        let total: usize = counts.iter().sum();
+        counts
+            .iter()
+            .map(|&c| c as f64 / total as f64)
+            .filter(|&p| p > 0.0)
+            .map(|p| -p * p.log2())
+            .sum()
+    }
+
+    #[test]
+    fn unanimous_votes_have_positive_zero_entropy() {
+        for e in [1usize, 15, 25] {
+            for counts in [[e, 0], [0, e]] {
+                assert_eq!(
+                    vote_entropy(&counts).to_bits(),
+                    0.0f64.to_bits(),
+                    "{counts:?}"
+                );
+            }
+            // Every other split keeps the exact bits of the summed form.
+            for a in 1..e {
+                let counts = [a, e - a];
+                assert_eq!(
+                    vote_entropy(&counts).to_bits(),
+                    summed_vote_entropy(&counts).to_bits(),
+                    "{counts:?}"
+                );
+            }
+        }
+        assert_eq!(shannon_entropy(&[1.0, 0.0]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(binary_entropy(1.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use hmd_core::detector::{
     MonitorSession,
 };
 use hmd_data::{Dataset, Label, Matrix};
+use hmd_ml::forest::RandomForestParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -306,4 +307,61 @@ fn refit_on_window_is_bit_identical_to_from_scratch_fit() {
     assert!(config
         .refit_on_window(&train.features().view(), &train.labels()[..10], 9)
         .is_err());
+}
+
+#[test]
+fn a_refit_does_not_depend_on_where_it_runs() {
+    // The worker pool runs a nested parallel fit inline on a pool worker
+    // and on the calling thread's own share of an outer map, and spreads it
+    // over the pool from a top-level call. The refit must save the same
+    // bytes in all three places.
+    use rayon::prelude::*;
+    use std::sync::{Condvar, Mutex};
+    use std::thread::current;
+
+    let train = blobs(160, 6, 33);
+    let config = DetectorConfig::trusted(DetectorBackend::RandomForest(
+        RandomForestParams::new().with_num_trees(3),
+    ))
+    .with_num_estimators(9);
+    let window = train.features().view();
+    let refit = || {
+        let detector = config
+            .refit_on_window(&window, train.labels(), 5)
+            .expect("window refit");
+        save(detector.as_ref()).expect("persistable")
+    };
+    let top_level = refit();
+
+    // Every item first waits until the caller and a pool worker have each
+    // started one, so both kinds of share run a refit (a 1-core pool runs
+    // the whole map on the caller).
+    let caller = current().id();
+    let started = Mutex::new([false, rayon::current_num_threads() == 1]);
+    let both = Condvar::new();
+    let slots: Vec<usize> = (0..6).collect();
+    let runs: Vec<(bool, String)> = slots
+        .par_iter()
+        .map(|_| {
+            let on_caller = current().id() == caller;
+            let mut side = started.lock().unwrap();
+            side[usize::from(!on_caller)] = true;
+            both.notify_all();
+            while !(side[0] && side[1]) {
+                side = both.wait(side).unwrap();
+            }
+            drop(side);
+            (on_caller, refit())
+        })
+        .collect();
+    assert!(runs.iter().any(|(on_caller, _)| *on_caller));
+    assert!(rayon::current_num_threads() == 1 || runs.iter().any(|(on_caller, _)| !on_caller));
+    for (on_caller, document) in runs {
+        assert_eq!(
+            document,
+            top_level,
+            "a refit in the {} share must save the same bytes",
+            if on_caller { "caller's" } else { "worker's" }
+        );
+    }
 }

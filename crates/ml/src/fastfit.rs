@@ -216,28 +216,30 @@ impl<'a> Presorted<'a> {
         // shared presort with a linear filter — O(parent rows) per feature
         // instead of a sort. The filter is branchless (write always, advance
         // the cursor by the presence flag): bootstrap presence is close to a
-        // coin flip per row, which branchy filtering would mispredict.
-        bufs.orders.clear();
-        if unique == parent_len {
-            bufs.orders.reserve(d * unique);
-            for f in 0..d {
-                bufs.orders.extend_from_slice(presort.order(f));
+        // coin flip per row, which branchy filtering would mispredict. The
+        // buffer only ever grows, so a thread's later trees overwrite it in
+        // place with no fill pass; slots past `d * unique` are never read.
+        // One pad slot takes each feature pass's final unconditional write:
+        // it lands on the next segment's start (rewritten by that pass), and
+        // the last pass's lands on the pad.
+        let segments = d * unique;
+        if bufs.orders.len() <= segments {
+            bufs.orders.resize(segments + 1, 0);
+        }
+        let weight = &bufs.weight[..];
+        for f in 0..d {
+            let rows = presort.order(f);
+            let seg = &mut bufs.orders[f * unique..=(f + 1) * unique];
+            if unique == parent_len {
+                seg[..unique].copy_from_slice(rows);
+                continue;
             }
-        } else {
-            // One pad slot: the cursor's final unconditional write of each
-            // feature pass lands on the next segment's start (overwritten by
-            // that pass), and the last pass's lands on the pad.
-            bufs.orders.resize(d * unique + 1, 0);
-            let weight = &bufs.weight;
-            let orders = &mut bufs.orders;
-            for f in 0..d {
-                let mut cursor = f * unique;
-                for &row in presort.order(f) {
-                    orders[cursor] = row;
-                    cursor += usize::from(weight[row as usize] > 0);
-                }
-                debug_assert_eq!(cursor, (f + 1) * unique);
+            let mut cursor = 0;
+            for &row in rows {
+                seg[cursor] = row;
+                cursor += usize::from(weight[row as usize] > 0);
             }
+            debug_assert_eq!(cursor, unique);
         }
         if bufs.goes_left.len() < parent_len {
             bufs.goes_left.resize(parent_len, false);
@@ -357,6 +359,10 @@ impl<'a> Presorted<'a> {
         let min_samples_leaf = self.params.min_samples_leaf;
         let min_impurity_decrease = self.params.min_impurity_decrease;
         let mut best: Option<Split> = None;
+        // The current best's weighted-impurity numerator. A candidate whose
+        // numerator is not below it cannot win (see the skip below), so its
+        // division and comparison are never computed.
+        let mut best_numerator = f64::INFINITY;
         for &feature in &feature_pool {
             let seg = &orders[feature * unique + lo..feature * unique + hi];
             let col = cols.col(feature);
@@ -395,18 +401,25 @@ impl<'a> Presorted<'a> {
                 let right_malware = total_malware - left_malware;
                 let left_impurity = gini(left_malware as f64 / left_count as f64);
                 let right_impurity = gini(right_malware as f64 / right_count as f64);
-                let weighted = (left_count as f64 * left_impurity
-                    + right_count as f64 * right_impurity)
-                    / total as f64;
-                let decrease = node_impurity - weighted;
+                let numerator =
+                    left_count as f64 * left_impurity + right_count as f64 * right_impurity;
+                // Correctly rounded division by the positive `total` and
+                // subtraction from `node_impurity` are both monotone, so a
+                // numerator at or above the best's yields a decrease at or
+                // below the best's: it can neither win the strict `>` below
+                // nor matter to the `min_impurity_decrease` filter.
+                if numerator >= best_numerator {
+                    continue;
+                }
+                let decrease = node_impurity - numerator / total as f64;
                 if decrease < min_impurity_decrease {
                     continue;
                 }
-                let threshold = (value + next) / 2.0;
                 if best.as_ref().map(|b| decrease > b.decrease).unwrap_or(true) {
+                    best_numerator = numerator;
                     best = Some(Split {
                         feature,
-                        threshold,
+                        threshold: (value + next) / 2.0,
                         decrease,
                     });
                 }
@@ -451,50 +464,61 @@ impl<'a> Presorted<'a> {
     /// each segment's sorted order, so the children are presorted without
     /// further work. A side whose child is a certain leaf is never read
     /// again, so it is skipped: only the splittable side's block is built.
+    ///
+    /// The loops run on slices split off the buffers up front, so the
+    /// compiler keeps their bounds in registers instead of reloading every
+    /// buffer through `self` after each store.
     fn partition(&mut self, lo: usize, hi: usize, mid: usize, keep_left: bool, keep_right: bool) {
+        let FitBuffers {
+            orders,
+            goes_left,
+            scratch,
+            ..
+        } = &mut *self.bufs;
+        let goes_left = &goes_left[..];
+        let left_len = mid - lo;
+        scratch.resize(hi - lo, 0);
+        let scratch = &mut scratch[..];
         for f in 0..self.d {
             let base = f * self.unique;
+            let seg = &mut orders[base + lo..base + hi];
             match (keep_left, keep_right) {
                 (true, true) => {
                     // Branchless in-place compaction: every row is written
                     // to both the left cursor (the cursor never passes the
                     // read position) and the right scratch buffer, exactly
                     // one cursor advances, and the scratch fills the tail.
-                    self.bufs.scratch.resize(hi - lo, 0);
-                    let mut write = base + lo;
+                    let mut write = 0usize;
                     let mut right = 0usize;
-                    #[allow(clippy::needless_range_loop)]
-                    for i in base + lo..base + hi {
-                        let row = self.bufs.orders[i];
-                        let left = self.bufs.goes_left[row as usize];
-                        self.bufs.orders[write] = row;
+                    for i in 0..seg.len() {
+                        let row = seg[i];
+                        let left = goes_left[row as usize];
+                        seg[write] = row;
                         write += usize::from(left);
-                        self.bufs.scratch[right] = row;
+                        scratch[right] = row;
                         right += usize::from(!left);
                     }
-                    self.bufs.orders[write..base + hi].copy_from_slice(&self.bufs.scratch[..right]);
+                    seg[left_len..].copy_from_slice(&scratch[..right]);
                 }
                 (true, false) => {
                     // Only the left child keeps splitting: compact its rows
                     // to the front and leave the tail unordered.
-                    let mut write = base + lo;
-                    #[allow(clippy::needless_range_loop)]
-                    for i in base + lo..base + hi {
-                        let row = self.bufs.orders[i];
-                        self.bufs.orders[write] = row;
-                        write += usize::from(self.bufs.goes_left[row as usize]);
+                    let mut write = 0usize;
+                    for i in 0..seg.len() {
+                        let row = seg[i];
+                        seg[write] = row;
+                        write += usize::from(goes_left[row as usize]);
                     }
                 }
                 (false, true) => {
                     // Only the right child keeps splitting: collect its rows
                     // and write them as the tail block.
-                    self.bufs.scratch.clear();
-                    let seg = &self.bufs.orders[base + lo..base + hi];
-                    let goes_left = &self.bufs.goes_left;
-                    self.bufs
-                        .scratch
-                        .extend(seg.iter().copied().filter(|&row| !goes_left[row as usize]));
-                    self.bufs.orders[base + mid..base + hi].copy_from_slice(&self.bufs.scratch);
+                    let mut right = 0usize;
+                    for &row in seg.iter() {
+                        scratch[right] = row;
+                        right += usize::from(!goes_left[row as usize]);
+                    }
+                    seg[left_len..].copy_from_slice(&scratch[..right]);
                 }
                 // hmd-lint: allow(no-panic-in-lib) caller-enforced: partition_node is only invoked when at least one child keeps splitting, and returning Result here would thread dead error paths through the hot partition loop
                 (false, false) => unreachable!("partition is skipped when no child splits"),

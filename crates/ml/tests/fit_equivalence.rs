@@ -57,6 +57,45 @@ fn tied_dataset(n: usize, rng: &mut StdRng) -> Dataset {
     Dataset::new(Matrix::from_rows(&rows).unwrap(), labels).unwrap()
 }
 
+/// The closed loop's retrain-window shape: 192 rows × 27 features, two
+/// healthy 32-row batches then four drifted ones (alternating ±4 shifts),
+/// zero-heavy discretised columns, and every sixth row a duplicate of the
+/// row before it.
+fn drift_window_dataset(rng: &mut StdRng) -> Dataset {
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(192);
+    let mut labels = Vec::with_capacity(192);
+    for i in 0..192 {
+        if i % 6 == 5 {
+            rows.push(rows[i - 1].clone());
+            labels.push(labels[i - 1]);
+            continue;
+        }
+        let malware = rng.gen_bool(0.5);
+        let drifted = i >= 64;
+        let row = (0..27)
+            .map(|j| {
+                let shift = match (drifted, j % 2) {
+                    (false, _) => 0.0,
+                    (true, 0) => 4.0,
+                    (true, _) => -4.0,
+                };
+                let signal = if malware { 0.5 } else { 0.0 };
+                let value = match j % 3 {
+                    // Zero-heavy: mostly exact zeros, else a few levels.
+                    0 if rng.gen_bool(0.6) => 0.0,
+                    0 => f64::from(rng.gen_range(1..5u8)) * 0.25 + signal,
+                    1 => rng.gen_range(-1.0..1.0) + signal,
+                    _ => f64::from(rng.gen_range(0..3u8)) * 0.5,
+                };
+                value + shift
+            })
+            .collect();
+        rows.push(row);
+        labels.push(Label::from(malware));
+    }
+    Dataset::new(Matrix::from_rows(&rows).unwrap(), labels).unwrap()
+}
+
 fn random_tree_params(rng: &mut StdRng) -> DecisionTreeParams {
     let mf = match rng.gen_range(0..3) {
         0 => MaxFeatures::All,
@@ -221,6 +260,12 @@ fn bagged_tree_views_match_materialized_copies() {
 
 #[test]
 fn bagged_forest_views_match_materialized_copies() {
+    let assert_match = |ds: &Dataset, params: &BaggingParams<RandomForestParams>, seed: u64| {
+        let fast = params.fit(ds, seed).unwrap();
+        let reference = params.fit_reference(ds, seed).unwrap();
+        assert_eq!(fast.estimators(), reference.estimators());
+        assert_eq!(fast.flat(), reference.flat());
+    };
     let mut rng = StdRng::seed_from_u64(0xFA57_0009);
     for _ in 0..4 {
         let ds = random_dataset(rng.gen_range(40..90), rng.gen_range(2..=12), &mut rng);
@@ -230,11 +275,26 @@ fn bagged_forest_views_match_materialized_copies() {
         let params = BaggingParams::new(base)
             .with_num_estimators(rng.gen_range(1..6))
             .with_sample_fraction(if rng.gen_bool(0.5) { 1.0 } else { 0.6 });
-        let seed = rng.gen();
-        let fast = params.fit(&ds, seed).unwrap();
-        let reference = params.fit_reference(&ds, seed).unwrap();
-        assert_eq!(fast.estimators(), reference.estimators());
-        assert_eq!(fast.flat(), reference.flat());
+        assert_match(&ds, &params, rng.gen());
+    }
+
+    // The drift cycle's refit: 25 estimators × 3 trees on the retrain
+    // window's shape. Above 0, `min_impurity_decrease` rejects candidates
+    // while no best exists yet, so the grower's skip-the-division rule
+    // also runs without a best numerator to compare against.
+    let ds = drift_window_dataset(&mut rng);
+    for min_impurity_decrease in [0.0, 1e-7, 0.01] {
+        let tree = DecisionTreeParams {
+            min_impurity_decrease,
+            ..DecisionTreeParams::new()
+                .with_max_depth(14)
+                .with_max_features(MaxFeatures::Sqrt)
+        };
+        let base = RandomForestParams::new()
+            .with_num_trees(3)
+            .with_tree_params(tree);
+        let params = BaggingParams::new(base).with_num_estimators(25);
+        assert_match(&ds, &params, rng.gen());
     }
 }
 
