@@ -9,23 +9,32 @@
 //! * Each split node is one 24-byte record — threshold, feature and both
 //!   child indices — so a traversal step reads one contiguous record
 //!   instead of four scattered arrays.
-//! * Leaves are stored out-of-line in a `leaf_value` array (plus a
-//!   precompiled one-byte hard vote) and encoded as *tagged child indices*
-//!   (high bit set), so the inner loop has a single exit test and no enum
-//!   discriminant branch.
-//! * Votes of forests too large for L1 are counted by an **interleaved**
-//!   kernel: each row keeps [`LANES`] independent tree walks in flight, one
-//!   per undecided voting group, and advances them one level per pass. A
-//!   walk down a deep tree is a chain of dependent loads that miss L1, and
-//!   on overlapping classes its splits are ones the branch predictor cannot
-//!   learn; several branch-free chains in flight let the core overlap those
-//!   misses (the interleaving of Asadi, Lin & de Vries, "Runtime
-//!   Optimizations for Tree-based Machine Learning Models", TKDE 2014).
-//!   Forests whose nodes fit in L1 walk their trees one after another: a
-//!   shallow walk there is cheaper than the lane bookkeeping, and the core's
+//! * Leaves are encoded as *tagged child indices* (high bit set), so the
+//!   sequential walk has a single exit test and no enum discriminant
+//!   branch. Leaf `i` also owns record `i`, ahead of the split records: its
+//!   children both point back at itself, so a walk that steps past its leaf
+//!   stays on it, and its threshold slot holds the leaf's malware fraction.
+//!   A precompiled one-byte hard vote per leaf sits beside the records.
+//!   Leaf and record numbers coincide, so no lookup adds an offset.
+//! * Votes of forests too large for L1 are counted by a **block** kernel
+//!   over a tile's `(row, group)` pairs, kept group-major so consecutive
+//!   pairs walk the same tree. At each tree position, [`LANES`] pairs step
+//!   in lockstep for the largest depth among their trees, with branch-free
+//!   child selection and no leaf test. A walk down a deep tree is a chain
+//!   of dependent loads that miss L1, and on overlapping classes its splits
+//!   are ones the branch predictor cannot learn; several branch-free chains
+//!   in flight let the core overlap those misses, and rows sharing a tree
+//!   share its cache lines (the predicated, self-looping-leaf traversal of
+//!   Asadi, Lin & de Vries, "Runtime Optimizations for Tree-based Machine
+//!   Learning Models", TKDE 2014). Stepping a fixed depth is exact: a tree's
+//!   depth, computed when it is compiled, bounds every root-to-leaf path,
+//!   and the self-looping record holds a walk that arrived early. Forests
+//!   whose nodes fit in L1 walk their trees one after another: a shallow
+//!   walk there is cheaper than the pair bookkeeping, and the core's
 //!   out-of-order window already overlaps consecutive walks.
 //! * Batches are cut into [`BLOCK`]-row tiles that the worker pool spreads
-//!   across cores; no step allocates per sample.
+//!   across cores; no step allocates per sample, and the block kernel's
+//!   pair list is a per-thread buffer reused by every tile.
 //!
 //! [`FlatTree`] compiles a single decision tree; [`FlatForest`] compiles any
 //! collection of trees partitioned into *voting groups* (one group per
@@ -40,23 +49,27 @@ use crate::Classifier;
 use hmd_data::{Label, RowsView};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::hint::select_unpredictable;
 
-/// High bit of a child index, tagging a reference into the leaf-value array
-/// instead of the split-node array.
+/// High bit of a child index, tagging a leaf: `LEAF_BIT | i` names leaf
+/// `i`, whose self-looping record is node `i`.
 const LEAF_BIT: u32 = 1 << 31;
 
 /// Tile width of the batch kernels: large batches are cut into blocks of this
 /// many rows, the unit of work handed to the worker pool.
 pub const BLOCK: usize = 64;
 
-/// Tree walks the interleaved vote kernel keeps in flight per row: enough
-/// independent load chains to cover an L2 hit, few enough that the lane
-/// state stays in L1.
+/// Tree walks the block kernel steps in lockstep: enough independent load
+/// chains to cover an L2 hit, few enough that their cursors stay in
+/// registers. Each lane walks one `(row, group)` pair's current tree for
+/// the largest depth among the lanes' trees; no lane tests for its leaf,
+/// because a leaf's record loops on itself, so the walks that arrive early
+/// stay put until the deepest one lands.
 pub const LANES: usize = 8;
 
 /// Split-node count above which a forest's votes are counted by the
-/// interleaved kernel: the nodes no longer fit a 32 KiB L1 data cache.
+/// block kernel: the nodes no longer fit a 32 KiB L1 data cache.
 const INTERLEAVE_MIN_NODES: usize = 32 * 1024 / std::mem::size_of::<SplitNode>();
 
 /// Row count below which batch kernels stay on the calling thread; smaller
@@ -84,8 +97,9 @@ impl SplitNode {
     }
 
     /// The child one sample moves to, selected without a branch: splits of
-    /// deep trees over overlapping classes defeat the predictor, and on an
-    /// interleaved pass one mispredicted split would flush every lane's walk.
+    /// deep trees over overlapping classes defeat the predictor, and in the
+    /// block kernel's lockstep one mispredicted split would flush every
+    /// lane's walk.
     #[inline(always)]
     fn child(&self, row: &[f64]) -> u32 {
         select_unpredictable(self.goes_left(row), self.left, self.right)
@@ -103,6 +117,7 @@ pub struct FlatForestBuilder {
     leaf_value: Vec<f64>,
     leaf_vote: Vec<u8>,
     roots: Vec<u32>,
+    depths: Vec<u32>,
     group_starts: Vec<u32>,
     num_features: usize,
 }
@@ -115,6 +130,7 @@ impl FlatForestBuilder {
             leaf_value: Vec::new(),
             leaf_vote: Vec::new(),
             roots: Vec::new(),
+            depths: Vec::new(),
             group_starts: Vec::new(),
             num_features,
         }
@@ -132,10 +148,16 @@ impl FlatForestBuilder {
             !self.group_starts.is_empty(),
             "push_tree called before begin_group"
         );
+        assert!(
+            self.nodes.len() + self.leaf_value.len() + nodes.len() < LEAF_BIT as usize,
+            "flat forest exceeds 2^31 nodes"
+        );
         let split_base = self.nodes.len() as u32;
         let leaf_base = self.leaf_value.len() as u32;
         // First pass: assign flat indices in nested order (parent before
-        // children, preorder), tagging leaves with the high bit.
+        // children, preorder), tagging leaves with the high bit. A split's
+        // index counts split records only until `finish` puts the leaf
+        // records ahead of them.
         let mut map = Vec::with_capacity(nodes.len());
         let mut splits = 0u32;
         let mut leaves = 0u32;
@@ -151,10 +173,6 @@ impl FlatForestBuilder {
                 }
             }
         }
-        assert!(
-            (self.nodes.len() + nodes.len()) < LEAF_BIT as usize,
-            "flat forest exceeds 2^31 nodes"
-        );
         // Second pass: emit the packed node records.
         for node in nodes {
             match node {
@@ -180,15 +198,19 @@ impl FlatForestBuilder {
             }
         }
         self.roots.push(map[0]);
+        // Bounded by the node count, which the assert above keeps below 2^31.
+        self.depths.push(crate::tree::depth_of(nodes) as u32);
     }
 
-    /// Closes the builder into an immutable forest.
+    /// Closes the builder into an immutable forest: puts one self-looping
+    /// record per leaf ahead of the split records, so leaf `i` is record
+    /// `i`, and moves every split reference past them.
     ///
     /// # Panics
     ///
     /// Panics when no group was opened or a group received no trees — both
     /// indicate a broken [`Classifier::append_flat_group`] implementation.
-    pub fn finish(self) -> FlatForest {
+    pub fn finish(mut self) -> FlatForest {
         let mut group_offsets = self.group_starts;
         assert!(
             !group_offsets.is_empty(),
@@ -198,11 +220,36 @@ impl FlatForestBuilder {
         for pair in group_offsets.windows(2) {
             assert!(pair[0] < pair[1], "flat forest voting group has no trees");
         }
+        let leaves = self.leaf_value.len() as u32;
+        let to_record = |child: u32| {
+            if child & LEAF_BIT == 0 {
+                child + leaves
+            } else {
+                child
+            }
+        };
+        for node in &mut self.nodes {
+            node.left = to_record(node.left);
+            node.right = to_record(node.right);
+        }
+        // Both children of a leaf record are the record itself, so the split
+        // predicate never matters and the threshold slot can carry the
+        // fraction.
+        let records = (0..)
+            .zip(&self.leaf_value)
+            .map(|(leaf, &fraction)| SplitNode {
+                threshold: fraction,
+                feature: 0,
+                left: leaf | LEAF_BIT,
+                right: leaf | LEAF_BIT,
+            });
+        self.nodes.reserve_exact(self.leaf_value.len());
+        self.nodes.splice(0..0, records);
         FlatForest {
             nodes: self.nodes,
-            leaf_value: self.leaf_value,
             leaf_vote: self.leaf_vote,
-            roots: self.roots,
+            roots: self.roots.into_iter().map(to_record).collect(),
+            depths: self.depths,
             group_offsets,
             num_features: self.num_features,
         }
@@ -220,12 +267,16 @@ impl FlatForestBuilder {
 /// ensemble's per-estimator hard votes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlatForest {
+    /// One self-looping record per leaf, whose threshold is the leaf's
+    /// malware fraction (leaf `i` owns record `i`), then every split record.
     nodes: Vec<SplitNode>,
-    leaf_value: Vec<f64>,
-    /// Precompiled hard vote (`leaf_value >= 0.5`) per leaf, so the vote
-    /// kernel's footprint per leaf is one byte.
+    /// Precompiled hard vote (`fraction >= 0.5`) per leaf, so the vote
+    /// kernels' footprint per leaf is one byte.
     leaf_vote: Vec<u8>,
     roots: Vec<u32>,
+    /// Longest root-to-leaf path of each tree, parallel to `roots`: the
+    /// number of steps the block kernel takes on it.
+    depths: Vec<u32>,
     /// Prefix offsets into `roots`; group `g` owns `roots[offsets[g]..offsets[g+1]]`.
     group_offsets: Vec<u32>,
     num_features: usize,
@@ -247,17 +298,21 @@ fn majority(malware: u32, walked: u32, size: u32) -> Option<bool> {
     }
 }
 
-/// The voting group one lane of the interleaved kernel is deciding.
-#[derive(Debug, Clone, Copy, Default)]
-struct Lane {
-    /// The group's first tree in `roots`.
-    first: u32,
-    /// The tree being walked.
-    tree: u32,
-    /// One past the group's last tree.
-    end: u32,
-    /// Malware leaves among the group's finished walks.
+/// One undecided `(row, group)` pair of a block-kernel tile.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    /// The row's index within the tile.
+    row: u32,
+    group: u32,
+    /// Malware leaves among the group's walked trees.
     malware: u32,
+}
+
+thread_local! {
+    /// The block kernel's pair list: one per thread, reused by every tile
+    /// the thread scores, so a tile allocates nothing once the buffer has
+    /// grown to a full tile.
+    static PAIRS: RefCell<Vec<Pair>> = const { RefCell::new(Vec::new()) };
 }
 
 impl FlatForest {
@@ -271,9 +326,9 @@ impl FlatForest {
         self.roots.len()
     }
 
-    /// Total number of packed split nodes.
+    /// Total number of packed split nodes (leaf records not included).
     pub fn num_split_nodes(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.leaf_vote.len()
     }
 
     /// Number of input features the compiled models expect.
@@ -281,15 +336,17 @@ impl FlatForest {
         self.num_features
     }
 
-    /// Whether votes are counted by the interleaved kernel: the split nodes
+    /// Whether votes are counted by the block kernel: the split nodes
     /// outgrow L1. Smaller forests walk their trees one after another.
     pub fn interleaves(&self) -> bool {
-        self.nodes.len() > INTERLEAVE_MIN_NODES
+        self.num_split_nodes() > INTERLEAVE_MIN_NODES
     }
 
     /// Walks one tree (identified by its possibly leaf-tagged root reference)
-    /// down to its leaf index for one sample. Unrolled by two levels, which
-    /// halves the loop's back edges on the short walks this path serves.
+    /// down to its leaf index for one sample; the walk stops on the tag
+    /// instead of stepping into the leaf's record. Unrolled by two levels,
+    /// which halves the loop's back edges on the short walks this path
+    /// serves.
     #[inline]
     fn leaf_index_of(&self, root: u32, row: &[f64]) -> usize {
         let mut index = root;
@@ -306,7 +363,7 @@ impl FlatForest {
     /// Walks one tree down to its leaf fraction for one sample.
     #[inline]
     fn leaf_of(&self, root: u32, row: &[f64]) -> f64 {
-        self.leaf_value[self.leaf_index_of(root, row)]
+        self.nodes[self.leaf_index_of(root, row)].threshold
     }
 
     /// Malware group-vote count for a single sample.
@@ -319,7 +376,9 @@ impl FlatForest {
     #[inline]
     pub fn group_votes_one(&self, row: &[f64]) -> usize {
         if self.interleaves() {
-            self.interleaved_votes(row)
+            let mut votes = [0];
+            self.block_votes(RowsView::single(row), &mut votes);
+            votes[0] as usize
         } else {
             self.sequential_votes(row)
         }
@@ -343,67 +402,65 @@ impl FlatForest {
         votes
     }
 
-    /// The interleaved kernel: each of [`LANES`] lanes holds one undecided
-    /// group and walks that group's current tree, and every pass advances
-    /// all live lanes one level in lockstep. At a leaf a lane applies
-    /// [`majority`]: an undecided group starts its next tree, a decided one
-    /// hands the lane to the next unopened group, and lanes retire when no
-    /// group is left.
-    fn interleaved_votes(&self, row: &[f64]) -> usize {
-        let groups = self.num_groups();
-        let open = |g: usize| {
-            let (first, end) = (self.group_offsets[g], self.group_offsets[g + 1]);
-            let lane = Lane {
-                first,
-                tree: first,
-                end,
-                malware: 0,
-            };
-            (self.roots[first as usize], lane)
-        };
-        let mut cursor = [0u32; LANES];
-        let mut lanes = [Lane::default(); LANES];
-        let mut live = groups.min(LANES);
-        for g in 0..live {
-            (cursor[g], lanes[g]) = open(g);
-        }
-        let mut next = live;
-        let mut votes = 0;
-        while live > 0 {
-            let mut l = 0;
-            while l < live {
-                let at = cursor[l];
-                if at & LEAF_BIT == 0 {
-                    cursor[l] = self.nodes[at as usize].child(row);
-                    l += 1;
-                    continue;
-                }
-                let lane = &mut lanes[l];
-                lane.malware += u32::from(self.leaf_vote[(at & !LEAF_BIT) as usize]);
-                lane.tree += 1;
-                match majority(lane.malware, lane.tree - lane.first, lane.end - lane.first) {
-                    None => {
-                        cursor[l] = self.roots[lane.tree as usize];
-                        l += 1;
+    /// The block kernel: adds the malware group votes of every row of
+    /// `tile` (at most [`BLOCK`] rows) to `votes`.
+    ///
+    /// The tile's undecided `(row, group)` pairs are kept group-major. At
+    /// tree position `p`, [`LANES`] pairs at a time walk the `p`-th tree of
+    /// their group, stepping in lockstep for the largest depth among those
+    /// trees; then each pair adds its leaf's vote and applies [`majority`],
+    /// and the undecided pairs stay, in order, for position `p + 1`. So
+    /// every pair walks exactly the trees the sequential walk does.
+    fn block_votes(&self, tile: RowsView<'_>, votes: &mut [u32]) {
+        PAIRS.with_borrow_mut(|pairs| {
+            pairs.clear();
+            pairs.reserve(tile.rows() * self.num_groups());
+            for group in 0..self.num_groups() as u32 {
+                pairs.extend((0..tile.rows() as u32).map(|row| Pair {
+                    row,
+                    group,
+                    malware: 0,
+                }));
+            }
+            let mut position = 0;
+            while !pairs.is_empty() {
+                let mut kept = 0;
+                for start in (0..pairs.len()).step_by(LANES) {
+                    let live = LANES.min(pairs.len() - start);
+                    let mut cursor = [0u32; LANES];
+                    let mut rows: [&[f64]; LANES] = [&[]; LANES];
+                    let mut depth = 0;
+                    for (lane, (cursor, row)) in cursor.iter_mut().zip(&mut rows).enumerate() {
+                        // Idle lanes of a short chunk repeat its last pair.
+                        let pair = pairs[start + lane.min(live - 1)];
+                        let tree = (self.group_offsets[pair.group as usize] + position) as usize;
+                        *cursor = self.roots[tree];
+                        *row = tile.row(pair.row as usize);
+                        depth = depth.max(self.depths[tree]);
                     }
-                    Some(vote) => {
-                        votes += usize::from(vote);
-                        if next < groups {
-                            (cursor[l], lanes[l]) = open(next);
-                            next += 1;
-                            l += 1;
-                        } else {
-                            // Retire the lane: the last live lane moves into
-                            // its slot and is advanced in this same pass.
-                            live -= 1;
-                            cursor[l] = cursor[live];
-                            lanes[l] = lanes[live];
+                    for _ in 0..depth {
+                        for (cursor, row) in cursor.iter_mut().zip(&rows) {
+                            *cursor = self.nodes[(*cursor & !LEAF_BIT) as usize].child(row);
+                        }
+                    }
+                    for (lane, &leaf) in cursor[..live].iter().enumerate() {
+                        let mut pair = pairs[start + lane];
+                        pair.malware += u32::from(self.leaf_vote[(leaf & !LEAF_BIT) as usize]);
+                        let group = pair.group as usize;
+                        let size = self.group_offsets[group + 1] - self.group_offsets[group];
+                        match majority(pair.malware, position + 1, size) {
+                            Some(vote) => votes[pair.row as usize] += u32::from(vote),
+                            None => {
+                                pairs[kept] = pair;
+                                kept += 1;
+                            }
                         }
                     }
                 }
+                pairs.truncate(kept);
+                position += 1;
             }
-        }
-        votes
+        });
     }
 
     /// Malware group-vote counts for every row of a borrowed batch view.
@@ -414,9 +471,18 @@ impl FlatForest {
     /// of an existing matrix without assembling a copy first.
     pub fn group_votes_batch(&self, batch: RowsView<'_>) -> Vec<u32> {
         let votes_of = |rows: RowsView<'_>| -> Vec<u32> {
-            rows.iter_rows()
-                .map(|row| self.group_votes_one(row) as u32)
-                .collect()
+            if !self.interleaves() {
+                return rows
+                    .iter_rows()
+                    .map(|row| self.sequential_votes(row) as u32)
+                    .collect();
+            }
+            let mut votes = vec![0; rows.rows()];
+            for (block, tile) in votes.chunks_mut(BLOCK).enumerate() {
+                let start = block * BLOCK;
+                self.block_votes(rows.rows_view(start..start + tile.len()), tile);
+            }
+            votes
         };
         let rows = batch.rows();
         if rows < PAR_MIN_ROWS || rayon::current_num_threads() == 1 {
@@ -587,11 +653,28 @@ mod tests {
         Dataset::new(Matrix::from_rows(&rows).unwrap(), labels).unwrap()
     }
 
+    /// The compile invariants: every leaf record loops on itself, every
+    /// tree's stored depth is its nested depth, and the split count leaves
+    /// the leaf records out (a fitted tree has one more leaf than splits).
+    fn assert_compiled(flat: &FlatForest, trees: &[DecisionTree]) {
+        let splits = flat.num_split_nodes();
+        let nodes: usize = trees.iter().map(DecisionTree::num_nodes).sum();
+        assert_eq!(splits, (nodes - trees.len()) / 2);
+        assert_eq!(flat.nodes.len(), nodes);
+        for (record, node) in flat.nodes.iter().enumerate().take(nodes - splits) {
+            let tag = record as u32 | LEAF_BIT;
+            assert_eq!((node.left, node.right), (tag, tag), "record {record}");
+        }
+        let depths: Vec<u32> = trees.iter().map(|t| t.depth() as u32).collect();
+        assert_eq!(flat.depths, depths);
+    }
+
     #[test]
     fn flat_tree_matches_nested_walk() {
         let ds = random_dataset(120, 5, 1);
         let tree = DecisionTreeParams::new().fit(&ds, 2).unwrap();
         let flat = tree.compile();
+        assert_compiled(&flat.forest, std::slice::from_ref(&tree));
         for row in ds.features().iter_rows() {
             assert_eq!(flat.leaf_value(row).to_bits(), {
                 // The nested reference: DecisionTree's own leaf walk.
@@ -609,6 +692,7 @@ mod tests {
             .unwrap();
         let flat = stump.compile();
         assert_eq!(flat.num_split_nodes(), 0);
+        assert_compiled(&flat.forest, std::slice::from_ref(&stump));
         let p = flat.leaf_value(&[0.0, 0.0]);
         assert_eq!(
             p.to_bits(),
@@ -624,6 +708,7 @@ mod tests {
             .collect();
         let flat = compile_groups(&trees).expect("trees compile");
         assert_eq!(flat.num_groups(), 5);
+        assert_compiled(&flat, &trees);
         let batch = flat.group_votes_batch(ds.features().view());
         for (row, &votes) in ds.features().iter_rows().zip(&batch) {
             assert_eq!(flat.group_votes_one(row), votes as usize);
@@ -631,10 +716,12 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_and_sequential_kernels_count_the_same_votes() {
-        // Small forests, so this runs whichever kernel `interleaves` picks:
-        // group counts around one and two full sets of lanes, 1-4 trees per
-        // group, and rows with NaN and infinities.
+    fn block_and_sequential_kernels_count_the_same_votes() {
+        // Small forests, with both kernels called directly whichever one
+        // `interleaves` picks: group counts around one and two full sets of
+        // lanes, 1-4 trees per group, rows with NaN and infinities, and
+        // tiles of 1, 3, 8, 9 and 40 rows, so lane chunks end full, short
+        // and across groups.
         let ds = random_dataset(90, 3, 11);
         let mut rng = StdRng::seed_from_u64(12);
         let rows: Vec<Vec<f64>> = (0..40)
@@ -644,9 +731,11 @@ mod tests {
                 _ => (0..3).map(|_| rng.gen_range(-0.5..1.5)).collect(),
             })
             .collect();
+        let rows = Matrix::from_rows(&rows).unwrap();
         for groups in [1, 2, 7, 8, 9, 16, 17] {
             for trees in 1..=4u64 {
                 let mut builder = FlatForestBuilder::new(3);
+                let mut fitted = Vec::new();
                 for g in 0..groups {
                     builder.begin_group();
                     for t in 0..trees {
@@ -657,15 +746,21 @@ mod tests {
                             .fit(&ds, g * 10 + t)
                             .unwrap();
                         tree.append_flat_group(&mut builder);
+                        fitted.push(tree);
                     }
                 }
                 let flat = builder.finish();
-                for row in &rows {
-                    assert_eq!(
-                        flat.interleaved_votes(row),
-                        flat.sequential_votes(row),
-                        "{groups} groups of {trees} trees"
-                    );
+                assert_compiled(&flat, &fitted);
+                for tile in [1, 3, 8, 9, 40] {
+                    let mut votes = vec![0; tile];
+                    flat.block_votes(rows.rows_view(0..tile), &mut votes);
+                    for (row, &votes) in rows.iter_rows().zip(&votes) {
+                        assert_eq!(
+                            votes as usize,
+                            flat.sequential_votes(row),
+                            "{groups} groups of {trees} trees, {tile} rows"
+                        );
+                    }
                 }
             }
         }

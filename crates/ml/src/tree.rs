@@ -197,6 +197,24 @@ pub(crate) enum Node {
     },
 }
 
+/// Length of the longest root-to-leaf path of a node vector rooted at index
+/// 0 (a single leaf has depth 0).
+///
+/// One reverse pass, linear in the node count: every child index is greater
+/// than its parent's (the grower's layout, and a `from_json` check), so each
+/// node's children are final before the node itself is reached. A document
+/// may share a child between both branches; a recursive walk would visit it
+/// once per path, which doubles with every shared level.
+pub(crate) fn depth_of(nodes: &[Node]) -> usize {
+    let mut depths = vec![0usize; nodes.len()];
+    for (i, node) in nodes.iter().enumerate().rev() {
+        if let Node::Split { left, right, .. } = node {
+            depths[i] = 1 + depths[*left].max(depths[*right]);
+        }
+    }
+    depths[0]
+}
+
 /// A trained CART decision tree.
 ///
 /// # Example
@@ -315,14 +333,7 @@ impl DecisionTree {
 
     /// Depth of the tree (a single leaf has depth 0).
     pub fn depth(&self) -> usize {
-        self.depth_of(0)
-    }
-
-    fn depth_of(&self, index: usize) -> usize {
-        match &self.nodes[index] {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => 1 + self.depth_of(*left).max(self.depth_of(*right)),
-        }
+        depth_of(&self.nodes)
     }
 
     /// Number of features the tree was trained on.

@@ -11,10 +11,11 @@
 //! recomputed from `trees()`, and ensemble votes come from
 //! `BaggingEnsemble::votes`, which always walks the base classifiers.
 //!
-//! Forests whose nodes outgrow L1 count votes with the interleaved lane
-//! kernel; the lane-kernel cases below grow such forests on label noise and
-//! cross every lane boundary (1, 7, 8, 9, 17 and 25 groups), even group
-//! sizes, both batch paths and the split predicate's edge inputs.
+//! Forests whose nodes outgrow L1 count votes with the block kernel; the
+//! block-kernel cases below grow such forests on label noise and cross every
+//! lane boundary (1, 7, 8, 9, 17 and 25 groups), even group sizes, narrow,
+//! partial and pooled batches, and the split predicate's edge inputs, and
+//! decode forests of shared-child chains whose walks end at varied depths.
 
 use hmd_codec::{Json, JsonCodec};
 use hmd_data::{Dataset, Label, Matrix};
@@ -329,7 +330,7 @@ fn from_impls_match_cached_engines() {
 }
 
 /// Labels with no signal, so deep trees keep splitting: even a one-group
-/// ensemble outgrows L1 and takes the interleaved kernel.
+/// ensemble outgrows L1 and takes the block kernel.
 fn noise_dataset(n: usize, d: usize, rng: &mut StdRng) -> Dataset {
     let rows: Vec<Vec<f64>> = (0..n)
         .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect())
@@ -383,7 +384,7 @@ fn edge_probes(splits: &[(usize, f64)], d: usize, count: usize, rng: &mut StdRng
 }
 
 #[test]
-fn lane_kernel_matches_nested_votes_across_shapes_batches_and_edge_inputs() {
+fn block_kernel_matches_nested_votes_across_shapes_batches_and_edge_inputs() {
     let mut rng = StdRng::seed_from_u64(0xF1A7_0009);
     let d = 6;
     // (groups, trees per group): the bench pipeline's 25 x 3, lane counts
@@ -449,10 +450,82 @@ fn lane_kernel_matches_nested_votes_across_shapes_batches_and_edge_inputs() {
             assert_eq!([groups - malware, malware], *expected);
             assert_eq!(ensemble.vote_counts(row), *expected);
         }
-        // Single rows, tile edges, and a batch large enough for the pool.
-        for rows in [1, 63, 64, 65, 300] {
+        // Single rows, narrow batches around one set of lanes, tile edges,
+        // and a batch large enough for the pool.
+        for rows in [1, 2, 7, 8, 9, 63, 64, 65, 300] {
             let counts = ensemble.vote_counts_batch(probes.rows_view(0..rows));
             assert_eq!(counts, reference[..rows], "{groups} x {trees}, {rows} rows");
         }
+    }
+}
+
+/// A document `from_json` accepts whose splits share one child between both
+/// branches on most levels: 64 chained splits, every third of which sends
+/// its right branch to a leaf, and a last split over two leaves. A walk ends
+/// anywhere from level 3 to level 64, and a recursive depth count would
+/// visit the shared tail once per path, about 2^42 times.
+fn shared_child_chain(tree: usize, d: usize, rng: &mut StdRng) -> Json {
+    const SPLITS: usize = 64;
+    let mut leaves = Vec::new();
+    let mut leaf = |rng: &mut StdRng| {
+        leaves.push(Json::object(vec![
+            (
+                "malware_fraction",
+                [0.0, 0.25, 0.75, 1.0][rng.gen_range(0..4usize)].to_json(),
+            ),
+            ("samples", 1usize.to_json()),
+        ]));
+        SPLITS + leaves.len() - 1
+    };
+    let mut nodes = Vec::new();
+    for i in 0..SPLITS {
+        let next = i + 1;
+        let (left, right) = if i == SPLITS - 1 {
+            (leaf(rng), leaf(rng))
+        } else if i % 3 == 2 {
+            (next, leaf(rng))
+        } else {
+            (next, next)
+        };
+        nodes.push(Json::object(vec![
+            ("feature", ((i + tree) % d).to_json()),
+            ("threshold", rng.gen_range(-1.0..1.0).to_json()),
+            ("left", left.to_json()),
+            ("right", right.to_json()),
+        ]));
+    }
+    nodes.extend(leaves);
+    Json::object(vec![
+        ("nodes", Json::Array(nodes)),
+        ("num_features", d.to_json()),
+    ])
+}
+
+#[test]
+fn shared_child_chains_report_their_depth_and_vote_like_the_nested_walk() {
+    let mut rng = StdRng::seed_from_u64(0xF1A7_000A);
+    let d = 5;
+    // 25 chains of 64 splits outgrow L1, so the block kernel steps them.
+    let trees: Vec<Json> = (0..25)
+        .map(|tree| shared_child_chain(tree, d, &mut rng))
+        .collect();
+    let forest = RandomForest::from_json(&Json::object(vec![("trees", Json::Array(trees))]))
+        .expect("increasing child indices decode");
+    assert!(forest.trees().iter().all(|tree| tree.depth() == 64));
+    let flat = forest.flat();
+    assert!(flat.interleaves(), "{} split nodes", flat.num_split_nodes());
+
+    let mut splits = Vec::new();
+    split_points(&forest.to_json(), &mut splits);
+    let probes = edge_probes(&splits, d, 200, &mut rng);
+    let batch = flat.group_votes_batch(probes.view());
+    for (row, &votes) in probes.iter_rows().zip(&batch) {
+        let nested = forest
+            .trees()
+            .iter()
+            .filter(|tree| tree.predict_one(row).is_malware())
+            .count();
+        assert_eq!(votes as usize, nested);
+        assert_eq!(flat.group_votes_one(row), nested);
     }
 }
