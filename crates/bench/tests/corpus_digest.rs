@@ -1,0 +1,105 @@
+//! Bit-identity pins of the generated corpora.
+//!
+//! Every model, figure and committed benchmark number starts from a corpus,
+//! so a change that moves one generated bit moves all of them. Each pin is a
+//! 64-bit FNV-1a hash over a smoke-scale split: train, then known-test, then
+//! unknown, and for every row its feature bits, its label and its sample
+//! metadata. A speed change to the simulators or the feature extractors must
+//! leave every pin as it is.
+//!
+//! The pins are a ratchet: update one only together with a CHANGES.md line
+//! saying why the corpus had to move. The test prints every digest it
+//! computed when any pin fails, so an intended change can copy them.
+
+use hmd_bench::ExperimentScale;
+use hmd_data::split::KnownUnknownSplit;
+use hmd_data::Dataset;
+
+/// 64-bit FNV-1a.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn write_dataset(hash: &mut Fnv1a, dataset: &Dataset) {
+    assert_eq!(
+        dataset.meta().len(),
+        dataset.len(),
+        "corpora carry metadata"
+    );
+    hash.write_u64(dataset.len() as u64);
+    for (i, meta) in dataset.meta().iter().enumerate() {
+        let (row, label) = dataset.sample(i);
+        hash.write_u64(row.len() as u64);
+        for value in row {
+            hash.write_u64(value.to_bits());
+        }
+        hash.write_u64(label.index() as u64);
+        hash.write_u64(u64::from(meta.app.0));
+        hash.write_u64(u64::from(meta.unknown_app));
+    }
+}
+
+fn digest(split: &KnownUnknownSplit) -> u64 {
+    let mut hash = Fnv1a::new();
+    for dataset in [&split.train, &split.test_known, &split.unknown] {
+        write_dataset(&mut hash, dataset);
+    }
+    hash.0
+}
+
+/// Compares every `(seed, pin)` and reports all digests on any mismatch.
+fn check_pins(name: &str, pins: &[(u64, u64)], split: impl Fn(u64) -> KnownUnknownSplit) {
+    let computed: Vec<(u64, u64)> = pins
+        .iter()
+        .map(|&(seed, _)| (seed, digest(&split(seed))))
+        .collect();
+    let report: Vec<String> = computed
+        .iter()
+        .map(|(seed, digest)| format!("(seed {seed}, {digest:#018x})"))
+        .collect();
+    assert_eq!(
+        computed,
+        pins,
+        "{name} corpora moved; computed {}",
+        report.join(", ")
+    );
+}
+
+#[test]
+fn smoke_dvfs_corpora_are_pinned() {
+    check_pins(
+        "DVFS",
+        &[(1, 0x2369_1a0b_4534_7336), (2021, 0x723e_8d08_c24c_a40a)],
+        |seed| {
+            ExperimentScale::Smoke
+                .dvfs_builder()
+                .build_split(seed)
+                .expect("DVFS split")
+        },
+    );
+}
+
+#[test]
+fn smoke_hpc_corpora_are_pinned() {
+    check_pins(
+        "HPC",
+        &[(1, 0x3a0f_d193_73ce_e4ec), (2021, 0x471c_d227_0f1c_513f)],
+        |seed| {
+            ExperimentScale::Smoke
+                .hpc_builder()
+                .build_split(seed)
+                .expect("HPC split")
+        },
+    );
+}

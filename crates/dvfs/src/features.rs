@@ -8,6 +8,10 @@ use crate::spectral::band_energies;
 use crate::trace::DvfsTrace;
 use serde::{Deserialize, Serialize};
 
+/// Features every signature carries whatever the configuration: the four
+/// level moments and the three transition statistics.
+const SCALAR_FEATURES: usize = 7;
+
 /// Configuration of the DVFS signature extractor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureExtractor {
@@ -48,9 +52,16 @@ impl FeatureExtractor {
         names
     }
 
-    /// Number of features produced for a trace with `num_states` DVFS states.
+    /// Number of features produced for a trace with `num_states` DVFS states:
+    /// the length of [`FeatureExtractor::feature_names`], counted without
+    /// formatting the names.
     pub fn num_features(&self, num_states: usize) -> usize {
-        self.feature_names(num_states).len()
+        let dwell_profile = if self.include_dwell_profile {
+            num_states
+        } else {
+            0
+        };
+        num_states + SCALAR_FEATURES + dwell_profile + self.spectral_bands
     }
 
     /// Extracts the signature vector of a trace.
@@ -244,6 +255,16 @@ mod tests {
             without.num_features(8) + 8,
             "dwell profile adds one feature per state"
         );
+        for extractor in [with, without] {
+            for num_states in [1, 4, 8] {
+                assert_eq!(
+                    extractor.num_features(num_states),
+                    extractor.feature_names(num_states).len(),
+                    "{num_states} states, dwell profile {}",
+                    extractor.include_dwell_profile
+                );
+            }
+        }
     }
 
     #[test]

@@ -43,12 +43,13 @@ impl CacheConfig {
             self.size_bytes > 0 && self.line_bytes > 0 && self.ways > 0,
             "cache geometry must be non-zero"
         );
-        let sets = self.size_bytes / (self.line_bytes * self.ways);
+        // A positive multiple of the set size is at least one set.
+        let set_bytes = self.line_bytes * self.ways;
         assert!(
-            sets > 0,
-            "cache too small for its line size and associativity"
+            self.size_bytes.is_multiple_of(set_bytes),
+            "cache capacity must be a multiple of line size x associativity"
         );
-        sets
+        self.size_bytes / set_bytes
     }
 }
 
@@ -227,6 +228,28 @@ mod tests {
             size_bytes: 0,
             line_bytes: 64,
             ways: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of line size x associativity")]
+    fn capacity_off_the_set_size_panics() {
+        // 1000 B of 64 B lines in 8 ways is 1.95 sets; it must not
+        // silently become one 512 B set.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 1000,
+            line_bytes: 64,
+            ways: 8,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of line size x associativity")]
+    fn capacity_below_one_set_panics() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 256,
+            line_bytes: 64,
+            ways: 8,
         });
     }
 }
