@@ -5,7 +5,9 @@
 //! ```
 //!
 //! `experiment` is one of `table1`, `fig4`, `fig5`, `fig7a`, `fig7b`, `fig8`,
-//! `fig9a`, `fig9b`, `headline`, `ablations` or `all` (default).
+//! `fig9a`, `fig9b`, `headline`, `ablations` or `all` (default). Any other
+//! argument, a flag without its value or an unparsable seed prints the usage
+//! line to stderr and exits with code 2 before anything runs.
 //!
 //! `--dump DIR` writes every figure's raw data as a
 //! pretty-printed Rust `Debug` dump, since the offline toolchain has no
@@ -17,6 +19,23 @@ use hmd_bench::{
 };
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: experiments [table1|fig4|fig5|fig7a|fig7b|fig8|fig9a|fig9b|headline|ablations|all] [--scale smoke|bench|paper] [--seed N] [--dump DIR]";
+
+const EXPERIMENTS: [&str; 11] = [
+    "table1",
+    "fig4",
+    "fig5",
+    "fig7a",
+    "fig7b",
+    "fig8",
+    "fig9a",
+    "fig9b",
+    "headline",
+    "ablations",
+    "all",
+];
+
+#[derive(Debug, PartialEq)]
 struct Options {
     experiment: String,
     scale: ExperimentScale,
@@ -24,35 +43,51 @@ struct Options {
     dump_dir: Option<PathBuf>,
 }
 
-fn parse_args() -> Options {
-    let mut experiment = "all".to_string();
+/// Parses the command line (without the program name). Every input is
+/// either understood or rejected: a mistyped seed must not silently rerun
+/// the default one.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut experiment: Option<String> = None;
     let mut scale = ExperimentScale::Bench;
     let mut seed = 2021;
     let mut dump_dir = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .filter(|value| !value.starts_with("--"))
+                .ok_or_else(|| format!("`{arg}` needs a value"))
+        };
         match arg.as_str() {
             "--scale" => {
-                let value = args.next().unwrap_or_default();
-                scale = ExperimentScale::parse(&value).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{value}`, using bench");
-                    ExperimentScale::Bench
-                });
+                let name = value()?;
+                scale = ExperimentScale::parse(&name)
+                    .ok_or_else(|| format!("unknown scale `{name}`"))?;
             }
             "--seed" => {
-                seed = args.next().and_then(|s| s.parse().ok()).unwrap_or(seed);
+                let text = value()?;
+                seed = text
+                    .parse()
+                    .map_err(|_| format!("`{text}` is not a seed (an unsigned integer)"))?;
             }
-            "--dump" => dump_dir = args.next().map(PathBuf::from),
-            other if !other.starts_with("--") => experiment = other.to_string(),
-            other => eprintln!("ignoring unknown flag `{other}`"),
+            "--dump" => dump_dir = Some(PathBuf::from(value()?)),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            name if !EXPERIMENTS.contains(&name) => {
+                return Err(format!("unknown experiment `{name}`"))
+            }
+            name => {
+                if let Some(first) = experiment.replace(name.to_string()) {
+                    return Err(format!("two experiments given: `{first}` and `{name}`"));
+                }
+            }
         }
     }
-    Options {
-        experiment,
+    Ok(Options {
+        experiment: experiment.unwrap_or_else(|| "all".to_string()),
         scale,
         seed,
         dump_dir,
-    }
+    })
 }
 
 fn write_dump<T: std::fmt::Debug>(dir: &Option<PathBuf>, name: &str, value: &T) {
@@ -70,7 +105,13 @@ fn write_dump<T: std::fmt::Debug>(dir: &Option<PathBuf>, name: &str, value: &T) 
 }
 
 fn main() {
-    let options = parse_args();
+    let options = match parse_args(std::env::args().skip(1)) {
+        Ok(options) => options,
+        Err(message) => {
+            eprintln!("experiments: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let scale = options.scale;
     let seed = options.seed;
     let run_all = options.experiment == "all";
@@ -141,5 +182,95 @@ fn main() {
         println!("{}", ablations::render(&diversity, &platt));
         write_dump(&options.dump_dir, "ablation_diversity", &diversity);
         write_dump(&options.dump_dir, "ablation_platt", &platt);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(line.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn a_full_command_line_is_accepted() {
+        assert_eq!(
+            parse("fig7a --scale smoke --seed 7 --dump out"),
+            Ok(Options {
+                experiment: "fig7a".to_string(),
+                scale: ExperimentScale::Smoke,
+                seed: 7,
+                dump_dir: Some(PathBuf::from("out")),
+            })
+        );
+        assert_eq!(
+            parse(""),
+            Ok(Options {
+                experiment: "all".to_string(),
+                scale: ExperimentScale::Bench,
+                seed: 2021,
+                dump_dir: None,
+            })
+        );
+    }
+
+    #[test]
+    fn an_unknown_experiment_is_rejected() {
+        assert_eq!(
+            parse("fig7 --scale smoke"),
+            Err("unknown experiment `fig7`".to_string())
+        );
+    }
+
+    #[test]
+    fn a_second_experiment_is_rejected() {
+        assert_eq!(
+            parse("fig4 fig5"),
+            Err("two experiments given: `fig4` and `fig5`".to_string())
+        );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected() {
+        assert_eq!(
+            parse("fig4 --fast"),
+            Err("unknown flag `--fast`".to_string())
+        );
+    }
+
+    #[test]
+    fn an_unknown_scale_is_rejected() {
+        assert_eq!(
+            parse("--scale smol"),
+            Err("unknown scale `smol`".to_string())
+        );
+    }
+
+    #[test]
+    fn a_missing_seed_is_rejected() {
+        let missing = Err("`--seed` needs a value".to_string());
+        assert_eq!(parse("fig4 --seed"), missing);
+        assert_eq!(parse("--seed --scale smoke"), missing);
+    }
+
+    #[test]
+    fn an_unparsable_seed_is_rejected() {
+        assert_eq!(
+            parse("--seed x"),
+            Err("`x` is not a seed (an unsigned integer)".to_string())
+        );
+        assert_eq!(
+            parse("--seed -1"),
+            Err("`-1` is not a seed (an unsigned integer)".to_string())
+        );
+    }
+
+    #[test]
+    fn a_missing_dump_directory_is_rejected() {
+        assert_eq!(
+            parse("fig4 --dump"),
+            Err("`--dump` needs a value".to_string())
+        );
     }
 }

@@ -1,8 +1,11 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each experiment module produces the data series behind one table or
-//! figure; the `experiments` binary prints them as text tables and JSON, and
-//! the Criterion benches under `benches/` time the regeneration of each one.
+//! figure; the `experiments` binary prints them as text tables (`--dump DIR`
+//! also writes their raw data as `Debug` dumps), and the Criterion benches
+//! under `benches/` time the regeneration of each one.
+//! The `robustness` bench is a plain `main` instead: it writes the committed
+//! `BENCH_robustness.json` record.
 //!
 //! | Paper artifact | Module | Bench target |
 //! |---|---|---|

@@ -65,12 +65,13 @@ pub struct RobustnessConfig {
 }
 
 impl RobustnessConfig {
-    /// The CI smoke configuration (`HMD_BENCH_QUICK=1`).
-    pub fn quick() -> RobustnessConfig {
+    /// The configuration behind the committed `BENCH_robustness.json`,
+    /// which `cargo bench -p hmd_bench --bench robustness` regenerates.
+    pub fn full() -> RobustnessConfig {
         RobustnessConfig {
             scale: ExperimentScale::Smoke,
-            rows_per_attack: 96,
-            evasion_rows: 10,
+            rows_per_attack: 384,
+            evasion_rows: 24,
             mimicry_budget: 0.8,
             drift_sigmas: 4.0,
             fault_probability: 0.35,
@@ -78,15 +79,6 @@ impl RobustnessConfig {
             evasion_passes: 3,
             loop_batch: 32,
             seed: 2021,
-        }
-    }
-
-    /// The full configuration behind the committed `BENCH_robustness.json`.
-    pub fn full() -> RobustnessConfig {
-        RobustnessConfig {
-            rows_per_attack: 384,
-            evasion_rows: 24,
-            ..RobustnessConfig::quick()
         }
     }
 }
@@ -195,7 +187,8 @@ pub struct DriftLoopReport {
     pub recovered_escalation: f64,
 }
 
-/// The full robustness report (serialised into `BENCH_robustness.json`).
+/// The full robustness report (the `robustness` bench records it in
+/// `BENCH_robustness.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessReport {
     /// Scale preset the run used.
@@ -628,7 +621,7 @@ mod tests {
         RobustnessConfig {
             rows_per_attack: 48,
             evasion_rows: 4,
-            ..RobustnessConfig::quick()
+            ..RobustnessConfig::full()
         }
     }
 

@@ -151,7 +151,7 @@ mod tests {
         let c = classify("examples/quickstart.rs").unwrap();
         assert_eq!(c.kind, FileKind::Example);
 
-        let c = classify("crates/bench/benches/fit_throughput.rs").unwrap();
+        let c = classify("crates/bench/benches/robustness.rs").unwrap();
         assert_eq!(c.kind, FileKind::Bench);
     }
 

@@ -328,6 +328,33 @@ mod tests {
         assert_eq!(detector.observe(&window(2, 20, 0.9)), DriftVerdict::Drifted);
     }
 
+    /// Reaction latency in served rows: calibrated on 32-row windows at
+    /// 10 % escalation (3 rows), a step to 30, 50 and 80 % (10, 16 and 26
+    /// rows) first reads `Drifted` after exactly 128, 64 and 32 rows.
+    #[test]
+    fn larger_escalation_steps_are_detected_in_fewer_rows() {
+        const ROWS: usize = 32;
+        let reaction_rows = |escalated: usize| {
+            let mut detector = DriftDetector::new(DriftPolicy::default());
+            while detector.baseline().is_none() {
+                assert_eq!(
+                    detector.observe(&window(3, ROWS, 0.9)),
+                    DriftVerdict::Stable
+                );
+            }
+            let mut rows = 0;
+            loop {
+                rows += ROWS;
+                if detector.observe(&window(escalated, ROWS, 0.9)) == DriftVerdict::Drifted {
+                    return rows;
+                }
+                assert!(rows < 10_000, "a step to {escalated}/{ROWS} never drifted");
+            }
+        };
+        let rows: Vec<usize> = [10, 16, 26].into_iter().map(reaction_rows).collect();
+        assert_eq!(rows, [128, 64, 32]);
+    }
+
     #[test]
     fn entropy_creep_without_escalations_is_detected() {
         // Escalation rate constant at zero; only the accepted windows'

@@ -121,9 +121,8 @@ impl<E: Estimator> BaggingParams<E> {
 
     /// The pre-optimisation training path: materialises every bootstrap
     /// replicate with [`Dataset::select`] and trains the bases through
-    /// [`Estimator::fit_reference`]. Retained for the equivalence suite and
-    /// the `fit_throughput` bench; everything else should call
-    /// [`BaggingParams::fit`].
+    /// [`Estimator::fit_reference`]. Retained for the equivalence suite;
+    /// everything else should call [`BaggingParams::fit`].
     ///
     /// # Errors
     ///

@@ -192,9 +192,8 @@ impl RandomForest {
 
     /// The pre-optimisation training path: materialises every bootstrap
     /// replicate with [`Dataset::select`] and grows trees with the
-    /// per-node-sorting reference fitter. Retained for the equivalence suite
-    /// and the `fit_throughput` bench; everything else should call
-    /// [`RandomForest::fit`].
+    /// per-node-sorting reference fitter. Retained for the equivalence
+    /// suite; everything else should call [`RandomForest::fit`].
     ///
     /// # Errors
     ///

@@ -160,7 +160,7 @@ pub trait Estimator: Send + Sync + Clone {
     }
 
     /// The pre-optimisation training path, retained so the equivalence suite
-    /// and the `fit_throughput` bench can compare against it. Tree-based
+    /// can compare against it. Tree-based
     /// learners override this with the per-node-sorting fitter and
     /// materialised bootstrap copies; learners with a single training path
     /// default to [`Estimator::fit`].

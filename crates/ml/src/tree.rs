@@ -295,8 +295,8 @@ impl DecisionTree {
     /// every candidate feature at every node, reading features row-major.
     ///
     /// Retained as the reference path the presorted columnar engine is
-    /// proven against (`tests/fit_equivalence.rs`) and benchmarked against
-    /// (`fit_throughput`); everything else should call [`DecisionTree::fit`].
+    /// proven against (`tests/fit_equivalence.rs`); everything else should
+    /// call [`DecisionTree::fit`].
     ///
     /// # Errors
     ///

@@ -982,7 +982,7 @@ impl ShardTicket {
 mod tests {
     use super::*;
     use crate::supervisor::Supervisor;
-    use crate::ShardedFleet;
+    use crate::{FaultInjector, FaultPlan, ShardedFleet};
     use hmd_core::detector::{DetectorBackend, DetectorConfig, DetectorExt};
     use hmd_data::{Dataset, Label};
     use rand::rngs::StdRng;
@@ -1272,8 +1272,11 @@ mod tests {
     #[test]
     fn shadow_scores_same_tiles_without_touching_served_rows_or_champion_stats() {
         let fleet = fleet(4, Duration::from_secs(5));
-        let champion = trained(5, 30);
-        let challenger = trained(9, 31);
+        // Fault-free injectors: bit-transparent wrappers that count
+        // `detect_rows` calls.
+        let champion = FaultInjector::new(trained(5, 30), FaultPlan::new());
+        let challenger = FaultInjector::new(trained(9, 31), FaultPlan::new());
+        let (champion_calls, shadow_calls) = (champion.counters(), challenger.counters());
         let test = blobs(8, 32);
 
         // Reference run: the same champion, no shadow anywhere near it.
@@ -1282,9 +1285,9 @@ mod tests {
         let expected_reports = reference.score_batch("ep", test.features()).unwrap();
         let expected_direct = trained(9, 31).detect_batch(test.features()).unwrap();
 
-        fleet.deploy("ep", champion).unwrap();
+        fleet.deploy("ep", Box::new(champion)).unwrap();
         assert_eq!(fleet.shadow_stats("ep").unwrap(), None);
-        fleet.deploy_shadow("ep", challenger).unwrap();
+        fleet.deploy_shadow("ep", Box::new(challenger)).unwrap();
 
         // Tile path: two 4-row tiles drain; shadow sees both.
         let tickets: Vec<ShardTicket> = test
@@ -1310,12 +1313,20 @@ mod tests {
             .filter(|r| r.decision.is_escalation())
             .count();
         assert_eq!(snapshot.stats.escalated, expected_escalations);
-        assert!(snapshot.detector.starts_with("trusted[9x"));
+        assert!(snapshot.detector.starts_with("faulty[trusted[9x"));
+        // Shadow cost ceiling: the shadow scores each drained tile in one
+        // batch call, exactly as the champion does — never row by row and
+        // never twice.
+        assert_eq!(champion_calls.calls(), 2, "one champion call per tile");
+        assert_eq!(shadow_calls.calls(), 2, "one shadow call per tile");
 
         // Promotion publishes the challenger as v2 and empties the slot.
         assert_eq!(fleet.promote_shadow("ep").unwrap(), 2);
         assert_eq!(fleet.shadow_stats("ep").unwrap(), None);
-        assert!(fleet.detector_name("ep").unwrap().starts_with("trusted[9x"));
+        assert!(fleet
+            .detector_name("ep")
+            .unwrap()
+            .starts_with("faulty[trusted[9x"));
         let promoted = fleet.score_batch("ep", test.features()).unwrap();
         for (got, want) in promoted.iter().zip(&expected_direct) {
             assert_eq!(got.version, 2);
@@ -1323,7 +1334,10 @@ mod tests {
         }
         // Rollback restores the pre-promotion champion.
         assert_eq!(fleet.rollback("ep").unwrap(), 1);
-        assert!(fleet.detector_name("ep").unwrap().starts_with("trusted[5x"));
+        assert!(fleet
+            .detector_name("ep")
+            .unwrap()
+            .starts_with("faulty[trusted[5x"));
 
         // Promotion without a shadow is the typed code-9 error.
         assert_eq!(

@@ -4,105 +4,25 @@
 //! surface the workspace's benches use, backed by a plain wall-clock timing
 //! loop: one warm-up iteration, then `sample_size` timed iterations, with
 //! mean/min/max printed per benchmark. There is no statistical analysis,
-//! HTML report or outlier rejection — the benches exist to track relative
-//! regressions between PRs, and a mean over a fixed iteration count does
-//! that offline.
-//!
-//! Unlike real criterion, the shim can also emit **machine-readable
-//! results**: configure [`Criterion::with_json_report`] and every
-//! `bench_function` record (name, mean/min/max ns, and — when a
-//! [`Throughput`] was declared — elements per iteration and derived
-//! elements/second) is written as a JSON document when the `Criterion`
-//! value drops, so CI and cross-PR tooling can diff performance without
-//! scraping console output.
+//! HTML report, outlier rejection or machine-readable output: the
+//! paper-figure benches print their figure and a rough regeneration time,
+//! and performance is gated by the repository benchmark (`benchmark/`)
+//! instead.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Throughput declaration for the next benchmark (criterion's API subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Throughput {
-    /// The routine processes this many elements per iteration (e.g. the
-    /// batch size of a batch-inference call).
-    Elements(u64),
-}
-
-/// One finished benchmark, as recorded for the JSON report.
-#[derive(Debug, Clone)]
-struct Record {
-    id: String,
-    mean_ns: u128,
-    min_ns: u128,
-    max_ns: u128,
-    samples: usize,
-    elements: Option<u64>,
-}
-
-impl Record {
-    fn elements_per_sec(&self) -> Option<f64> {
-        let elements = self.elements?;
-        if self.mean_ns == 0 {
-            return None;
-        }
-        Some(elements as f64 * 1e9 / self.mean_ns as f64)
-    }
-
-    fn to_json(&self) -> String {
-        let mut fields = vec![
-            format!("\"name\": {}", json_string(&self.id)),
-            format!("\"mean_ns\": {}", self.mean_ns),
-            format!("\"min_ns\": {}", self.min_ns),
-            format!("\"max_ns\": {}", self.max_ns),
-            format!("\"samples\": {}", self.samples),
-        ];
-        if let Some(elements) = self.elements {
-            fields.push(format!("\"elements_per_iter\": {elements}"));
-        }
-        if let Some(rate) = self.elements_per_sec() {
-            fields.push(format!("\"elements_per_sec\": {rate:.1}"));
-        }
-        format!("    {{{}}}", fields.join(", "))
-    }
-}
-
-fn json_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Benchmark driver handed to every target of a `criterion_group!`.
 pub struct Criterion {
     sample_size: usize,
-    next_throughput: Option<u64>,
-    json_path: Option<PathBuf>,
-    notes: Vec<(String, String)>,
-    records: Vec<Record>,
 }
 
 impl Default for Criterion {
     fn default() -> Criterion {
-        Criterion {
-            sample_size: 20,
-            next_throughput: None,
-            json_path: None,
-            notes: Vec::new(),
-            records: Vec::new(),
-        }
+        Criterion { sample_size: 20 }
     }
 }
 
@@ -111,29 +31,6 @@ impl Criterion {
     #[must_use]
     pub fn sample_size(mut self, n: usize) -> Criterion {
         self.sample_size = n.max(1);
-        self
-    }
-
-    /// Writes every recorded benchmark to `path` as a JSON document when
-    /// this `Criterion` is dropped (i.e. at the end of the group).
-    #[must_use]
-    pub fn with_json_report(mut self, path: impl Into<PathBuf>) -> Criterion {
-        self.json_path = Some(path.into());
-        self
-    }
-
-    /// Attaches a free-form key/value note to the JSON report (pipeline
-    /// name, scale, baseline numbers from earlier PRs, ...).
-    pub fn json_note(&mut self, key: &str, value: impl Into<String>) -> &mut Criterion {
-        self.notes.push((key.to_string(), value.into()));
-        self
-    }
-
-    /// Declares the throughput of the *next* `bench_function` call, so its
-    /// JSON record carries `elements_per_iter` and `elements_per_sec`.
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Criterion {
-        let Throughput::Elements(elements) = throughput;
-        self.next_throughput = Some(elements);
         self
     }
 
@@ -147,7 +44,6 @@ impl Criterion {
             samples: Vec::new(),
         };
         routine(&mut bencher);
-        let elements = self.next_throughput.take();
         if bencher.samples.is_empty() {
             println!("{id:<40} (no samples — b.iter was never called)");
             return self;
@@ -156,59 +52,14 @@ impl Criterion {
         let mean = total / bencher.samples.len() as u32;
         let min = *bencher.samples.iter().min().expect("non-empty");
         let max = *bencher.samples.iter().max().expect("non-empty");
-        let record = Record {
-            id: id.to_string(),
-            mean_ns: mean.as_nanos(),
-            min_ns: min.as_nanos(),
-            max_ns: max.as_nanos(),
-            samples: bencher.samples.len(),
-            elements,
-        };
-        let rate = record
-            .elements_per_sec()
-            .map(|r| format!(" ({r:.0} elem/s)"))
-            .unwrap_or_default();
         println!(
-            "{id:<40} mean {:>12} min {:>12} max {:>12} ({} samples){rate}",
+            "{id:<40} mean {:>12} min {:>12} max {:>12} ({} samples)",
             fmt_duration(mean),
             fmt_duration(min),
             fmt_duration(max),
-            record.samples,
+            bencher.samples.len(),
         );
-        self.records.push(record);
         self
-    }
-
-    fn write_json_report(&self) {
-        let Some(path) = &self.json_path else {
-            return;
-        };
-        let mut doc = String::from("{\n");
-        if !self.notes.is_empty() {
-            doc.push_str("  \"notes\": {\n");
-            let lines: Vec<String> = self
-                .notes
-                .iter()
-                .map(|(k, v)| format!("    {}: {}", json_string(k), json_string(v)))
-                .collect();
-            doc.push_str(&lines.join(",\n"));
-            doc.push_str("\n  },\n");
-        }
-        doc.push_str("  \"results\": [\n");
-        let lines: Vec<String> = self.records.iter().map(Record::to_json).collect();
-        doc.push_str(&lines.join(",\n"));
-        doc.push_str("\n  ]\n}\n");
-        if let Err(err) = std::fs::write(path, doc) {
-            eprintln!("criterion shim: failed to write {}: {err}", path.display());
-        } else {
-            println!("json report written to {}", path.display());
-        }
-    }
-}
-
-impl Drop for Criterion {
-    fn drop(&mut self) {
-        self.write_json_report();
     }
 }
 
@@ -292,33 +143,5 @@ mod tests {
         assert!(fmt_duration(Duration::from_micros(12)).ends_with("µs"));
         assert!(fmt_duration(Duration::from_millis(12)).ends_with("ms"));
         assert!(fmt_duration(Duration::from_secs(2)).ends_with(" s"));
-    }
-
-    #[test]
-    fn json_report_is_written_with_throughput_and_notes() {
-        let path = std::env::temp_dir().join("criterion_shim_report_test.json");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut criterion = Criterion::default().sample_size(3).with_json_report(&path);
-            criterion.json_note("pipeline", "test-pipeline");
-            criterion.throughput(Throughput::Elements(64));
-            criterion.bench_function("bench_64", |b| {
-                b.iter(|| std::thread::sleep(Duration::from_micros(50)))
-            });
-            criterion.bench_function("no_throughput", |b| b.iter(|| 1 + 1));
-        } // drop writes the report
-        let text = std::fs::read_to_string(&path).expect("report written");
-        assert!(text.contains("\"name\": \"bench_64\""));
-        assert!(text.contains("\"elements_per_iter\": 64"));
-        assert!(text.contains("\"elements_per_sec\":"));
-        assert!(text.contains("\"pipeline\": \"test-pipeline\""));
-        assert!(text.contains("\"no_throughput\""));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
     }
 }

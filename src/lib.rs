@@ -81,8 +81,8 @@
 //! hot-swaps a new model version while in-flight tickets finish on the
 //! version that accepted them, [`serve::ShardedFleet::rollback`] restores
 //! the previous one, and every result arrives as a [`serve::ShardedReport`]
-//! stamped with the version that scored it. `BENCH_serve.json` tracks the
-//! fleet-vs-direct throughput gap.
+//! stamped with the version that scored it. The repository benchmark's
+//! `dvfs_fleet_bursts` workload (`benchmark/`) measures this path.
 //!
 //! Every endpoint runs on [`serve::ShardConfig::replicas`] replicas —
 //! `ShardedFleet::new(1)` is the single-endpoint fleet. When concurrent
@@ -94,7 +94,6 @@
 //! on lock-stepped versions, deploy/rollback fan out atomically per
 //! replica, and [`serve::ShardedFleet::stats`] merges per-replica
 //! [`core::detector::MonitorStats`] into one fleet-wide view.
-//! `BENCH_serve_scaling.json` tracks the scorer-threads × replicas matrix.
 //!
 //! # The flat inference engine
 //!
@@ -111,7 +110,9 @@
 //! in `crates/ml/tests/flat_equivalence.rs` enforces. On the smoke
 //! random-forest pipeline this lifted `detect_batch` from ~95k to ~2.7M
 //! samples/s at batch 1 and from ~2.4M to ~4.2M samples/s at batch 4096
-//! (single-core container; see `BENCH_detect_batch.json`).
+//! (single-core container). The repository benchmark's
+//! `core.detect_ns_per_row.b1|b64|b4096` probes and its `hpc_offline_batch`
+//! workload measure this path.
 //!
 //! # The fast-fit training engine
 //!
@@ -127,9 +128,10 @@
 //! trees **bit-identical** to the retained pre-optimisation fitters (the
 //! `fit_reference` paths), which `crates/ml/tests/fit_equivalence.rs`
 //! enforces. On the smoke 15-estimator bagged-forest pipeline this lifted
-//! training from ~91 to ~409 fits/s (4.5×, single-core container; see
-//! `BENCH_fit.json`); cross-validation folds also run in parallel over the
-//! same views.
+//! training from ~91 to ~409 fits/s (4.5×, single-core container; the
+//! repository benchmark's `ml.fit_ms` and `ml.refit_ms` probes measure
+//! training); cross-validation folds also run in parallel over the same
+//! views.
 //!
 //! ```
 //! use hmd::core::detector::{load, save, DetectorBackend, DetectorConfig, MonitorSession};
