@@ -2,10 +2,10 @@
 //!
 //! Every model, figure and committed benchmark number starts from a corpus,
 //! so a change that moves one generated bit moves all of them. Each pin is a
-//! 64-bit FNV-1a hash over a smoke-scale split: train, then known-test, then
-//! unknown, and for every row its feature bits, its label and its sample
-//! metadata. A speed change to the simulators or the feature extractors must
-//! leave every pin as it is.
+//! 64-bit FNV-1a hash over a smoke-scale split (train, then known-test, then
+//! unknown) or over the first rows of a corpus stream, and for every row its
+//! feature bits, its label and its sample metadata. A speed change to the
+//! simulators or the feature extractors must leave every pin as it is.
 //!
 //! The pins are a ratchet: update one only together with a CHANGES.md line
 //! saying why the corpus had to move. The test prints every digest it
@@ -13,7 +13,9 @@
 
 use hmd_bench::ExperimentScale;
 use hmd_data::split::KnownUnknownSplit;
-use hmd_data::Dataset;
+use hmd_data::{Dataset, Label, SampleMeta};
+use hmd_hpc::sampler::Sampler;
+use hmd_hpc::stream::HpcCorpusStream;
 
 /// 64-bit FNV-1a.
 struct Fnv1a(u64);
@@ -40,14 +42,18 @@ fn write_dataset(hash: &mut Fnv1a, dataset: &Dataset) {
     hash.write_u64(dataset.len() as u64);
     for (i, meta) in dataset.meta().iter().enumerate() {
         let (row, label) = dataset.sample(i);
-        hash.write_u64(row.len() as u64);
-        for value in row {
-            hash.write_u64(value.to_bits());
-        }
-        hash.write_u64(label.index() as u64);
-        hash.write_u64(u64::from(meta.app.0));
-        hash.write_u64(u64::from(meta.unknown_app));
+        write_row(hash, row, label, meta);
     }
+}
+
+fn write_row(hash: &mut Fnv1a, row: &[f64], label: Label, meta: &SampleMeta) {
+    hash.write_u64(row.len() as u64);
+    for value in row {
+        hash.write_u64(value.to_bits());
+    }
+    hash.write_u64(label.index() as u64);
+    hash.write_u64(u64::from(meta.app.0));
+    hash.write_u64(u64::from(meta.unknown_app));
 }
 
 fn digest(split: &KnownUnknownSplit) -> u64 {
@@ -59,10 +65,10 @@ fn digest(split: &KnownUnknownSplit) -> u64 {
 }
 
 /// Compares every `(seed, pin)` and reports all digests on any mismatch.
-fn check_pins(name: &str, pins: &[(u64, u64)], split: impl Fn(u64) -> KnownUnknownSplit) {
+fn check_pins(name: &str, pins: &[(u64, u64)], digest_of: impl Fn(u64) -> u64) {
     let computed: Vec<(u64, u64)> = pins
         .iter()
-        .map(|&(seed, _)| (seed, digest(&split(seed))))
+        .map(|&(seed, _)| (seed, digest_of(seed)))
         .collect();
     let report: Vec<String> = computed
         .iter()
@@ -82,10 +88,12 @@ fn smoke_dvfs_corpora_are_pinned() {
         "DVFS",
         &[(1, 0x2369_1a0b_4534_7336), (2021, 0x723e_8d08_c24c_a40a)],
         |seed| {
-            ExperimentScale::Smoke
-                .dvfs_builder()
-                .build_split(seed)
-                .expect("DVFS split")
+            digest(
+                &ExperimentScale::Smoke
+                    .dvfs_builder()
+                    .build_split(seed)
+                    .expect("DVFS split"),
+            )
         },
     );
 }
@@ -96,10 +104,31 @@ fn smoke_hpc_corpora_are_pinned() {
         "HPC",
         &[(1, 0x3a0f_d193_73ce_e4ec), (2021, 0x471c_d227_0f1c_513f)],
         |seed| {
-            ExperimentScale::Smoke
-                .hpc_builder()
-                .build_split(seed)
-                .expect("HPC split")
+            digest(
+                &ExperimentScale::Smoke
+                    .hpc_builder()
+                    .build_split(seed)
+                    .expect("HPC split"),
+            )
+        },
+    );
+}
+
+/// The stream keeps one warmed core per program, so it takes another path
+/// through the simulator than the batch builder: 72 rows are four
+/// round-robin passes over the 18-program catalog.
+#[test]
+fn smoke_hpc_stream_is_pinned() {
+    check_pins(
+        "HPC stream",
+        &[(1, 0xba9e_1998_1736_cbb4), (2021, 0xde1c_427a_a965_e51a)],
+        |seed| {
+            let stream = HpcCorpusStream::full_catalog(Sampler::new(), seed).expect("HPC stream");
+            let mut hash = Fnv1a::new();
+            for record in stream.take(72) {
+                write_row(&mut hash, &record.features, record.label, &record.meta);
+            }
+            hash.0
         },
     );
 }

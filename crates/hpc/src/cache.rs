@@ -37,11 +37,17 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero sizes or capacity not a
-    /// multiple of `line_bytes × ways`).
+    /// multiple of `line_bytes × ways`), if `line_bytes` is not a power of
+    /// two, or if the set count is not a power of two: a [`Cache`] finds a
+    /// line's set and tag by shift and mask.
     pub fn num_sets(&self) -> usize {
         assert!(
             self.size_bytes > 0 && self.line_bytes > 0 && self.ways > 0,
             "cache geometry must be non-zero"
+        );
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two"
         );
         // A positive multiple of the set size is at least one set.
         let set_bytes = self.line_bytes * self.ways;
@@ -49,30 +55,50 @@ impl CacheConfig {
             self.size_bytes.is_multiple_of(set_bytes),
             "cache capacity must be a multiple of line size x associativity"
         );
-        self.size_bytes / set_bytes
+        let num_sets = self.size_bytes / set_bytes;
+        assert!(
+            num_sets.is_power_of_two(),
+            "cache set count must be a power of two"
+        );
+        num_sets
     }
 }
 
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Only tag state is modelled (no data), which is all the counter simulation
-/// needs.
+/// needs. The tags of every set sit in one flat array, each set's slice
+/// ordered most recently used first.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets[set][way] = Some(tag)`, most-recently-used first.
-    sets: Vec<Vec<u64>>,
+    /// `log2(line_bytes)`: an address's line is `address >> line_shift`.
+    line_shift: u32,
+    /// `log2(num_sets)`: a line's tag is `line >> set_shift`.
+    set_shift: u32,
+    /// `tags[set * ways..][..filled[set]]`: the set's resident tags, most
+    /// recently used first. Slots past `filled[set]` hold 0.
+    tags: Vec<u64>,
+    /// Resident tags per set.
+    filled: Vec<usize>,
     hits: u64,
     misses: u64,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheConfig::num_sets`] rejects.
     pub fn new(config: CacheConfig) -> Cache {
         let num_sets = config.num_sets();
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); num_sets],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: num_sets.trailing_zeros(),
+            tags: vec![0; num_sets * config.ways],
+            filled: vec![0; num_sets],
             hits: 0,
             misses: 0,
         }
@@ -84,25 +110,33 @@ impl Cache {
     }
 
     /// Performs one access to byte address `address`. Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, address: u64) -> bool {
-        let line = address / self.config.line_bytes as u64;
-        let set_index = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[set_index];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.insert(0, t);
-            self.hits += 1;
-            true
-        } else {
-            if set.len() == self.config.ways {
-                set.pop(); // evict LRU
+        let line = address >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
+        let ways = self.config.ways;
+        let slots = &mut self.tags[set * ways..(set + 1) * ways];
+        let filled = &mut self.filled[set];
+        let hit = slots[..*filled].iter().position(|&t| t == tag);
+        // The slot the tag comes from (a hit) or the one a miss frees: the
+        // first empty slot, or the LRU way of a full set.
+        let from = match hit {
+            Some(way) => way,
+            None if *filled < ways => {
+                *filled += 1;
+                *filled - 1
             }
-            set.insert(0, tag);
+            None => ways - 1,
+        };
+        slots.copy_within(..from, 1);
+        slots[0] = tag;
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
             self.misses += 1;
-            false
         }
+        hit.is_some()
     }
 
     /// Number of hits since construction or the last [`Cache::reset_stats`].
@@ -129,9 +163,8 @@ impl Cache {
 
     /// Empties the cache and clears the statistics.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.tags.fill(0);
+        self.filled.fill(0);
         self.reset_stats();
     }
 }
@@ -139,6 +172,47 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The move-to-front reference: one `Vec` of tags per set, most recently
+    /// used first, found by division.
+    struct MoveToFront {
+        line_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<u64>>,
+    }
+
+    impl MoveToFront {
+        fn new(config: CacheConfig) -> MoveToFront {
+            MoveToFront {
+                line_bytes: config.line_bytes as u64,
+                ways: config.ways,
+                sets: vec![Vec::new(); config.num_sets()],
+            }
+        }
+
+        fn access(&mut self, address: u64) -> bool {
+            let line = address / self.line_bytes;
+            let num_sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % num_sets) as usize];
+            let tag = line / num_sets;
+            let hit = match set.iter().position(|&t| t == tag) {
+                Some(way) => {
+                    set.remove(way);
+                    true
+                }
+                None => {
+                    if set.len() == self.ways {
+                        set.pop();
+                    }
+                    false
+                }
+            };
+            set.insert(0, tag);
+            hit
+        }
+    }
 
     fn tiny_cache() -> Cache {
         // 4 sets x 2 ways x 64-byte lines = 512 bytes
@@ -147,6 +221,34 @@ mod tests {
             line_bytes: 64,
             ways: 2,
         })
+    }
+
+    #[test]
+    fn flat_sets_hit_and_miss_like_move_to_front() {
+        let geometries = [tiny_cache().config, CacheConfig::l1d(), CacheConfig::llc()];
+        for (seed, config) in geometries.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut flat = Cache::new(config);
+            let mut reference = MoveToFront::new(config);
+            // Mostly a region three times the capacity, so sets fill, hit,
+            // evict and refill; now and then a line anywhere in the address
+            // space, so the top tag bits take part.
+            let region = 3 * config.size_bytes as u64;
+            for i in 0..200_000 {
+                let address = if rng.gen_bool(0.01) {
+                    rng.gen::<u64>()
+                } else {
+                    rng.gen_range(0..region)
+                };
+                let expected = reference.access(address);
+                assert_eq!(
+                    flat.access(address),
+                    expected,
+                    "{config:?}: access {i} to {address:#x}"
+                );
+            }
+            assert!(flat.hits() > 0 && flat.misses() > 0, "{config:?}");
+        }
     }
 
     #[test]
@@ -240,6 +342,29 @@ mod tests {
             size_bytes: 1000,
             line_bytes: 64,
             ways: 8,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn line_size_off_a_power_of_two_panics() {
+        // Ten 96 B sets: a whole number of sets, but 48 B lines cannot be
+        // found by shift.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 960,
+            line_bytes: 48,
+            ways: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn set_count_off_a_power_of_two_panics() {
+        // Three 128 B sets: a whole number of sets, but not a mask's worth.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 384,
+            line_bytes: 64,
+            ways: 2,
         });
     }
 

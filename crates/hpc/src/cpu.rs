@@ -1,10 +1,13 @@
-//! The simulated in-order core: executes abstract instruction streams and
-//! accumulates hardware performance counters.
+//! The simulated in-order core: replays drawn instruction traces through its
+//! caches and branch predictor and counts hardware performance events.
 
 use crate::branch::BranchPredictor;
 use crate::cache::{Cache, CacheConfig};
 use crate::counters::CounterSet;
-use crate::workload::{Instruction, ProgramModel, ProgramState};
+use crate::trace::IntervalTrace;
+#[cfg(test)]
+use crate::workload::Instruction;
+use crate::workload::{ProgramModel, ProgramState};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +61,6 @@ pub struct Cpu {
     l1d: Cache,
     llc: Cache,
     branch_predictor: BranchPredictor,
-    counters: CounterSet,
 }
 
 impl Cpu {
@@ -68,7 +70,6 @@ impl Cpu {
             l1d: Cache::new(config.l1d),
             llc: Cache::new(config.llc),
             branch_predictor: BranchPredictor::new(config.branch_table),
-            counters: CounterSet::new(),
             config,
         }
     }
@@ -78,59 +79,15 @@ impl Cpu {
         &self.config
     }
 
-    /// Counters accumulated since the last [`Cpu::take_counters`].
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
-    }
-
-    /// Returns the accumulated counters and starts a new sampling interval
-    /// (micro-architectural state — caches, predictor — is preserved, exactly
-    /// like reading perf counters on real hardware).
-    pub fn take_counters(&mut self) -> CounterSet {
-        let snapshot = self.counters;
-        self.counters = CounterSet::new();
-        snapshot
-    }
-
-    /// Executes a single abstract instruction.
-    pub fn execute(&mut self, instruction: Instruction) {
-        self.counters.instructions += 1;
-        match instruction {
-            Instruction::Alu => {
-                self.counters.cycles += self.config.alu_latency;
-            }
-            Instruction::Load(address) | Instruction::Store(address) => {
-                if matches!(instruction, Instruction::Load(_)) {
-                    self.counters.loads += 1;
-                } else {
-                    self.counters.stores += 1;
-                }
-                self.counters.l1d_accesses += 1;
-                let mut latency = self.config.l1_hit_latency;
-                if !self.l1d.access(address) {
-                    self.counters.l1d_misses += 1;
-                    self.counters.llc_accesses += 1;
-                    latency += self.config.llc_hit_latency;
-                    if !self.llc.access(address) {
-                        self.counters.llc_misses += 1;
-                        latency += self.config.memory_latency;
-                    }
-                }
-                self.counters.cycles += latency;
-            }
-            Instruction::Branch { address, taken } => {
-                self.counters.branches += 1;
-                self.counters.cycles += self.config.alu_latency;
-                if !self.branch_predictor.predict_and_update(address, taken) {
-                    self.counters.branch_misses += 1;
-                    self.counters.cycles += self.config.branch_miss_penalty;
-                }
-            }
-        }
-    }
-
     /// Runs `num_instructions` instructions of the given program model and
-    /// returns the counters of that interval.
+    /// returns the counters of that interval. Micro-architectural state
+    /// (caches, predictor) carries over to the next interval, exactly like
+    /// reading perf counters on real hardware.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's random-access fraction, branch bias or branch
+    /// noise is NaN.
     pub fn run_interval<R: Rng>(
         &mut self,
         program: &ProgramModel,
@@ -138,11 +95,96 @@ impl Cpu {
         num_instructions: u64,
         rng: &mut R,
     ) -> CounterSet {
-        for _ in 0..num_instructions {
-            let instruction = program.next_instruction(state, rng);
-            self.execute(instruction);
+        let mut trace = IntervalTrace::with_capacity(num_instructions);
+        trace.draw(program, state, num_instructions, rng);
+        self.replay(&trace)
+    }
+
+    /// The replay stage: runs a drawn interval's addresses through the L1
+    /// and, on a miss, the LLC, and its branches through the predictor, then
+    /// returns the interval's counters with the trace's measurement noise
+    /// applied. Cycles follow from the counts: every ALU op and branch costs
+    /// `alu_latency`, every access an L1 hit, every L1 miss an LLC hit,
+    /// every LLC miss a memory access and every misprediction the flush
+    /// penalty.
+    pub(crate) fn replay(&mut self, trace: &IntervalTrace) -> CounterSet {
+        let mut l1d_misses = 0;
+        let mut llc_misses = 0;
+        for &address in trace.addresses() {
+            if !self.l1d.access(address) {
+                l1d_misses += 1;
+                llc_misses += u64::from(!self.llc.access(address));
+            }
         }
-        self.take_counters()
+        let mut branch_misses = 0;
+        for &branch in trace.branches() {
+            let correct = self
+                .branch_predictor
+                .predict_and_update(branch & !1, branch & 1 == 1);
+            branch_misses += u64::from(!correct);
+        }
+        let accesses = trace.addresses().len() as u64;
+        let branches = trace.branches().len() as u64;
+        let config = &self.config;
+        let mut counters = CounterSet {
+            instructions: trace.instructions(),
+            cycles: (trace.instructions() - accesses) * config.alu_latency
+                + accesses * config.l1_hit_latency
+                + l1d_misses * config.llc_hit_latency
+                + llc_misses * config.memory_latency
+                + branch_misses * config.branch_miss_penalty,
+            branches,
+            branch_misses,
+            l1d_accesses: accesses,
+            l1d_misses,
+            llc_accesses: l1d_misses,
+            llc_misses,
+            loads: trace.loads(),
+            stores: accesses - trace.loads(),
+        };
+        if let Some(noise) = trace.noise() {
+            noise.apply(&mut counters);
+        }
+        counters
+    }
+
+    /// Executes a single abstract instruction: the per-instruction reference
+    /// the trace and replay stages are tested against.
+    #[cfg(test)]
+    fn execute(&mut self, instruction: Instruction, counters: &mut CounterSet) {
+        counters.instructions += 1;
+        match instruction {
+            Instruction::Alu => {
+                counters.cycles += self.config.alu_latency;
+            }
+            Instruction::Load(address) | Instruction::Store(address) => {
+                if matches!(instruction, Instruction::Load(_)) {
+                    counters.loads += 1;
+                } else {
+                    counters.stores += 1;
+                }
+                counters.l1d_accesses += 1;
+                let mut latency = self.config.l1_hit_latency;
+                if !self.l1d.access(address) {
+                    counters.l1d_misses += 1;
+                    counters.llc_accesses += 1;
+                    latency += self.config.llc_hit_latency;
+                    if !self.llc.access(address) {
+                        counters.llc_misses += 1;
+                        latency += self.config.memory_latency;
+                    }
+                }
+                counters.cycles += latency;
+            }
+            Instruction::Branch { address, taken } => {
+                counters.branches += 1;
+                counters.cycles += self.config.alu_latency;
+                if !self.branch_predictor.predict_and_update(address, taken) {
+                    counters.branch_misses += 1;
+                    counters.cycles += self.config.branch_miss_penalty;
+                }
+            }
+        }
     }
 }
 
@@ -155,8 +197,46 @@ impl Default for Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::ProgramCatalog;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn intervals_match_the_per_instruction_reference() {
+        let mut programs = ProgramCatalog::standard().programs().to_vec();
+        // `run_interval` does not check its model: a negative fraction
+        // must reorder the mix exactly as the reference's if-else chain.
+        let mut unchecked = programs[0].clone();
+        unchecked.name = "negative store fraction".to_string();
+        unchecked.model.store_fraction = -0.1;
+        programs.push(unchecked);
+        for (seed, program) in programs.iter().enumerate() {
+            let mut cpu = Cpu::default();
+            let mut state = ProgramState::default();
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut reference = cpu.clone();
+            let mut reference_state = state;
+            let mut reference_rng = rng.clone();
+            // Warm state carries across intervals of every length class:
+            // single instructions, around a cache line's worth and a full
+            // sampling interval.
+            for length in [1, 2, 3, 5, 63, 64, 65, 4000] {
+                let counters = cpu.run_interval(&program.model, &mut state, length, &mut rng);
+                let mut expected = CounterSet::new();
+                for _ in 0..length {
+                    let instruction = program
+                        .model
+                        .next_instruction(&mut reference_state, &mut reference_rng);
+                    reference.execute(instruction, &mut expected);
+                }
+                let at = format!("{} after a {length}-instruction interval", program.name);
+                assert_eq!(counters, expected, "{at}: counters");
+                assert_eq!(state, reference_state, "{at}: program state");
+                assert_eq!(rng, reference_rng, "{at}: random stream");
+                assert_eq!(cpu, reference, "{at}: caches and predictor");
+            }
+        }
+    }
 
     #[test]
     fn counters_account_for_every_instruction() {
@@ -200,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn take_counters_resets_interval_but_keeps_microarch_state() {
+    fn intervals_restart_counters_but_keep_microarch_state() {
         let mut cpu = Cpu::default();
         let program = ProgramModel::compute_bound();
         let mut state = ProgramState::default();

@@ -1,15 +1,31 @@
 //! HPC corpus generation: sampling counter vectors for every program in the
 //! catalog and assembling the paper's train / known-test / unknown split
 //! (Table I, HPC block: 44 605 / 6 372 / 12 727 samples).
+//!
+//! [`HpcCorpusBuilder::build_corpus`] runs the two stages of interval
+//! simulation on two threads. A scoped thread owns the seeded random stream
+//! and draws every interval's trace, in catalog order, into buffers the
+//! caller allocated; the caller replays each trace on the program's core and
+//! extracts the row. A fixed set of buffers circulates between them through
+//! two bounded channels, so the tracer allocates no trace memory and trace
+//! memory does not grow with the corpus. The rows are bit for bit those of
+//! one thread running [`Sampler::sample_program`] program by program.
 
 use crate::apps::{ProgramCatalog, ProgramProfile};
+use crate::cpu::Cpu;
 use crate::features::HpcFeatureExtractor;
 use crate::sampler::Sampler;
+use crate::workload::ProgramState;
 use hmd_data::split::{known_unknown_split, KnownUnknownSplit};
 use hmd_data::{DataError, Dataset, Matrix, SampleMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc;
+use std::thread;
+
+/// Trace buffers circulating between the two stages of `build_corpus`.
+const TRACE_BUFFERS: usize = 4;
 
 /// Builder for HPC signature corpora.
 ///
@@ -105,27 +121,84 @@ impl HpcCorpusBuilder {
     pub fn build_corpus(&self, seed: u64) -> Result<Dataset, DataError> {
         let catalog = ProgramCatalog::standard();
         let extractor = HpcFeatureExtractor::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        let mut meta = Vec::new();
-        for program in catalog.programs() {
-            let count = if program.known {
-                self.samples_per_known_app
-            } else {
-                self.samples_per_unknown_app
-            };
-            let samples = self.sampler.sample_program(program, count, &mut rng);
-            for counters in samples {
-                rows.push(extractor.extract(&counters));
-                labels.push(program.label);
-                meta.push(if program.known {
-                    SampleMeta::known(program.id)
+        let sampler = self.sampler;
+        let schedule: Vec<(&ProgramProfile, usize)> = catalog
+            .programs()
+            .iter()
+            .map(|program| {
+                program.model.validate();
+                let count = if program.known {
+                    self.samples_per_known_app
                 } else {
-                    SampleMeta::unknown(program.id)
-                });
+                    self.samples_per_unknown_app
+                };
+                (program, count)
+            })
+            .collect();
+        let total = schedule.iter().map(|&(_, count)| count).sum();
+        let mut rows = Vec::with_capacity(total);
+        let mut labels = Vec::with_capacity(total);
+        let mut meta = Vec::with_capacity(total);
+        // Each program's schedule is its warm-up, then `count` sampled
+        // intervals on the same core and stride cursor. The channel ends
+        // live inside the scope: when either side panics its ends drop, the
+        // other side's next send or receive fails, and the panic propagates
+        // instead of hanging the build.
+        thread::scope(|scope| {
+            let (full_tx, full_rx) = mpsc::sync_channel(TRACE_BUFFERS);
+            let (free_tx, free_rx) = mpsc::sync_channel(TRACE_BUFFERS);
+            for _ in 0..TRACE_BUFFERS {
+                // Cannot fail: the receiver is alive and the channel holds
+                // every buffer.
+                let _ = free_tx.send(sampler.trace_buffer());
             }
-        }
+            let schedule = &schedule;
+            let tracer = scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for &(program, count) in schedule {
+                    let mut state = ProgramState::default();
+                    for interval in 0..=count {
+                        let Ok(mut trace) = free_rx.recv() else {
+                            return;
+                        };
+                        if interval == 0 {
+                            let warmup = sampler.warmup_instructions;
+                            trace.draw(&program.model, &mut state, warmup, &mut rng);
+                        } else {
+                            sampler.draw_sample(program, &mut state, &mut trace, &mut rng);
+                        }
+                        if full_tx.send(trace).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+            'replay: for &(program, count) in schedule {
+                let mut cpu = Cpu::new(sampler.cpu);
+                for interval in 0..=count {
+                    let Ok(trace) = full_rx.recv() else {
+                        break 'replay;
+                    };
+                    let counters = cpu.replay(&trace);
+                    // Fails only once the tracer has drawn its last trace.
+                    let _ = free_tx.send(trace);
+                    if interval > 0 {
+                        rows.push(extractor.extract(&counters));
+                        labels.push(program.label);
+                        meta.push(if program.known {
+                            SampleMeta::known(program.id)
+                        } else {
+                            SampleMeta::unknown(program.id)
+                        });
+                    }
+                }
+            }
+            // The tracer sends every trace the replay takes, so a receive
+            // fails only after the tracer panicked: rethrow its panic.
+            if let Err(panic) = tracer.join() {
+                std::panic::resume_unwind(panic);
+            }
+        });
         let features = Matrix::from_rows(&rows)?;
         let mut dataset = Dataset::with_meta(features, labels, meta)?;
         dataset.set_feature_names(extractor.feature_names())?;
@@ -190,6 +263,42 @@ mod tests {
         assert_eq!(known_total, 50_974);
         assert_eq!(unknown_total, 12_728);
         assert!((builder.test_fraction - 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_corpus_circulates_a_fixed_set_of_trace_buffers() {
+        // Smoke scale: 18 programs x (1 warm-up + 12 samples) = 234
+        // intervals, replayed on this thread from buffers allocated here.
+        let before = crate::trace::buffers_allocated();
+        let corpus = HpcCorpusBuilder::new()
+            .with_samples_per_app(12)
+            .build_corpus(1)
+            .unwrap();
+        assert_eq!(corpus.len(), 216);
+        assert_eq!(
+            crate::trace::buffers_allocated() - before,
+            TRACE_BUFFERS,
+            "trace buffers are allocated once per corpus, not per interval"
+        );
+    }
+
+    #[test]
+    fn build_corpus_matches_sample_program() {
+        // The two-thread pipeline and one thread sampling program by
+        // program draw and replay the same intervals.
+        let builder = HpcCorpusBuilder::new().with_samples_per_app(3);
+        let corpus = builder.build_corpus(5).unwrap();
+        let extractor = HpcFeatureExtractor::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut row = 0;
+        for program in ProgramCatalog::standard().programs() {
+            for counters in builder.sampler.sample_program(program, 3, &mut rng) {
+                assert_eq!(corpus.features().row(row), extractor.extract(&counters));
+                assert_eq!(corpus.meta()[row].app, program.id);
+                row += 1;
+            }
+        }
+        assert_eq!(row, corpus.len());
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!
 //! * [`cache::Cache`] — set-associative LRU caches (L1D and LLC),
 //! * [`branch::BranchPredictor`] — a 2-bit saturating-counter predictor,
-//! * [`cpu::Cpu`] — an in-order core that executes synthetic instruction
-//!   streams produced by [`workload::ProgramModel`]s and accumulates a
-//!   [`counters::CounterSet`],
+//! * [`cpu::Cpu`] — an in-order core that simulates synthetic instruction
+//!   streams produced by [`workload::ProgramModel`]s and counts a
+//!   [`counters::CounterSet`] per interval: a trace stage draws the
+//!   interval's memory addresses and branches, then the core replays them,
+//!   bit for bit the per-instruction simulation,
 //! * [`sampler::Sampler`] — fixed-instruction sampling intervals, one HPC
 //!   vector per interval, exactly like a perf-style sampling daemon,
 //! * [`apps::ProgramCatalog`] — benign programs and malware families whose
@@ -47,6 +49,7 @@ pub mod dataset;
 pub mod features;
 pub mod sampler;
 pub mod stream;
+mod trace;
 pub mod workload;
 
 pub use apps::{ProgramCatalog, ProgramProfile};

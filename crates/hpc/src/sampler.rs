@@ -4,6 +4,7 @@
 use crate::apps::ProgramProfile;
 use crate::counters::CounterSet;
 use crate::cpu::{Cpu, CpuConfig};
+use crate::trace::IntervalTrace;
 use crate::workload::{ProgramModel, ProgramState};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -44,28 +45,48 @@ impl Sampler {
     /// work) is applied by perturbing the program model parameters, and a
     /// small multiplicative measurement noise is applied to the counters —
     /// real HPC readings are notoriously noisy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program's model fails [`ProgramModel::validate`].
     pub fn sample_program<R: Rng>(
         &self,
         profile: &ProgramProfile,
         num_samples: usize,
         rng: &mut R,
     ) -> Vec<CounterSet> {
+        profile.model.validate();
         let mut cpu = Cpu::new(self.cpu);
         let mut state = ProgramState::default();
-        // warm-up with the nominal model
-        let warmup_model = profile.model.clone();
-        warmup_model.validate();
-        let _ = cpu.run_interval(&warmup_model, &mut state, self.warmup_instructions, rng);
+        let mut trace = self.trace_buffer();
+        // The warm-up runs the nominal model and keeps no counters.
+        trace.draw(&profile.model, &mut state, self.warmup_instructions, rng);
+        let _ = cpu.replay(&trace);
+        (0..num_samples)
+            .map(|_| {
+                self.draw_sample(profile, &mut state, &mut trace, rng);
+                cpu.replay(&trace)
+            })
+            .collect()
+    }
 
-        let mut samples = Vec::with_capacity(num_samples);
-        for _ in 0..num_samples {
-            let jittered = jitter_model(&profile.model, profile.behaviour_jitter, rng);
-            let mut counters =
-                cpu.run_interval(&jittered, &mut state, self.interval_instructions, rng);
-            apply_measurement_noise(&mut counters, rng);
-            samples.push(counters);
-        }
-        samples
+    /// A trace buffer that holds this sampler's warm-up and its intervals.
+    pub(crate) fn trace_buffer(&self) -> IntervalTrace {
+        IntervalTrace::with_capacity(self.warmup_instructions.max(self.interval_instructions))
+    }
+
+    /// Trace stage of one sampled interval: the behaviour jitter, the
+    /// instructions, then the measurement noise, in that draw order.
+    pub(crate) fn draw_sample<R: Rng>(
+        &self,
+        profile: &ProgramProfile,
+        state: &mut ProgramState,
+        trace: &mut IntervalTrace,
+        rng: &mut R,
+    ) {
+        let jittered = jitter_model(&profile.model, profile.behaviour_jitter, rng);
+        trace.draw(&jittered, state, self.interval_instructions, rng);
+        trace.set_noise(MeasurementNoise::draw(rng));
     }
 }
 
@@ -111,22 +132,35 @@ pub(crate) fn jitter_model<R: Rng>(model: &ProgramModel, jitter: f64, rng: &mut 
     jittered
 }
 
-/// Applies ±3 % multiplicative noise to every counter except the instruction
-/// count (the sampling interval itself is exact).
-pub(crate) fn apply_measurement_noise<R: Rng>(counters: &mut CounterSet, rng: &mut R) {
-    let mut noisy = |value: u64| -> u64 {
-        let factor = 1.0 + rng.gen_range(-0.03..=0.03);
-        ((value as f64) * factor).max(0.0).round() as u64
-    };
-    counters.cycles = noisy(counters.cycles);
-    counters.branches = noisy(counters.branches);
-    counters.branch_misses = noisy(counters.branch_misses).min(counters.branches);
-    counters.l1d_accesses = noisy(counters.l1d_accesses);
-    counters.l1d_misses = noisy(counters.l1d_misses).min(counters.l1d_accesses);
-    counters.llc_accesses = noisy(counters.llc_accesses);
-    counters.llc_misses = noisy(counters.llc_misses).min(counters.llc_accesses);
-    counters.loads = noisy(counters.loads);
-    counters.stores = noisy(counters.stores);
+/// The ±3 % multiplicative noise factors of one sampled interval, one per
+/// noisy counter, drawn in the order [`MeasurementNoise::apply`] uses them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MeasurementNoise([f64; 9]);
+
+impl MeasurementNoise {
+    /// Draws the nine factors.
+    pub(crate) fn draw<R: Rng>(rng: &mut R) -> MeasurementNoise {
+        MeasurementNoise(std::array::from_fn(|_| 1.0 + rng.gen_range(-0.03..=0.03)))
+    }
+
+    /// Applies the factors to every counter except the instruction count
+    /// (the sampling interval itself is exact), keeping each miss count at
+    /// most its noisy access count.
+    pub(crate) fn apply(&self, counters: &mut CounterSet) {
+        let [cycles, branches, branch_misses, l1d_accesses, l1d_misses, llc_accesses, llc_misses, loads, stores] =
+            self.0;
+        let noisy = |value: u64, factor: f64| ((value as f64) * factor).max(0.0).round() as u64;
+        counters.cycles = noisy(counters.cycles, cycles);
+        counters.branches = noisy(counters.branches, branches);
+        counters.branch_misses =
+            noisy(counters.branch_misses, branch_misses).min(counters.branches);
+        counters.l1d_accesses = noisy(counters.l1d_accesses, l1d_accesses);
+        counters.l1d_misses = noisy(counters.l1d_misses, l1d_misses).min(counters.l1d_accesses);
+        counters.llc_accesses = noisy(counters.llc_accesses, llc_accesses);
+        counters.llc_misses = noisy(counters.llc_misses, llc_misses).min(counters.llc_accesses);
+        counters.loads = noisy(counters.loads, loads);
+        counters.stores = noisy(counters.stores, stores);
+    }
 }
 
 #[cfg(test)]
@@ -175,7 +209,7 @@ mod tests {
             stores: 150,
         };
         for _ in 0..100 {
-            apply_measurement_noise(&mut counters, &mut rng);
+            MeasurementNoise::draw(&mut rng).apply(&mut counters);
             assert!(counters.branch_misses <= counters.branches);
             assert!(counters.l1d_misses <= counters.l1d_accesses);
             assert!(counters.llc_misses <= counters.llc_accesses);

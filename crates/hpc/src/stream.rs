@@ -4,10 +4,16 @@
 //! call simulates one fresh sampling interval, cycling round-robin over a
 //! fixed program mix with a single seeded RNG. Unlike the batch
 //! [`HpcCorpusBuilder`](crate::dataset::HpcCorpusBuilder), which re-creates
-//! and re-warms a [`Cpu`] for every `sample_program` call, the stream keeps
-//! one persistent core (caches + branch predictor + program state) per
-//! program and warms it lazily on that program's first row — so per-row cost
-//! is one sampling interval, not interval + warm-up.
+//! and re-warms a [`Cpu`] per program, the stream keeps one persistent core
+//! (caches + branch predictor + program state) per program and warms it
+//! lazily on that program's first row — so per-row cost is one sampling
+//! interval, not interval + warm-up.
+//!
+//! Each interval is simulated in two stages on the caller's thread: the
+//! trace stage draws the interval's instructions into one recycled buffer
+//! (sized for the sampler's longest interval, 16 bytes per instruction),
+//! then the program's core replays it. The rows are bit for bit those of
+//! the per-instruction simulation.
 //!
 //! # Example
 //!
@@ -29,7 +35,8 @@
 use crate::apps::{ProgramCatalog, ProgramProfile};
 use crate::cpu::Cpu;
 use crate::features::HpcFeatureExtractor;
-use crate::sampler::{apply_measurement_noise, jitter_model, Sampler};
+use crate::sampler::Sampler;
+use crate::trace::IntervalTrace;
 use crate::workload::ProgramState;
 use hmd_data::stream::{CorpusStream, StreamRecord};
 use hmd_data::{DataError, SampleMeta};
@@ -53,6 +60,7 @@ pub struct HpcCorpusStream {
     extractor: HpcFeatureExtractor,
     programs: Vec<ProgramProfile>,
     contexts: Vec<ProgramContext>,
+    trace: IntervalTrace,
     rng: StdRng,
     cursor: usize,
 }
@@ -63,7 +71,9 @@ impl HpcCorpusStream {
     /// # Errors
     ///
     /// Returns [`DataError::Empty`] when `programs` is empty — an empty mix
-    /// can never yield a row.
+    /// can never yield a row — and [`DataError::InvalidParameter`] when a
+    /// program's model fails [`ProgramModel::check`](crate::workload::ProgramModel::check),
+    /// the model [`Sampler::sample_program`] would refuse.
     pub fn new(
         sampler: Sampler,
         programs: Vec<ProgramProfile>,
@@ -73,6 +83,15 @@ impl HpcCorpusStream {
             return Err(DataError::Empty {
                 context: "HPC stream program mix",
             });
+        }
+        for program in &programs {
+            program
+                .model
+                .check()
+                .map_err(|reason| DataError::InvalidParameter {
+                    name: "programs",
+                    message: format!("program {} ({}): {reason}", program.id.0, program.name),
+                })?;
         }
         let contexts = programs
             .iter()
@@ -87,6 +106,7 @@ impl HpcCorpusStream {
             extractor: HpcFeatureExtractor::new(),
             programs,
             contexts,
+            trace: sampler.trace_buffer(),
             rng: StdRng::seed_from_u64(seed),
             cursor: 0,
         })
@@ -146,22 +166,18 @@ impl Iterator for HpcCorpusStream {
         let program = &self.programs[index];
         let context = &mut self.contexts[index];
         if !context.warmed {
-            let _ = context.cpu.run_interval(
+            self.trace.draw(
                 &program.model,
                 &mut context.state,
                 self.sampler.warmup_instructions,
                 &mut self.rng,
             );
+            let _ = context.cpu.replay(&self.trace);
             context.warmed = true;
         }
-        let jittered = jitter_model(&program.model, program.behaviour_jitter, &mut self.rng);
-        let mut counters = context.cpu.run_interval(
-            &jittered,
-            &mut context.state,
-            self.sampler.interval_instructions,
-            &mut self.rng,
-        );
-        apply_measurement_noise(&mut counters, &mut self.rng);
+        self.sampler
+            .draw_sample(program, &mut context.state, &mut self.trace, &mut self.rng);
+        let counters = context.cpu.replay(&self.trace);
         Some(StreamRecord {
             features: self.extractor.extract(&counters),
             label: program.label,
@@ -183,6 +199,7 @@ impl CorpusStream for HpcCorpusStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::ProgramModel;
     use hmd_data::stream::collect_dataset;
 
     fn tiny_sampler() -> Sampler {
@@ -197,6 +214,60 @@ mod tests {
             HpcCorpusStream::new(tiny_sampler(), Vec::new(), 0),
             Err(DataError::Empty { .. })
         ));
+    }
+
+    /// `new` refuses a mix holding `model`, naming the program.
+    fn assert_rejected(model: ProgramModel) {
+        let mut programs = ProgramCatalog::standard().programs().to_vec();
+        programs[5].model = model;
+        match HpcCorpusStream::new(tiny_sampler(), programs, 0) {
+            Err(DataError::InvalidParameter { message, .. }) => {
+                assert!(message.contains("program 106"), "{message}");
+            }
+            other => panic!("expected InvalidParameter, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn overfull_mix_is_rejected() {
+        assert_rejected(ProgramModel {
+            load_fraction: 0.5,
+            store_fraction: 0.4,
+            branch_fraction: 0.2,
+            ..ProgramModel::compute_bound()
+        });
+    }
+
+    #[test]
+    fn negative_mix_fraction_is_rejected() {
+        assert_rejected(ProgramModel {
+            store_fraction: -0.1,
+            ..ProgramModel::compute_bound()
+        });
+    }
+
+    #[test]
+    fn nan_random_access_fraction_is_rejected() {
+        assert_rejected(ProgramModel {
+            random_access_fraction: f64::NAN,
+            ..ProgramModel::compute_bound()
+        });
+    }
+
+    #[test]
+    fn nan_branch_bias_is_rejected() {
+        assert_rejected(ProgramModel {
+            branch_taken_bias: f64::NAN,
+            ..ProgramModel::compute_bound()
+        });
+    }
+
+    #[test]
+    fn nan_branch_noise_is_rejected() {
+        assert_rejected(ProgramModel {
+            branch_noise: f64::NAN,
+            ..ProgramModel::compute_bound()
+        });
     }
 
     #[test]

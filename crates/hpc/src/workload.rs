@@ -2,15 +2,18 @@
 //!
 //! A [`ProgramModel`] describes how a program exercises the micro-architecture
 //! — its instruction mix, memory locality and branch behaviour. The CPU model
-//! in [`crate::cpu`] executes the abstract instruction stream the model
+//! in [`crate::cpu`] simulates the abstract instruction stream the model
 //! produces and accumulates hardware counters.
 
+#[cfg(test)]
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// One abstract instruction of the synthetic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Instruction {
+/// One abstract instruction of the synthetic stream, as the per-instruction
+/// reference generator issues it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Instruction {
     /// Arithmetic/logic instruction (no memory or control-flow behaviour).
     Alu,
     /// Memory load from the given byte address.
@@ -84,25 +87,57 @@ impl ProgramModel {
         }
     }
 
-    /// Validates that the instruction-mix fractions are sane.
+    /// Checks that the instruction-mix fractions are sane and that the
+    /// access and branch probabilities are numbers.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the model is invalid: the load/store/branch fractions are
+    /// negative or sum to 1.0 or more, or the random-access fraction, branch
+    /// bias or branch noise is NaN.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let mix = [
+            self.load_fraction,
+            self.store_fraction,
+            self.branch_fraction,
+        ];
+        // `>=` is false for NaN, so a NaN fraction fails here too.
+        if !mix.iter().all(|&fraction| fraction >= 0.0) {
+            return Err("instruction-mix fractions must be non-negative");
+        }
+        if self.load_fraction + self.store_fraction + self.branch_fraction >= 1.0 {
+            return Err("load+store+branch fractions must leave room for ALU instructions");
+        }
+        if self.random_access_fraction.is_nan()
+            || self.branch_taken_bias.is_nan()
+            || self.branch_noise.is_nan()
+        {
+            return Err("random-access fraction, branch bias and branch noise must not be NaN");
+        }
+        Ok(())
+    }
+
+    /// Validates the model as [`ProgramModel::check`] does.
     ///
     /// # Panics
     ///
-    /// Panics when the load/store/branch fractions are negative or sum to 1.0
-    /// or more.
+    /// Panics with the reason when [`ProgramModel::check`] rejects the model.
     pub fn validate(&self) {
-        assert!(
-            self.load_fraction >= 0.0 && self.store_fraction >= 0.0 && self.branch_fraction >= 0.0,
-            "instruction-mix fractions must be non-negative"
-        );
-        assert!(
-            self.load_fraction + self.store_fraction + self.branch_fraction < 1.0,
-            "load+store+branch fractions must leave room for ALU instructions"
-        );
+        let reason = self.check().err();
+        assert!(reason.is_none(), "{}", reason.unwrap_or_default());
     }
+}
 
+/// The per-instruction generator: the reference the trace stage
+/// ([`crate::trace`]) is tested against.
+#[cfg(test)]
+impl ProgramModel {
     /// Generates the next abstract instruction.
-    pub fn next_instruction<R: Rng>(&self, state: &mut ProgramState, rng: &mut R) -> Instruction {
+    pub(crate) fn next_instruction<R: Rng>(
+        &self,
+        state: &mut ProgramState,
+        rng: &mut R,
+    ) -> Instruction {
         let r: f64 = rng.gen();
         if r < self.load_fraction {
             Instruction::Load(self.next_address(state, rng))
