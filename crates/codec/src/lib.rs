@@ -8,7 +8,8 @@
 //! directly), the value writers ([`write_f64`], [`write_int`],
 //! [`write_string`]) that [`Json`]'s `Display` and direct encoders share,
 //! and the [`JsonCodec`] trait that fitted models across the workspace
-//! implement field by field.
+//! implement field by field: `to_json` builds a tree, `decode` reads the
+//! value straight from a [`Parser`], with no tree in between.
 //!
 //! Exactness matters more than prettiness here: a saved detector must
 //! reproduce **bit-identical** reports after a load. Finite `f64` values are
@@ -29,6 +30,11 @@
 //! let back = Json::parse(&text).unwrap();
 //! assert_eq!(value, back);
 //! assert_eq!(f64::from_json(back.get("threshold").unwrap()).unwrap(), 0.4);
+//!
+//! // Decoders read straight from the bytes, with no tree in between.
+//! let mut parser = hmd_codec::Parser::new(b"[3, 22]");
+//! assert_eq!(Vec::<u64>::decode(&mut parser).unwrap(), vec![3, 22]);
+//! parser.finish().unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -108,7 +114,7 @@ impl Json {
                 .iter()
                 .find(|(k, _)| k == key)
                 .map(|(_, v)| v)
-                .ok_or_else(|| CodecError::new(format!("missing field `{key}`"))),
+                .ok_or_else(|| missing(key)),
             other => Err(CodecError::new(format!(
                 "expected object with field `{key}`, found {}",
                 other.kind()
@@ -173,21 +179,6 @@ impl Json {
         usize::try_from(i).map_err(|_| CodecError::new(format!("expected usize, found {i}")))
     }
 
-    /// The value as a `bool`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-boolean values.
-    pub fn as_bool(&self) -> Result<bool, CodecError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(CodecError::new(format!(
-                "expected bool, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
     /// The value as a string slice.
     ///
     /// # Errors
@@ -225,7 +216,7 @@ impl Json {
     /// Returns an error describing the first syntax problem, with its byte
     /// offset.
     pub fn parse(text: &str) -> Result<Json, CodecError> {
-        let mut parser = Parser::new(text.as_bytes());
+        let mut parser = Parser::from(text);
         let value = parser.value()?;
         parser.finish()?;
         Ok(value)
@@ -273,6 +264,21 @@ impl fmt::Display for Json {
         // fails; a failure would be a writer bug, reported as a fmt error.
         f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
     }
+}
+
+/// The error every decoder gives for an absent key.
+fn missing(key: &str) -> CodecError {
+    CodecError::new(format!("missing field `{key}`"))
+}
+
+/// The value a decoder read for `key`, or the error for an absent key
+/// (as [`Json::get`] gives it) when [`Parser::object`] never met the key.
+///
+/// # Errors
+///
+/// `missing field `key`` when `value` is `None`.
+pub fn required<T>(value: Option<T>, key: &str) -> Result<T, CodecError> {
+    value.ok_or_else(|| missing(key))
 }
 
 /// The `f64` a tagged non-finite string stands for (`"NaN"`, `"inf"`,
@@ -359,38 +365,43 @@ const MAX_DEPTH: usize = 128;
 /// tokenizer.
 ///
 /// [`Json::parse`] builds a tree with it. A decoder that knows its schema
-/// can instead pull values straight out of the bytes: open an object with
-/// [`Parser::begin_object`], walk its keys with [`Parser::next_key`], read
-/// each value with the typed readers ([`Parser::string`], [`Parser::f64`],
-/// [`Parser::value`], ...) or [`Parser::skip_value`] it, and end with
-/// [`Parser::finish`]. Every reader checks the same grammar, depth limit and
-/// UTF-8 rules as the tree builder, so a document the pull decoder accepts
-/// is one [`Json::parse`] accepts.
+/// instead pulls values straight out of the bytes: it walks an object's
+/// keys with [`Parser::object`], reads each value with the typed readers
+/// ([`Parser::string`], [`Parser::f64`], [`Parser::usize`], ...) or a
+/// nested type's [`JsonCodec::decode`], and ends with [`Parser::finish`].
+/// Every reader checks the same grammar, depth limit and UTF-8 rules as the
+/// tree builder, and a skipped value is checked as strictly as a read one,
+/// so a document a pull decoder accepts is one [`Json::parse`] accepts.
 ///
 /// ```
-/// use hmd_codec::Parser;
+/// use hmd_codec::{required, Parser};
 ///
 /// let mut parser = Parser::new(br#"{"name": "ep", "row": [1, 2.5], "extra": {}}"#);
-/// parser.begin_object()?;
-/// let (mut name, mut row) = (String::new(), Vec::new());
-/// while let Some(key) = parser.next_key()? {
-///     match &*key {
-///         "name" => name = parser.string()?.into_owned(),
-///         "row" => {
+/// let (mut name, mut row) = (None, Vec::new());
+/// parser.object(["name", "row"], |parser, key| {
+///     match key {
+///         0 => name = Some(parser.string()?.into_owned()),
+///         _ => {
 ///             parser.begin_array()?;
 ///             while parser.next_item()? {
 ///                 row.push(parser.f64()?);
 ///             }
 ///         }
-///         _ => parser.skip_value()?,
 ///     }
-/// }
+///     Ok(())
+/// })?;
 /// parser.finish()?;
+/// let name = required(name, "name")?;
 /// assert_eq!((name.as_str(), row), ("ep", vec![1.0, 2.5]));
 /// # Ok::<(), hmd_codec::CodecError>(())
 /// ```
+#[derive(Clone)]
 pub struct Parser<'a> {
     bytes: &'a [u8],
+    /// `bytes` as text when they are valid UTF-8 as a whole (as every
+    /// document a reader accepts is): strings and numbers are then sliced
+    /// out of it instead of validated one by one.
+    text: Option<&'a str>,
     pos: usize,
     depth: usize,
     /// A container was just opened: the next `next_key`/`next_item` reads
@@ -403,9 +414,20 @@ impl<'a> Parser<'a> {
     pub fn new(bytes: &'a [u8]) -> Parser<'a> {
         Parser {
             bytes,
+            text: std::str::from_utf8(bytes).ok(),
             pos: 0,
             depth: 0,
             fresh: false,
+        }
+    }
+
+    /// `bytes[start..end]` as text; both ends lie on ASCII bytes.
+    #[inline]
+    fn text_of(&self, start: usize, end: usize) -> Result<&'a str, CodecError> {
+        match self.text.and_then(|text| text.get(start..end)) {
+            Some(run) => Ok(run),
+            None => std::str::from_utf8(&self.bytes[start..end])
+                .map_err(|_| self.error("invalid UTF-8 in string")),
         }
     }
 
@@ -415,12 +437,8 @@ impl<'a> Parser<'a> {
 
     #[inline]
     fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
@@ -439,6 +457,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn enter(&mut self, open: u8) -> Result<(), CodecError> {
         self.skip_whitespace();
         self.depth += 1;
@@ -470,23 +489,16 @@ impl<'a> Parser<'a> {
         Ok(true)
     }
 
-    /// Opens an object: the next value must be `{`.
-    ///
-    /// # Errors
-    ///
-    /// When the next value is not an object, or nests too deep.
-    pub fn begin_object(&mut self) -> Result<(), CodecError> {
+    /// Opens an object: the next value must be `{`. Decoders go through
+    /// [`Parser::object`], which owns the key rules.
+    fn begin_object(&mut self) -> Result<(), CodecError> {
         self.enter(b'{')
     }
 
     /// The next key of the object opened last, positioned at its value —
     /// which the caller must read or skip before asking for another key.
     /// `None` once the object closes.
-    ///
-    /// # Errors
-    ///
-    /// On a syntax error between entries or inside the key.
-    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, CodecError> {
+    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, CodecError> {
         if !self.next_entry(b'}', "object")? {
             return Ok(None);
         }
@@ -536,8 +548,7 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            let run = std::str::from_utf8(&bytes[start..self.pos])
-                .map_err(|_| self.error("invalid UTF-8 in string"))?;
+            let run = self.text_of(start, self.pos)?;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -600,12 +611,62 @@ impl<'a> Parser<'a> {
     /// When the next value is malformed or not numeric.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         self.skip_whitespace();
-        if self.peek() == Some(b'"') {
-            let text = self.string()?;
-            return tagged_f64(&text)
-                .ok_or_else(|| CodecError::new(format!("expected number, found string {text:?}")));
+        match self.peek() {
+            Some(b'"') => {
+                let text = self.string()?;
+                tagged_f64(&text).ok_or_else(|| {
+                    CodecError::new(format!("expected number, found string {text:?}"))
+                })
+            }
+            Some(b'-' | b'0'..=b'9') => Ok(match self.number()? {
+                Number::Int(i) => i as f64,
+                Number::Float(f) => f,
+            }),
+            _ => Err(self.mismatch("number")),
         }
-        self.value()?.as_f64()
+    }
+
+    /// Reads an integer, accepting what [`Json::as_i64`] accepts: a number
+    /// with no fraction or exponent that fits an `i64` (leading zeros
+    /// allowed).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is malformed or not such an integer.
+    pub fn i64(&mut self) -> Result<i64, CodecError> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Number::Int(i) => Ok(i),
+                Number::Float(_) => Err(CodecError::new("expected integer, found float")),
+            },
+            _ => Err(self.mismatch("integer")),
+        }
+    }
+
+    /// Reads an integer as a `usize`, accepting what [`Json::as_usize`]
+    /// accepts.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is malformed, not an integer, or negative.
+    pub fn usize(&mut self) -> Result<usize, CodecError> {
+        let i = self.i64()?;
+        usize::try_from(i).map_err(|_| CodecError::new(format!("expected usize, found {i}")))
+    }
+
+    /// Reads a `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a boolean.
+    pub fn bool(&mut self) -> Result<bool, CodecError> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b't') => self.literal("true", true),
+            Some(b'f') => self.literal("false", false),
+            _ => Err(self.mismatch("bool")),
+        }
     }
 
     /// Consumes the next value if it is `null`; `false` (nothing consumed)
@@ -617,6 +678,82 @@ impl<'a> Parser<'a> {
             self.pos += 4;
         }
         found
+    }
+
+    /// Walks the next value as an object whose schema names `keys`, the
+    /// rules every decoder in the workspace follows:
+    ///
+    /// - `field(parser, i)` runs, positioned at the value, at the first
+    ///   occurrence of `keys[i]`, and must read or skip that value;
+    /// - unknown keys and later occurrences of a key are skipped, but
+    ///   checked as strictly as read values;
+    /// - a key that never occurs is the caller's to report, through
+    ///   [`required`].
+    ///
+    /// Keys are matched as bytes, trying first the key after the one met
+    /// last (encoders write keys in schema order); a key written with
+    /// escapes is unescaped first, as [`Json::parse`] would. Schema keys
+    /// must be plain: no quote, backslash or control character.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a well-formed object, or `field` fails.
+    pub fn object<const N: usize>(
+        &mut self,
+        keys: [&str; N],
+        mut field: impl FnMut(&mut Parser<'a>, usize) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        self.begin_object()?;
+        let mut seen = [false; N];
+        let mut expected = 0;
+        while self.next_entry(b'}', "object")? {
+            match self.key_index(&keys, expected)? {
+                Some(i) if !seen[i] => {
+                    seen[i] = true;
+                    expected = i + 1;
+                    field(self, i)?;
+                }
+                _ => self.skip_value()?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the next value with `read`. When `read` fails on a value that
+    /// is well-formed JSON, the value is skipped instead and the failure
+    /// handed back as the inner result, for a decoder that needs the value
+    /// only in some variants of its type.
+    ///
+    /// # Errors
+    ///
+    /// When the value is not well-formed JSON.
+    pub fn attempt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Parser<'a>) -> Result<T, CodecError>,
+    ) -> Result<Result<T, CodecError>, CodecError> {
+        let start = self.clone();
+        match read(self) {
+            Ok(value) => Ok(Ok(value)),
+            Err(err) => {
+                *self = start;
+                self.skip_value()?;
+                Ok(Err(err))
+            }
+        }
+    }
+
+    /// The bytes of the next value, checked as [`Parser::skip_value`]
+    /// checks them, for a decoder that must read it later (with a new
+    /// [`Parser`] over them).
+    ///
+    /// # Errors
+    ///
+    /// On the first syntax error inside the value.
+    pub fn raw_value(&mut self) -> Result<&'a [u8], CodecError> {
+        self.skip_whitespace();
+        let start = self.pos;
+        self.skip_value()?;
+        Ok(&self.bytes[start..self.pos])
     }
 
     /// Reads the next value as a tree.
@@ -693,6 +830,54 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// Reads an object key and its `:`, and finds it among `keys`, trying
+    /// `keys[expected]` first.
+    #[inline]
+    fn key_index(&mut self, keys: &[&str], expected: usize) -> Result<Option<usize>, CodecError> {
+        self.skip_whitespace();
+        self.expect(b'"')?;
+        // A plain schema key is the key whose literal is exactly its bytes.
+        let rest = &self.bytes[self.pos..];
+        let is_literal = |key: &str| {
+            let key = key.as_bytes();
+            rest.get(key.len()) == Some(&b'"') && rest.starts_with(key)
+        };
+        let plain = match keys.get(expected) {
+            Some(key) if is_literal(key) => Some(expected),
+            _ => (0..keys.len()).find(|&i| is_literal(keys[i])),
+        };
+        let index = match plain {
+            Some(i) => {
+                self.pos += keys[i].len() + 1;
+                Some(i)
+            }
+            None => {
+                // An unknown key, or one written with escapes.
+                self.pos -= 1;
+                let key = self.string()?;
+                keys.iter().position(|k| *k == key)
+            }
+        };
+        self.skip_whitespace();
+        self.expect(b':')?;
+        Ok(index)
+    }
+
+    /// The error for a value of the wrong kind, named from its first byte.
+    fn mismatch(&self, expected: &str) -> CodecError {
+        let found = match self.peek() {
+            Some(b'{') => "object",
+            Some(b'[') => "array",
+            Some(b'"') => "string",
+            Some(b't' | b'f') => "bool",
+            Some(b'n') => "null",
+            Some(b'-' | b'0'..=b'9') => "number",
+            Some(_) => "invalid character",
+            None => "end of input",
+        };
+        CodecError::new(format!("expected {expected}, found {found}"))
+    }
+
     /// A literal or a number; anything else is an error.
     #[inline]
     fn scalar(&mut self) -> Result<Json, CodecError> {
@@ -700,13 +885,16 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(match self.number()? {
+                Number::Int(i) => Json::Int(i),
+                Number::Float(f) => Json::Float(f),
+            }),
             Some(b) => Err(self.error(&format!("unexpected character `{}`", b as char))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, CodecError> {
+    fn literal<T>(&mut self, literal: &str, value: T) -> Result<T, CodecError> {
         if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
@@ -715,32 +903,108 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, CodecError> {
+    /// Scans a number token: an optional `-`, then digits and the float
+    /// characters `.eE+-`. A token of digits alone is an integer when it
+    /// fits an `i64`; any other token is a float, which the standard parser
+    /// must accept whole. The two shapes saved documents are made of are
+    /// read as they are scanned: integers of up to 18 digits, and decimals
+    /// `d.d` of up to 15 digits, which are exact below 2⁵³ and divide by an
+    /// exact power of ten with one correctly rounded division (Clinger's
+    /// fast path), so they get the standard parser's bits.
+    fn number(&mut self) -> Result<Number, CodecError> {
+        let bytes = self.bytes;
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
+        let negative = bytes.get(start) == Some(&b'-');
+        let int_start = start + usize::from(negative);
+        let int_end = digit_run(bytes, int_start);
+        let int_digits = &bytes[int_start..int_end];
+        let mut end = int_end;
+        match bytes.get(int_end) {
+            Some(b'.') if !int_digits.is_empty() => {
+                end = digit_run(bytes, int_end + 1);
+                let fraction = &bytes[int_end + 1..end];
+                if !fraction.is_empty()
+                    && int_digits.len() + fraction.len() <= 15
+                    && !bytes.get(end).is_some_and(is_number_byte)
+                {
+                    self.pos = end;
+                    let mantissa = decimal(fraction, decimal(int_digits, 0)) as f64;
+                    let magnitude = mantissa / POWERS_OF_TEN[fraction.len()];
+                    return Ok(Number::Float(if negative { -magnitude } else { magnitude }));
                 }
-                _ => break,
             }
+            next if !next.is_some_and(is_number_byte) && (1..=18).contains(&int_digits.len()) => {
+                self.pos = int_end;
+                // Below 10^18, so the cast is exact.
+                let magnitude = decimal(int_digits, 0) as i64;
+                return Ok(Number::Int(if negative { -magnitude } else { magnitude }));
+            }
+            _ => {}
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        if !is_float {
+        while bytes.get(end).is_some_and(is_number_byte) {
+            end += 1;
+        }
+        self.pos = end;
+        let text = self.text_of(start, end)?;
+        if end == int_end {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
+                return Ok(Number::Int(i));
             }
         }
         text.parse::<f64>()
-            .map(Json::Float)
+            .map(Number::Float)
             .map_err(|_| self.error(&format!("invalid number `{text}`")))
+    }
+}
+
+/// Whether `b` continues a number token: a digit or one of `.eE+-`.
+fn is_number_byte(b: &u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// Where the run of ASCII digits in `bytes` that starts at `from` ends.
+#[inline]
+fn digit_run(bytes: &[u8], from: usize) -> usize {
+    let mut end = from;
+    while bytes.get(end).is_some_and(u8::is_ascii_digit) {
+        end += 1;
+    }
+    end
+}
+
+/// `mantissa` with the decimal `digits` appended; callers keep the total
+/// below 10^19, so it never overflows.
+#[inline]
+fn decimal(digits: &[u8], mantissa: u64) -> u64 {
+    digits
+        .iter()
+        .fold(mantissa, |m, &d| m * 10 + u64::from(d - b'0'))
+}
+
+/// `10^k` for the fraction lengths [`Parser`]'s decimal fast path reads
+/// (at most 14 digits, after at least one integer digit), each exact in an
+/// `f64`.
+const POWERS_OF_TEN: [f64; 15] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14,
+];
+
+/// A scanned number token, before a reader or the tree builder types it.
+enum Number {
+    Int(i64),
+    Float(f64),
+}
+
+impl<'a> From<&'a str> for Parser<'a> {
+    /// A reader positioned at the start of `text`, with nothing left to
+    /// validate as UTF-8.
+    fn from(text: &'a str) -> Parser<'a> {
+        Parser {
+            bytes: text.as_bytes(),
+            text: Some(text),
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
     }
 }
 
@@ -749,13 +1013,30 @@ pub trait JsonCodec: Sized {
     /// Encodes the value.
     fn to_json(&self) -> Json;
 
-    /// Decodes a value previously produced by [`JsonCodec::to_json`].
+    /// Decodes a value previously produced by [`JsonCodec::to_json`],
+    /// straight from the parser positioned at it. Objects are walked with
+    /// [`Parser::object`], so every type follows the same key rules.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] describing the first structural or type
-    /// mismatch.
-    fn from_json(json: &Json) -> Result<Self, CodecError>;
+    /// Returns a [`CodecError`] describing the first syntax error or
+    /// structural or type mismatch.
+    fn decode(parser: &mut Parser<'_>) -> Result<Self, CodecError>;
+
+    /// Decodes a value from a tree a caller already holds, by writing the
+    /// tree out as text and decoding that.
+    ///
+    /// # Errors
+    ///
+    /// As [`JsonCodec::decode`].
+    fn from_json(json: &Json) -> Result<Self, CodecError> {
+        let mut text = Vec::new();
+        json.write(&mut text);
+        let mut parser = Parser::new(&text);
+        let value = Self::decode(&mut parser)?;
+        parser.finish()?;
+        Ok(value)
+    }
 }
 
 impl JsonCodec for f64 {
@@ -763,8 +1044,8 @@ impl JsonCodec for f64 {
         Json::Float(*self)
     }
 
-    fn from_json(json: &Json) -> Result<f64, CodecError> {
-        json.as_f64()
+    fn decode(parser: &mut Parser<'_>) -> Result<f64, CodecError> {
+        parser.f64()
     }
 }
 
@@ -777,19 +1058,16 @@ impl JsonCodec for u64 {
         }
     }
 
-    fn from_json(json: &Json) -> Result<u64, CodecError> {
-        match json {
-            Json::Int(i) => {
-                u64::try_from(*i).map_err(|_| CodecError::new(format!("expected u64, found {i}")))
-            }
-            Json::Str(s) => s
+    fn decode(parser: &mut Parser<'_>) -> Result<u64, CodecError> {
+        parser.skip_whitespace();
+        if parser.peek() == Some(b'"') {
+            let text = parser.string()?;
+            return text
                 .parse::<u64>()
-                .map_err(|_| CodecError::new(format!("expected u64, found {s:?}"))),
-            other => Err(CodecError::new(format!(
-                "expected u64, found {}",
-                other.kind()
-            ))),
+                .map_err(|_| CodecError::new(format!("expected u64, found {text:?}")));
         }
+        let i = parser.i64()?;
+        u64::try_from(i).map_err(|_| CodecError::new(format!("expected u64, found {i}")))
     }
 }
 
@@ -798,8 +1076,8 @@ impl JsonCodec for usize {
         Json::Int(*self as i64)
     }
 
-    fn from_json(json: &Json) -> Result<usize, CodecError> {
-        json.as_usize()
+    fn decode(parser: &mut Parser<'_>) -> Result<usize, CodecError> {
+        parser.usize()
     }
 }
 
@@ -808,8 +1086,8 @@ impl JsonCodec for bool {
         Json::Bool(*self)
     }
 
-    fn from_json(json: &Json) -> Result<bool, CodecError> {
-        json.as_bool()
+    fn decode(parser: &mut Parser<'_>) -> Result<bool, CodecError> {
+        parser.bool()
     }
 }
 
@@ -818,8 +1096,8 @@ impl JsonCodec for String {
         Json::Str(self.clone())
     }
 
-    fn from_json(json: &Json) -> Result<String, CodecError> {
-        Ok(json.as_str()?.to_string())
+    fn decode(parser: &mut Parser<'_>) -> Result<String, CodecError> {
+        Ok(parser.string()?.into_owned())
     }
 }
 
@@ -828,8 +1106,13 @@ impl<T: JsonCodec> JsonCodec for Vec<T> {
         Json::Array(self.iter().map(JsonCodec::to_json).collect())
     }
 
-    fn from_json(json: &Json) -> Result<Vec<T>, CodecError> {
-        json.as_array()?.iter().map(T::from_json).collect()
+    fn decode(parser: &mut Parser<'_>) -> Result<Vec<T>, CodecError> {
+        parser.begin_array()?;
+        let mut items = Vec::new();
+        while parser.next_item()? {
+            items.push(T::decode(parser)?);
+        }
+        Ok(items)
     }
 }
 
@@ -841,10 +1124,11 @@ impl<T: JsonCodec> JsonCodec for Option<T> {
         }
     }
 
-    fn from_json(json: &Json) -> Result<Option<T>, CodecError> {
-        match json {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
+    fn decode(parser: &mut Parser<'_>) -> Result<Option<T>, CodecError> {
+        if parser.null() {
+            Ok(None)
+        } else {
+            T::decode(parser).map(Some)
         }
     }
 }
@@ -1020,5 +1304,197 @@ mod tests {
         assert!(doc.get("missing").unwrap_err().message.contains("missing"));
         assert!(doc.get("a").unwrap().as_str().is_err());
         assert!(Json::Int(-1).as_usize().is_err());
+    }
+
+    /// How a number token was typed before the scanner read integers and
+    /// short decimals itself: digits alone that fit an `i64` are an
+    /// integer, and everything else is whatever the standard float parser
+    /// makes of the whole token.
+    fn reference_number(token: &str) -> Option<Json> {
+        let body = token.strip_prefix('-').unwrap_or(token);
+        if !body.contains(['.', 'e', 'E', '+', '-']) {
+            if let Ok(i) = token.parse::<i64>() {
+                return Some(Json::Int(i));
+            }
+        }
+        token.parse::<f64>().ok().map(Json::Float)
+    }
+
+    /// `Json` equality, with floats compared bit for bit.
+    fn same_bits(a: &Option<Json>, b: &Option<Json>) -> bool {
+        match (a, b) {
+            (Some(Json::Float(x)), Some(Json::Float(y))) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn numbers_are_typed_and_rounded_as_the_standard_parsers_do() {
+        let mut tokens: Vec<String> = [
+            "0",
+            "-0",
+            "007",
+            "-007",
+            "123456789012345678",
+            "-123456789012345678",
+            "1234567890123456789",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "99999999999999999999",
+            "0.0",
+            "-0.0",
+            "1.0",
+            "00.5",
+            "0.1",
+            "0.30000000000000004",
+            "0.5263157894736842",
+            "12345678901234.5",
+            "123456789012345.6",
+            "0.00000000000001",
+            "0.000000000000001",
+            "9007199254740993.0",
+            "1e5",
+            "1E-5",
+            "-1.5e+300",
+            "1e400",
+            "1.",
+            "-.5",
+            "-",
+            "1-2",
+            "1.2.3",
+            "1e5e5",
+            "1+",
+            "2.5e",
+        ]
+        .iter()
+        .map(|t| t.to_string())
+        .collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..3000 {
+            let bits = next();
+            // Shortest round-trip forms of arbitrary doubles.
+            let value = f64::from_bits(bits);
+            if value.is_finite() {
+                let mut out = Vec::new();
+                write_f64(value, &mut out);
+                tokens.push(String::from_utf8(out).unwrap());
+            }
+            // Decimals around the fast path's 15-digit limit.
+            let (int_len, fraction_len) = (1 + bits % 9, 1 + (bits >> 8) % 9);
+            let digits: String = (0..int_len + fraction_len)
+                .map(|_| char::from(b'0' + (next() % 10) as u8))
+                .collect();
+            let (int, fraction) = digits.split_at(int_len as usize);
+            let sign = if bits >> 63 == 1 { "-" } else { "" };
+            tokens.push(format!("{sign}{int}.{fraction}"));
+            tokens.push(format!("{sign}{int}"));
+        }
+        for token in &tokens {
+            let expected = reference_number(token);
+            let parsed = Json::parse(token).ok();
+            assert!(same_bits(&parsed, &expected), "{token}: {parsed:?}");
+            let as_f64 = expected
+                .as_ref()
+                .map(|json| json.as_f64().unwrap().to_bits());
+            let read = Parser::new(token.as_bytes()).f64().ok().map(f64::to_bits);
+            assert_eq!(read, as_f64, "{token}");
+            let as_i64 = expected.as_ref().and_then(|json| json.as_i64().ok());
+            assert_eq!(Parser::new(token.as_bytes()).i64().ok(), as_i64, "{token}");
+        }
+    }
+
+    #[test]
+    fn objects_follow_one_set_of_key_rules() {
+        let read = |doc: &str| -> Result<(Option<i64>, Option<i64>), CodecError> {
+            let (mut a, mut b) = (None, None);
+            let mut parser = Parser::new(doc.as_bytes());
+            parser.object(["a", "b"], |parser, key| {
+                match key {
+                    0 => a = Some(parser.i64()?),
+                    _ => b = Some(parser.i64()?),
+                }
+                Ok(())
+            })?;
+            parser.finish()?;
+            Ok((a, b))
+        };
+        // The first occurrence wins; unknown keys and later duplicates are
+        // skipped; keys may come in any order, written with escapes or not.
+        let doc = r#"{"b": 1, "a": 2, "a": "junk", "c": [1, {"x": null}], "b": 3}"#;
+        assert_eq!(read(doc).unwrap(), (Some(2), Some(1)));
+        assert_eq!(read(r#"{"a":5}"#).unwrap(), (Some(5), None));
+        assert_eq!(read("{}").unwrap(), (None, None));
+        // A first occurrence of the wrong type fails.
+        assert!(read(r#"{"a": "junk", "a": 2}"#).is_err());
+        // Skipped values are still checked.
+        assert!(read(r#"{"c": [1,,2], "a": 1}"#).is_err());
+        assert!(read(r#"{"a": 1, "a": [1,,2]}"#).is_err());
+        assert!(read(r#"{"a": 1,}"#).is_err());
+        assert!(read(r#"["a", 1]"#).is_err());
+        let absent = required(None::<i64>, "a").unwrap_err();
+        assert_eq!(absent.message, "missing field `a`");
+        assert_eq!(absent, Json::parse("{}").unwrap().get("a").unwrap_err());
+    }
+
+    #[test]
+    fn attempt_keeps_type_errors_and_rejects_syntax_errors() {
+        let mut parser = Parser::new(br#"["junk", {"a": [1, 2, "x"]}, 5, [1,,2]]"#);
+        parser.begin_array().unwrap();
+        assert!(parser.next_item().unwrap());
+        assert!(parser.attempt(Parser::usize).unwrap().is_err());
+        // A failure deep inside nested containers rewinds the depth too.
+        assert!(parser.next_item().unwrap());
+        let nested = parser.attempt(|parser| {
+            parser.object(["a"], |parser, _| Vec::<f64>::decode(parser).map(drop))
+        });
+        assert!(nested.unwrap().is_err());
+        assert!(parser.next_item().unwrap());
+        assert_eq!(parser.attempt(Parser::usize).unwrap(), Ok(5));
+        assert!(parser.next_item().unwrap());
+        assert!(parser.attempt(Parser::usize).is_err());
+    }
+
+    #[test]
+    fn raw_values_are_checked_and_decode_later() {
+        let mut parser = Parser::new(br#"{"m": {"a": [1, 2.5]} , "n": 1}"#);
+        let mut raw = None;
+        parser
+            .object(["m"], |parser, _| {
+                raw = Some(parser.raw_value()?);
+                Ok(())
+            })
+            .unwrap();
+        parser.finish().unwrap();
+        assert_eq!(raw, Some(&br#"{"a": [1, 2.5]}"#[..]));
+        assert!(Parser::new(br#"{"m": [1,,2]}"#).raw_value().is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected_wherever_it_sits() {
+        assert!(Parser::new(b"\"a\xffb\"").skip_value().is_err());
+        assert!(Parser::new(b"{\"\xff\": 1}").skip_value().is_err());
+        let mut after = Parser::new(b"[\"ok\"] \xff");
+        assert!(after.skip_value().is_ok());
+        assert!(after.finish().is_err());
+    }
+
+    #[test]
+    fn trees_decode_through_their_text() {
+        let tree = Json::parse(r#"{"x": [1, 2.5, "NaN"], "y": null}"#).unwrap();
+        let x = Vec::<f64>::from_json(tree.get("x").unwrap()).unwrap();
+        assert_eq!(x[..2], [1.0, 2.5]);
+        assert!(x[2].is_nan());
+        assert_eq!(Option::<u64>::from_json(tree.get("y").unwrap()), Ok(None));
+        assert!(usize::from_json(&Json::Float(1.0)).is_err());
+        let seeds = Json::parse(r#"[1, "18446744073709551615"]"#).unwrap();
+        assert_eq!(Vec::<u64>::from_json(&seeds), Ok(vec![1, u64::MAX]));
     }
 }

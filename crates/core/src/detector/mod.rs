@@ -62,7 +62,7 @@ pub use session::{MonitorSession, MonitorStats};
 
 use crate::platt_baseline::PlattHmd;
 use crate::trusted::{DetectionReport, TrustedHmd, TrustedHmdBuilder, UntrustedHmd};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::{Dataset, Label, RowsView};
 use hmd_ml::forest::{RandomForest, RandomForestParams};
 use hmd_ml::logistic::{LogisticRegression, LogisticRegressionParams};
@@ -70,6 +70,7 @@ use hmd_ml::svm::{LinearSvm, LinearSvmParams};
 use hmd_ml::tree::{DecisionTree, DecisionTreeParams};
 use hmd_ml::{Classifier, Estimator, MlError, ModelTag};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
@@ -311,6 +312,25 @@ impl DetectorBackend {
         DetectorBackend::LinearSvm(LinearSvmParams::new())
     }
 
+    /// The backend `tag` names, its parameters decoded from `parser`.
+    fn with_params(tag: &str, parser: &mut Parser<'_>) -> Result<DetectorBackend, CodecError> {
+        match tag {
+            t if t == DecisionTree::TAG => Ok(DetectorBackend::DecisionTree(
+                DecisionTreeParams::decode(parser)?,
+            )),
+            t if t == RandomForest::TAG => Ok(DetectorBackend::RandomForest(
+                RandomForestParams::decode(parser)?,
+            )),
+            t if t == LogisticRegression::TAG => Ok(DetectorBackend::LogisticRegression(
+                LogisticRegressionParams::decode(parser)?,
+            )),
+            t if t == LinearSvm::TAG => {
+                Ok(DetectorBackend::LinearSvm(LinearSvmParams::decode(parser)?))
+            }
+            other => Err(CodecError::new(format!("unknown backend `{other}`"))),
+        }
+    }
+
     /// The backend's stable persistence tag.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -336,23 +356,25 @@ impl JsonCodec for DetectorBackend {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<DetectorBackend, CodecError> {
-        let params = json.get("params")?;
-        match json.get("backend")?.as_str()? {
-            t if t == DecisionTree::TAG => Ok(DetectorBackend::DecisionTree(
-                DecisionTreeParams::from_json(params)?,
-            )),
-            t if t == RandomForest::TAG => Ok(DetectorBackend::RandomForest(
-                RandomForestParams::from_json(params)?,
-            )),
-            t if t == LogisticRegression::TAG => Ok(DetectorBackend::LogisticRegression(
-                LogisticRegressionParams::from_json(params)?,
-            )),
-            t if t == LinearSvm::TAG => Ok(DetectorBackend::LinearSvm(LinearSvmParams::from_json(
-                params,
-            )?)),
-            other => Err(CodecError::new(format!("unknown backend `{other}`"))),
+    /// `params` is read by the type its `backend` tag names, so when it
+    /// comes first its bytes are kept until the tag is known.
+    fn decode(parser: &mut Parser<'_>) -> Result<DetectorBackend, CodecError> {
+        let (mut tag, mut backend, mut early_params) = (None, None, None);
+        parser.object(["backend", "params"], |parser, key| {
+            match (key, &tag) {
+                (0, _) => tag = Some(parser.string()?),
+                (_, Some(tag)) => backend = Some(DetectorBackend::with_params(tag, parser)?),
+                (_, None) => early_params = Some(parser.raw_value()?),
+            }
+            Ok(())
+        })?;
+        if let Some(backend) = backend {
+            return Ok(backend);
         }
+        let mut params = Parser::new(required(early_params, "params")?);
+        let backend = DetectorBackend::with_params(&required(tag, "backend")?, &mut params)?;
+        params.finish()?;
+        Ok(backend)
     }
 }
 
@@ -504,13 +526,34 @@ impl JsonCodec for DetectorConfig {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<DetectorConfig, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<DetectorConfig, CodecError> {
+        let (mut kind, mut backend, mut num_estimators) = (None, None, None);
+        let (mut pca_components, mut entropy_threshold) = (None, None);
+        parser.object(
+            [
+                "kind",
+                "backend",
+                "num_estimators",
+                "pca_components",
+                "entropy_threshold",
+            ],
+            |parser, key| {
+                match key {
+                    0 => kind = Some(DetectorKind::from_tag(&parser.string()?)?),
+                    1 => backend = Some(DetectorBackend::decode(parser)?),
+                    2 => num_estimators = Some(parser.usize()?),
+                    3 => pca_components = Some(Option::<usize>::decode(parser)?),
+                    _ => entropy_threshold = Some(parser.f64()?),
+                }
+                Ok(())
+            },
+        )?;
         Ok(DetectorConfig {
-            kind: DetectorKind::from_tag(json.get("kind")?.as_str()?)?,
-            backend: DetectorBackend::from_json(json.get("backend")?)?,
-            num_estimators: usize::from_json(json.get("num_estimators")?)?,
-            pca_components: Option::<usize>::from_json(json.get("pca_components")?)?,
-            entropy_threshold: f64::from_json(json.get("entropy_threshold")?)?,
+            kind: required(kind, "kind")?,
+            backend: required(backend, "backend")?,
+            num_estimators: required(num_estimators, "num_estimators")?,
+            pca_components: required(pca_components, "pca_components")?,
+            entropy_threshold: required(entropy_threshold, "entropy_threshold")?,
         })
     }
 }
@@ -590,42 +633,95 @@ pub fn save(detector: &dyn Detector) -> Result<String, DetectorError> {
 /// unknown format/version/kind/backend tag, or describes an inconsistent
 /// model.
 pub fn load(text: &str) -> Result<Box<dyn Detector>, DetectorError> {
-    let json = Json::parse(text)?;
-    let format = json.get("format")?.as_str()?.to_string();
-    if format != FORMAT {
-        return Err(DetectorError::Format {
-            message: format!("expected format `{FORMAT}`, found `{format}`"),
-        });
+    // One pass over the bytes. The model is read by the type its tags name:
+    // in place when the tags come first (as `save` writes them), otherwise
+    // kept as bytes until the whole document has been read.
+    let mut parser = Parser::from(text);
+    let mut tags = Tags::default();
+    let (mut detector, mut early_model) = (None, None);
+    parser.object(
+        ["format", "version", "kind", "backend", "model"],
+        |parser, key| {
+            match key {
+                0 => tags.format = Some(parser.string()?),
+                1 => tags.version = Some(parser.i64()?),
+                2 => tags.kind = Some(parser.string()?),
+                3 => tags.backend = Some(parser.string()?),
+                _ => match tags.restorer() {
+                    Ok(restore) => detector = Some(restore(parser)?),
+                    Err(_) => early_model = Some(parser.raw_value()?),
+                },
+            }
+            Ok(())
+        },
+    )?;
+    parser.finish()?;
+    if let Some(detector) = detector {
+        return Ok(detector);
     }
-    let version = json.get("version")?.as_i64()?;
-    if version != VERSION {
-        return Err(DetectorError::Format {
-            message: format!("unsupported version {version} (supported: {VERSION})"),
-        });
-    }
-    let kind = DetectorKind::from_tag(json.get("kind")?.as_str()?)?;
-    let backend = json.get("backend")?.as_str()?.to_string();
-    let model = json.get("model")?;
+    let restore = tags.restorer()?;
+    let mut model = Parser::new(required(early_model, "model")?);
+    let detector = restore(&mut model)?;
+    model.finish()?;
+    Ok(detector)
+}
 
-    fn restore<M>(kind: DetectorKind, model: &Json) -> Result<Box<dyn Detector>, DetectorError>
-    where
-        M: Classifier + ModelTag + JsonCodec + Clone + 'static,
-    {
-        Ok(match kind {
-            DetectorKind::Trusted => Box::new(TrustedHmd::<M>::from_json(model)?),
-            DetectorKind::Untrusted => Box::new(UntrustedHmd::<M>::from_json(model)?),
-            DetectorKind::PlattBaseline => Box::new(PlattHmd::<M>::from_json(model)?),
-        })
-    }
+/// Decodes a model document into a boxed detector.
+type Restore = fn(&mut Parser<'_>) -> Result<Box<dyn Detector>, CodecError>;
 
-    match backend.as_str() {
-        t if t == DecisionTree::TAG => restore::<DecisionTree>(kind, model),
-        t if t == RandomForest::TAG => restore::<RandomForest>(kind, model),
-        t if t == LogisticRegression::TAG => restore::<LogisticRegression>(kind, model),
-        t if t == LinearSvm::TAG => restore::<LinearSvm>(kind, model),
-        other => Err(DetectorError::Format {
-            message: format!("unknown backend `{other}`"),
-        }),
+/// The tags of a saved document, as far as they have been read.
+#[derive(Default)]
+struct Tags<'a> {
+    format: Option<Cow<'a, str>>,
+    version: Option<i64>,
+    kind: Option<Cow<'a, str>>,
+    backend: Option<Cow<'a, str>>,
+}
+
+impl Tags<'_> {
+    /// The decoder the tags name, after checking them in the order [`load`]
+    /// reports their errors.
+    fn restorer(&self) -> Result<Restore, DetectorError> {
+        let format = required(self.format.as_deref(), "format")?;
+        if format != FORMAT {
+            return Err(DetectorError::Format {
+                message: format!("expected format `{FORMAT}`, found `{format}`"),
+            });
+        }
+        let version = required(self.version, "version")?;
+        if version != VERSION {
+            return Err(DetectorError::Format {
+                message: format!("unsupported version {version} (supported: {VERSION})"),
+            });
+        }
+        let kind = DetectorKind::from_tag(required(self.kind.as_deref(), "kind")?)?;
+
+        fn restore<M>(kind: DetectorKind) -> Restore
+        where
+            M: Classifier + ModelTag + JsonCodec + Clone + 'static,
+        {
+            match kind {
+                DetectorKind::Trusted => boxed::<TrustedHmd<M>>,
+                DetectorKind::Untrusted => boxed::<UntrustedHmd<M>>,
+                DetectorKind::PlattBaseline => boxed::<PlattHmd<M>>,
+            }
+        }
+
+        fn boxed<D: Detector + JsonCodec + 'static>(
+            parser: &mut Parser<'_>,
+        ) -> Result<Box<dyn Detector>, CodecError> {
+            Ok(Box::new(D::decode(parser)?))
+        }
+
+        match required(self.backend.as_deref(), "backend")? {
+            t if t == DecisionTree::TAG => Ok(restore::<DecisionTree>(kind)),
+            t if t == RandomForest::TAG => Ok(restore::<RandomForest>(kind)),
+            t if t == LogisticRegression::TAG => Ok(restore::<LogisticRegression>(kind)),
+            t if t == LinearSvm::TAG => Ok(restore::<LinearSvm>(kind)),
+            other => Err(DetectorError::Format {
+                message: format!("unknown backend `{other}`"),
+            }),
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use crate::rejection::{RejectionCurve, RejectionPoint};
 use crate::trusted::{
     preprocess_row, single_model_reports, validate_widths, Decision, DetectionReport,
 };
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::scaler::StandardScaler;
 use hmd_data::{Dataset, Label};
 use hmd_ml::pca::Pca;
@@ -222,16 +222,28 @@ impl<M: Classifier + JsonCodec> JsonCodec for PlattHmd<M> {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<PlattHmd<M>, CodecError> {
-        let scaler = StandardScaler::from_json(json.get("scaler")?)?;
-        let pca = Option::<Pca>::from_json(json.get("pca")?)?;
-        let model = M::from_json(json.get("model")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<PlattHmd<M>, CodecError> {
+        let (mut scaler, mut pca, mut model, mut threshold) = (None, None, None, None);
+        parser.object(
+            ["scaler", "pca", "model", "entropy_threshold"],
+            |parser, key| {
+                match key {
+                    0 => scaler = Some(StandardScaler::decode(parser)?),
+                    1 => pca = Some(Option::<Pca>::decode(parser)?),
+                    2 => model = Some(M::decode(parser)?),
+                    _ => threshold = Some(parser.f64()?),
+                }
+                Ok(())
+            },
+        )?;
+        let (scaler, pca) = (required(scaler, "scaler")?, required(pca, "pca")?);
+        let model = required(model, "model")?;
         validate_widths(&scaler, &pca, model.input_width(), "platt pipeline")?;
         Ok(PlattHmd {
             scaler,
             pca,
             model,
-            entropy_threshold: f64::from_json(json.get("entropy_threshold")?)?,
+            entropy_threshold: required(threshold, "entropy_threshold")?,
         })
     }
 }

@@ -10,7 +10,7 @@
 use crate::estimator::{EnsembleUncertaintyEstimator, UncertainPrediction};
 use crate::platt_baseline::PlattHmd;
 use crate::rejection::RejectionPolicy;
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::scaler::StandardScaler;
 use hmd_data::{Dataset, Label, Matrix, RowsView};
 use hmd_ml::bagging::BaggingParams;
@@ -515,10 +515,22 @@ impl<M: Classifier + JsonCodec> JsonCodec for TrustedHmd<M> {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<TrustedHmd<M>, CodecError> {
-        let scaler = StandardScaler::from_json(json.get("scaler")?)?;
-        let pca = Option::<Pca>::from_json(json.get("pca")?)?;
-        let ensemble = hmd_ml::bagging::BaggingEnsemble::<M>::from_json(json.get("ensemble")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<TrustedHmd<M>, CodecError> {
+        let (mut scaler, mut pca, mut ensemble, mut threshold) = (None, None, None, None);
+        parser.object(
+            ["scaler", "pca", "ensemble", "entropy_threshold"],
+            |parser, key| {
+                match key {
+                    0 => scaler = Some(StandardScaler::decode(parser)?),
+                    1 => pca = Some(Option::<Pca>::decode(parser)?),
+                    2 => ensemble = Some(hmd_ml::bagging::BaggingEnsemble::<M>::decode(parser)?),
+                    _ => threshold = Some(parser.f64()?),
+                }
+                Ok(())
+            },
+        )?;
+        let (scaler, pca) = (required(scaler, "scaler")?, required(pca, "pca")?);
+        let ensemble = required(ensemble, "ensemble")?;
         for estimator in ensemble.estimators() {
             validate_widths(&scaler, &pca, estimator.input_width(), "trusted pipeline")?;
         }
@@ -526,7 +538,7 @@ impl<M: Classifier + JsonCodec> JsonCodec for TrustedHmd<M> {
             scaler,
             pca,
             estimator: EnsembleUncertaintyEstimator::new(ensemble),
-            policy: RejectionPolicy::new(f64::from_json(json.get("entropy_threshold")?)?),
+            policy: RejectionPolicy::new(required(threshold, "entropy_threshold")?),
         })
     }
 }
@@ -540,10 +552,18 @@ impl<M: Classifier + JsonCodec> JsonCodec for UntrustedHmd<M> {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<UntrustedHmd<M>, CodecError> {
-        let scaler = StandardScaler::from_json(json.get("scaler")?)?;
-        let pca = Option::<Pca>::from_json(json.get("pca")?)?;
-        let model = M::from_json(json.get("model")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<UntrustedHmd<M>, CodecError> {
+        let (mut scaler, mut pca, mut model) = (None, None, None);
+        parser.object(["scaler", "pca", "model"], |parser, key| {
+            match key {
+                0 => scaler = Some(StandardScaler::decode(parser)?),
+                1 => pca = Some(Option::<Pca>::decode(parser)?),
+                _ => model = Some(M::decode(parser)?),
+            }
+            Ok(())
+        })?;
+        let (scaler, pca) = (required(scaler, "scaler")?, required(pca, "pca")?);
+        let model = required(model, "model")?;
         validate_widths(&scaler, &pca, model.input_width(), "untrusted pipeline")?;
         Ok(UntrustedHmd { scaler, pca, model })
     }

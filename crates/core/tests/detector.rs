@@ -1,7 +1,7 @@
 //! Integration tests of the unified `Detector` API: trait-object usage,
 //! batch/serial equivalence, and persistence round trips.
 
-use hmd_codec::JsonCodec;
+use hmd_codec::{Json, JsonCodec};
 use hmd_core::detector::{
     load, save, save_to_file, Detector, DetectorBackend, DetectorConfig, DetectorExt, DetectorKind,
     MonitorSession,
@@ -221,6 +221,216 @@ fn malformed_documents_are_rejected_with_errors() {
         load(r#"{"format":"hmd-detector","version":1,"kind":"trusted","backend":"decision-tree","model":{}}"#)
             .is_err()
     );
+}
+
+/// The value at `path` inside `doc`: object keys by name (first
+/// occurrence), array items by index.
+fn at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(doc, |node, step| match node {
+        Json::Object(fields) => {
+            &mut fields
+                .iter_mut()
+                .find(|(key, _)| key == step)
+                .unwrap_or_else(|| panic!("no key `{step}`"))
+                .1
+        }
+        Json::Array(items) => &mut items[step.parse::<usize>().expect("an index")],
+        other => panic!("no `{step}` inside a {}", other.kind()),
+    })
+}
+
+/// The key/value pairs of the object at `path` inside `doc`.
+fn fields<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Vec<(String, Json)> {
+    match at(doc, path) {
+        Json::Object(fields) => fields,
+        other => panic!("{path:?} is a {}", other.kind()),
+    }
+}
+
+/// The items of the array at `path` inside `doc`.
+fn items<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Vec<Json> {
+    match at(doc, path) {
+        Json::Array(items) => items,
+        other => panic!("{path:?} is a {}", other.kind()),
+    }
+}
+
+#[test]
+fn every_load_check_is_pinned_by_an_edited_document() {
+    let train = blobs(60, 3, 11);
+    let forest = DetectorBackend::RandomForest(RandomForestParams::new().with_num_trees(2));
+    let fit = |config: DetectorConfig| {
+        let detector = config.fit(&train, 3).expect("training succeeds");
+        save(detector.as_ref()).expect("persistable")
+    };
+    let plain = fit(DetectorConfig::trusted(forest.clone()).with_num_estimators(3));
+    let with_pca = fit(DetectorConfig::trusted(forest)
+        .with_num_estimators(3)
+        .with_pca(2));
+    let edit = |doc: &str, change: &dyn Fn(&mut Json)| {
+        let mut tree = Json::parse(doc).expect("saved documents parse");
+        change(&mut tree);
+        tree.to_string()
+    };
+    const FOREST: [&str; 4] = ["model", "ensemble", "estimators", "0"];
+    const TREE: [&str; 6] = ["model", "ensemble", "estimators", "0", "trees", "0"];
+    const ROOT: [&str; 8] = [
+        "model",
+        "ensemble",
+        "estimators",
+        "0",
+        "trees",
+        "0",
+        "nodes",
+        "0",
+    ];
+    let root = |key: &'static str| [&ROOT[..], &[key]].concat();
+    fn first_leaf(nodes: &mut [Json]) -> &mut Vec<(String, Json)> {
+        let leaf = nodes
+            .iter()
+            .position(|node| node.get("malware_fraction").is_ok())
+            .expect("a tree has a leaf");
+        match &mut nodes[leaf] {
+            Json::Object(fields) => fields,
+            _ => panic!("nodes are objects"),
+        }
+    }
+
+    let rejected: Vec<(&str, String, &str)> = vec![
+        (
+            "a child index that does not increase",
+            edit(&plain, &|d| *at(d, &root("left")) = Json::Int(0)),
+            "does not increase (cycle)",
+        ),
+        (
+            "a child index out of bounds",
+            edit(&plain, &|d| *at(d, &root("right")) = Json::Int(999)),
+            "child index out of bounds",
+        ),
+        (
+            "a split on a feature the tree does not have",
+            edit(&plain, &|d| *at(d, &root("feature")) = Json::Int(3)),
+            "split on feature 3 but only 3 features",
+        ),
+        (
+            "a tree with no nodes",
+            edit(&plain, &|d| {
+                items(d, &[&TREE[..], &["nodes"]].concat()).clear()
+            }),
+            "decision tree has no nodes",
+        ),
+        (
+            "a forest with no trees",
+            edit(&plain, &|d| {
+                items(d, &[&FOREST[..], &["trees"]].concat()).clear()
+            }),
+            "random forest has no trees",
+        ),
+        (
+            "a forest whose trees disagree on width",
+            edit(&plain, &|d| {
+                *at(d, &[&FOREST[..], &["trees", "1", "num_features"]].concat()) = Json::Int(4)
+            }),
+            "random forest trees disagree on feature count (3 vs 4)",
+        ),
+        (
+            "an ensemble with no estimators",
+            edit(&plain, &|d| {
+                items(d, &["model", "ensemble", "estimators"]).clear()
+            }),
+            "bagging ensemble has no estimators",
+        ),
+        (
+            "scaler means and stds of different lengths",
+            edit(&plain, &|d| {
+                items(d, &["model", "scaler", "stds"]).pop();
+            }),
+            "scaler: 3 means but 2 stds",
+        ),
+        (
+            "a front end wider than the model",
+            edit(&plain, &|d| {
+                items(d, &["model", "scaler", "means"]).push(Json::Float(0.5));
+                items(d, &["model", "scaler", "stds"]).push(Json::Float(1.5));
+            }),
+            "front end produces 4 features but model expects 3",
+        ),
+        (
+            "PCA projection rows that differ from its means",
+            edit(&with_pca, &|d| {
+                items(d, &["model", "pca", "means"]).push(Json::Float(0.5))
+            }),
+            "pca: projection has 3 rows but 4 means",
+        ),
+        (
+            "trailing bytes after the document",
+            format!("{plain} x"),
+            "trailing characters after document",
+        ),
+        (
+            "a first duplicate key with the wrong type",
+            edit(&plain, &|d| {
+                fields(d, &["model"])
+                    .insert(0, ("entropy_threshold".into(), Json::Str("junk".into())))
+            }),
+            "expected number, found string \"junk\"",
+        ),
+        (
+            "an unknown key whose value has a syntax error",
+            plain.replacen('{', r#"{"note":[1,,2],"#, 1),
+            "unexpected character `,`",
+        ),
+    ];
+    for (case, doc, message) in rejected {
+        match load(&doc) {
+            Ok(_) => panic!("{case}: the document loaded"),
+            Err(err) => assert!(err.to_string().contains(message), "{case}: {err}"),
+        }
+    }
+
+    let accepted: Vec<(&str, String)> = vec![
+        (
+            "the top-level keys reversed",
+            edit(&plain, &|d| fields(d, &[]).reverse()),
+        ),
+        (
+            "unknown keys",
+            edit(&plain, &|d| {
+                fields(d, &[]).insert(0, ("note".into(), Json::Array(vec![Json::Null])));
+                fields(d, &["model"]).push(("note".into(), Json::Str("x".into())));
+            }),
+        ),
+        (
+            "a second duplicate key",
+            edit(&plain, &|d| {
+                fields(d, &["model"]).push(("entropy_threshold".into(), Json::Str("junk".into())))
+            }),
+        ),
+        (
+            "a leaf with a junk feature",
+            edit(&plain, &|d| {
+                first_leaf(items(d, &[&TREE[..], &["nodes"]].concat()))
+                    .push(("feature".into(), Json::Str("junk".into())))
+            }),
+        ),
+        (
+            "a split with junk samples",
+            edit(&plain, &|d| {
+                fields(d, &ROOT).push(("samples".into(), Json::Str("junk".into())))
+            }),
+        ),
+        (
+            "integers with leading zeros",
+            plain
+                .replace(r#""version":1"#, r#""version":0001"#)
+                .replace(r#""num_features":3"#, r#""num_features":03"#),
+        ),
+    ];
+    for (case, doc) in accepted {
+        assert_ne!(doc, plain, "{case}: the edit changed nothing");
+        let restored = load(&doc).unwrap_or_else(|err| panic!("{case}: {err}"));
+        assert_eq!(save(restored.as_ref()).unwrap(), plain, "{case}");
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{CodecError, Json, JsonCodec, Parser};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -76,8 +76,8 @@ impl JsonCodec for Label {
         )
     }
 
-    fn from_json(json: &Json) -> Result<Label, CodecError> {
-        match json.as_str()? {
+    fn decode(parser: &mut Parser<'_>) -> Result<Label, CodecError> {
+        match &*parser.string()? {
             "benign" => Ok(Label::Benign),
             "malware" => Ok(Label::Malware),
             other => Err(CodecError::new(format!("unknown label `{other}`"))),

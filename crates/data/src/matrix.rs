@@ -1,5 +1,5 @@
 use crate::DataError;
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -317,12 +317,15 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::DimensionMismatch`] when `data.len() != rows * cols`.
+    /// Returns [`DataError::DimensionMismatch`] when `data.len() != rows * cols`,
+    /// and when `rows * cols` overflows (a shape read from a document can ask
+    /// for any product).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Matrix, DataError> {
-        if data.len() != rows * cols {
+        let cells = rows.checked_mul(cols);
+        if cells != Some(data.len()) {
             return Err(DataError::DimensionMismatch {
                 context: "matrix buffer length",
-                expected: rows * cols,
+                expected: cells.unwrap_or(usize::MAX),
                 found: data.len(),
             });
         }
@@ -748,11 +751,19 @@ impl JsonCodec for Matrix {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<Matrix, CodecError> {
-        let rows = usize::from_json(json.get("rows")?)?;
-        let cols = usize::from_json(json.get("cols")?)?;
-        let data = Vec::<f64>::from_json(json.get("data")?)?;
-        Matrix::from_vec(rows, cols, data).map_err(|err| CodecError::new(format!("matrix: {err}")))
+    fn decode(parser: &mut Parser<'_>) -> Result<Matrix, CodecError> {
+        let (mut rows, mut cols, mut data) = (None, None, None);
+        parser.object(["rows", "cols", "data"], |parser, key| {
+            match key {
+                0 => rows = Some(parser.usize()?),
+                1 => cols = Some(parser.usize()?),
+                _ => data = Some(Vec::decode(parser)?),
+            }
+            Ok(())
+        })?;
+        let (rows, cols) = (required(rows, "rows")?, required(cols, "cols")?);
+        Matrix::from_vec(rows, cols, required(data, "data")?)
+            .map_err(|err| CodecError::new(format!("matrix: {err}")))
     }
 }
 
@@ -814,6 +825,10 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
+        // A shape whose product overflows is rejected, even when the product
+        // wraps around to the buffer's length.
+        assert!(Matrix::from_vec(3, usize::MAX / 2, vec![1.0; 6]).is_err());
+        assert!(Matrix::from_vec(4, usize::MAX / 4 + 3, vec![1.0; 8]).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `[0, 1]`.
 
 use crate::{DataError, Dataset, Matrix, RowsView};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use serde::{Deserialize, Serialize};
 
 /// Zero-mean / unit-variance standardisation fitted on a training matrix.
@@ -169,9 +169,17 @@ impl JsonCodec for StandardScaler {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<StandardScaler, CodecError> {
-        let means = Vec::<f64>::from_json(json.get("means")?)?;
-        let stds = Vec::<f64>::from_json(json.get("stds")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<StandardScaler, CodecError> {
+        let (mut means, mut stds) = (None, None);
+        parser.object(["means", "stds"], |parser, key| {
+            match key {
+                0 => means = Some(Vec::decode(parser)?),
+                _ => stds = Some(Vec::decode(parser)?),
+            }
+            Ok(())
+        })?;
+        let (means, stds): (Vec<f64>, Vec<f64>) =
+            (required(means, "means")?, required(stds, "stds")?);
         if means.len() != stds.len() {
             return Err(CodecError::new(format!(
                 "scaler: {} means but {} stds",

@@ -13,11 +13,12 @@
 //!
 //! 1. **all of `hmd_codec`'s library code** — the codec must be wholly
 //!    ignorant of derived representations;
-//! 2. **persistence functions elsewhere** (`to_json`, `from_json`,
-//!    `to_saved_json`, `save`, `load`) — the identifiers may exist in the
-//!    crate, but not inside the encode/decode paths. (`from_json`
-//!    *rebuilding* a cache via a constructor like `from_trees` is fine and
-//!    matches the current code; naming the cache fields directly is not.)
+//! 2. **persistence functions elsewhere** (`to_json`, `decode`,
+//!    `from_json`, `to_saved_json`, `save`, `load`) — the identifiers may
+//!    exist in the crate, but not inside the encode/decode paths. (A
+//!    `decode` *rebuilding* a cache via a constructor like `from_trees` is
+//!    fine and matches the current code; naming the cache fields directly
+//!    is not.)
 //!
 //! Both identifier tokens and string literals (JSON keys!) are checked.
 
@@ -42,7 +43,14 @@ const DERIVED: &[&str] = &[
 ];
 
 /// Function names whose bodies are persistence paths.
-const PERSIST_FNS: &[&str] = &["to_json", "from_json", "to_saved_json", "save", "load"];
+const PERSIST_FNS: &[&str] = &[
+    "to_json",
+    "decode",
+    "from_json",
+    "to_saved_json",
+    "save",
+    "load",
+];
 
 /// See the module docs.
 pub struct DerivedStatePersistence;

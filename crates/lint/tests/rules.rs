@@ -129,6 +129,15 @@ fn derived_state_accepts_caches_outside_persistence_paths() {
 }
 
 #[test]
+fn derived_state_polices_decoders_outside_the_codec() {
+    let diags = check("derived_decode.rs", "ml");
+    assert_eq!(count(&diags, "derived-state-persistence"), 2, "{diags:?}");
+    // Both hits sit in the decoder that names the cache (its `let` and its
+    // struct literal); the one that rebuilds through `from_trees` is clean.
+    assert!(diags.iter().all(|d| (8..=9).contains(&d.line)), "{diags:?}");
+}
+
+#[test]
 fn suppression_failure_modes_are_reported_and_do_not_suppress() {
     let diags = check("suppression_cases.rs", "core");
     assert_eq!(

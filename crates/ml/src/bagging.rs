@@ -9,7 +9,7 @@
 
 use crate::flat::{compile_groups, FlatForest};
 use crate::{Classifier, Estimator, MlError};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::split::{bootstrap_draw, bootstrap_indices};
 use hmd_data::{Dataset, Label, RowsView};
 use rand::rngs::StdRng;
@@ -335,14 +335,22 @@ impl<M: Classifier + JsonCodec> JsonCodec for BaggingEnsemble<M> {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<BaggingEnsemble<M>, CodecError> {
-        let estimators = Vec::<M>::from_json(json.get("estimators")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<BaggingEnsemble<M>, CodecError> {
+        let (mut base_name, mut estimators) = (None, None);
+        parser.object(["base_name", "estimators"], |parser, key| {
+            match key {
+                0 => base_name = Some(intern_base_name(&parser.string()?)),
+                _ => estimators = Some(Vec::<M>::decode(parser)?),
+            }
+            Ok(())
+        })?;
+        let estimators = required(estimators, "estimators")?;
         if estimators.is_empty() {
             return Err(CodecError::new("bagging ensemble has no estimators"));
         }
         Ok(BaggingEnsemble::from_estimators(
             estimators,
-            intern_base_name(json.get("base_name")?.as_str()?),
+            required(base_name, "base_name")?,
         ))
     }
 }

@@ -9,7 +9,7 @@ use crate::fastfit::View;
 use crate::flat::{compile_groups, FlatForest, FlatForestBuilder};
 use crate::tree::{DecisionTree, DecisionTreeParams, MaxFeatures};
 use crate::{Classifier, Estimator, MlError, ModelTag};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::split::{bootstrap_draw, bootstrap_indices};
 use hmd_data::{Dataset, Label};
 use rand::rngs::StdRng;
@@ -74,11 +74,20 @@ impl JsonCodec for RandomForestParams {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<RandomForestParams, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<RandomForestParams, CodecError> {
+        let (mut num_trees, mut tree, mut bootstrap) = (None, None, None);
+        parser.object(["num_trees", "tree", "bootstrap"], |parser, key| {
+            match key {
+                0 => num_trees = Some(parser.usize()?),
+                1 => tree = Some(DecisionTreeParams::decode(parser)?),
+                _ => bootstrap = Some(parser.bool()?),
+            }
+            Ok(())
+        })?;
         Ok(RandomForestParams {
-            num_trees: usize::from_json(json.get("num_trees")?)?,
-            tree: DecisionTreeParams::from_json(json.get("tree")?)?,
-            bootstrap: bool::from_json(json.get("bootstrap")?)?,
+            num_trees: required(num_trees, "num_trees")?,
+            tree: required(tree, "tree")?,
+            bootstrap: required(bootstrap, "bootstrap")?,
         })
     }
 }
@@ -265,8 +274,13 @@ impl JsonCodec for RandomForest {
         Json::object(vec![("trees", self.trees.to_json())])
     }
 
-    fn from_json(json: &Json) -> Result<RandomForest, CodecError> {
-        let trees = Vec::<DecisionTree>::from_json(json.get("trees")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<RandomForest, CodecError> {
+        let mut trees = None;
+        parser.object(["trees"], |parser, _| {
+            trees = Some(Vec::<DecisionTree>::decode(parser)?);
+            Ok(())
+        })?;
+        let trees = required(trees, "trees")?;
         if trees.is_empty() {
             return Err(CodecError::new("random forest has no trees"));
         }

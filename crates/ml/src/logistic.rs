@@ -1,7 +1,7 @@
 //! L2-regularised logistic regression trained by full-batch gradient descent.
 
 use crate::{Classifier, Estimator, MlError, ModelTag};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::{Dataset, Label};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,12 +88,25 @@ impl JsonCodec for LogisticRegressionParams {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<LogisticRegressionParams, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<LogisticRegressionParams, CodecError> {
+        let (mut learning_rate, mut epochs, mut l2, mut tolerance) = (None, None, None, None);
+        parser.object(
+            ["learning_rate", "epochs", "l2", "tolerance"],
+            |parser, key| {
+                match key {
+                    0 => learning_rate = Some(parser.f64()?),
+                    1 => epochs = Some(parser.usize()?),
+                    2 => l2 = Some(parser.f64()?),
+                    _ => tolerance = Some(parser.f64()?),
+                }
+                Ok(())
+            },
+        )?;
         Ok(LogisticRegressionParams {
-            learning_rate: f64::from_json(json.get("learning_rate")?)?,
-            epochs: usize::from_json(json.get("epochs")?)?,
-            l2: f64::from_json(json.get("l2")?)?,
-            tolerance: f64::from_json(json.get("tolerance")?)?,
+            learning_rate: required(learning_rate, "learning_rate")?,
+            epochs: required(epochs, "epochs")?,
+            l2: required(l2, "l2")?,
+            tolerance: required(tolerance, "tolerance")?,
         })
     }
 }
@@ -216,10 +229,18 @@ impl JsonCodec for LogisticRegression {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<LogisticRegression, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<LogisticRegression, CodecError> {
+        let (mut weights, mut bias) = (None, None);
+        parser.object(["weights", "bias"], |parser, key| {
+            match key {
+                0 => weights = Some(Vec::decode(parser)?),
+                _ => bias = Some(parser.f64()?),
+            }
+            Ok(())
+        })?;
         Ok(LogisticRegression {
-            weights: Vec::<f64>::from_json(json.get("weights")?)?,
-            bias: f64::from_json(json.get("bias")?)?,
+            weights: required(weights, "weights")?,
+            bias: required(bias, "bias")?,
         })
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::linalg::{covariance_matrix, jacobi_eigen};
 use crate::MlError;
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -158,9 +158,28 @@ impl JsonCodec for Pca {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<Pca, CodecError> {
-        let means = Vec::<f64>::from_json(json.get("means")?)?;
-        let components = Matrix::from_json(json.get("components")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<Pca, CodecError> {
+        let (mut means, mut components) = (None, None);
+        let (mut explained_variance, mut total_variance) = (None, None);
+        parser.object(
+            [
+                "means",
+                "components",
+                "explained_variance",
+                "total_variance",
+            ],
+            |parser, key| {
+                match key {
+                    0 => means = Some(Vec::<f64>::decode(parser)?),
+                    1 => components = Some(Matrix::decode(parser)?),
+                    2 => explained_variance = Some(Vec::decode(parser)?),
+                    _ => total_variance = Some(parser.f64()?),
+                }
+                Ok(())
+            },
+        )?;
+        let means = required(means, "means")?;
+        let components = required(components, "components")?;
         if components.rows() != means.len() {
             return Err(CodecError::new(format!(
                 "pca: projection has {} rows but {} means",
@@ -171,8 +190,8 @@ impl JsonCodec for Pca {
         Ok(Pca {
             means,
             components,
-            explained_variance: Vec::<f64>::from_json(json.get("explained_variance")?)?,
-            total_variance: f64::from_json(json.get("total_variance")?)?,
+            explained_variance: required(explained_variance, "explained_variance")?,
+            total_variance: required(total_variance, "total_variance")?,
         })
     }
 }

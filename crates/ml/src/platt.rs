@@ -6,7 +6,7 @@
 
 use crate::logistic::sigmoid;
 use crate::MlError;
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::Label;
 use serde::{Deserialize, Serialize};
 
@@ -88,10 +88,18 @@ impl JsonCodec for PlattScaler {
         Json::object(vec![("a", self.a.to_json()), ("b", self.b.to_json())])
     }
 
-    fn from_json(json: &Json) -> Result<PlattScaler, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<PlattScaler, CodecError> {
+        let (mut a, mut b) = (None, None);
+        parser.object(["a", "b"], |parser, key| {
+            match key {
+                0 => a = Some(parser.f64()?),
+                _ => b = Some(parser.f64()?),
+            }
+            Ok(())
+        })?;
         Ok(PlattScaler {
-            a: f64::from_json(json.get("a")?)?,
-            b: f64::from_json(json.get("b")?)?,
+            a: required(a, "a")?,
+            b: required(b, "b")?,
         })
     }
 }

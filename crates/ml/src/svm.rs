@@ -9,7 +9,7 @@
 use crate::logistic::sigmoid;
 use crate::platt::PlattScaler;
 use crate::{Classifier, Estimator, MlError, ModelTag};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::{Dataset, Label};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,14 +104,30 @@ impl JsonCodec for LinearSvmParams {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<LinearSvmParams, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<LinearSvmParams, CodecError> {
+        let (mut lambda, mut epochs, mut calibrate, mut threshold) = (None, None, None, None);
+        parser.object(
+            [
+                "lambda",
+                "epochs",
+                "calibrate",
+                "convergence_loss_threshold",
+            ],
+            |parser, key| {
+                match key {
+                    0 => lambda = Some(parser.f64()?),
+                    1 => epochs = Some(parser.usize()?),
+                    2 => calibrate = Some(parser.bool()?),
+                    _ => threshold = Some(Option::<f64>::decode(parser)?),
+                }
+                Ok(())
+            },
+        )?;
         Ok(LinearSvmParams {
-            lambda: f64::from_json(json.get("lambda")?)?,
-            epochs: usize::from_json(json.get("epochs")?)?,
-            calibrate: bool::from_json(json.get("calibrate")?)?,
-            convergence_loss_threshold: Option::<f64>::from_json(
-                json.get("convergence_loss_threshold")?,
-            )?,
+            lambda: required(lambda, "lambda")?,
+            epochs: required(epochs, "epochs")?,
+            calibrate: required(calibrate, "calibrate")?,
+            convergence_loss_threshold: required(threshold, "convergence_loss_threshold")?,
         })
     }
 }
@@ -253,11 +269,20 @@ impl JsonCodec for LinearSvm {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<LinearSvm, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<LinearSvm, CodecError> {
+        let (mut weights, mut bias, mut platt) = (None, None, None);
+        parser.object(["weights", "bias", "platt"], |parser, key| {
+            match key {
+                0 => weights = Some(Vec::decode(parser)?),
+                1 => bias = Some(parser.f64()?),
+                _ => platt = Some(Option::<PlattScaler>::decode(parser)?),
+            }
+            Ok(())
+        })?;
         Ok(LinearSvm {
-            weights: Vec::<f64>::from_json(json.get("weights")?)?,
-            bias: f64::from_json(json.get("bias")?)?,
-            platt: Option::<PlattScaler>::from_json(json.get("platt")?)?,
+            weights: required(weights, "weights")?,
+            bias: required(bias, "bias")?,
+            platt: required(platt, "platt")?,
         })
     }
 }

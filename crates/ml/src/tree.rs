@@ -6,7 +6,7 @@
 //! [`crate::forest::RandomForest`].
 
 use crate::{Classifier, Estimator, MlError, ModelTag};
-use hmd_codec::{CodecError, Json, JsonCodec};
+use hmd_codec::{required, CodecError, Json, JsonCodec, Parser};
 use hmd_data::{Dataset, Label};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -120,11 +120,11 @@ impl JsonCodec for MaxFeatures {
         }
     }
 
-    fn from_json(json: &Json) -> Result<MaxFeatures, CodecError> {
-        match json {
+    fn decode(parser: &mut Parser<'_>) -> Result<MaxFeatures, CodecError> {
+        match parser.value()? {
             Json::Str(s) if s == "all" => Ok(MaxFeatures::All),
             Json::Str(s) if s == "sqrt" => Ok(MaxFeatures::Sqrt),
-            Json::Int(_) => Ok(MaxFeatures::Exact(json.as_usize()?)),
+            json @ Json::Int(_) => json.as_usize().map(MaxFeatures::Exact),
             other => Err(CodecError::new(format!(
                 "expected max_features, found {other}"
             ))),
@@ -146,13 +146,34 @@ impl JsonCodec for DecisionTreeParams {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<DecisionTreeParams, CodecError> {
+    fn decode(parser: &mut Parser<'_>) -> Result<DecisionTreeParams, CodecError> {
+        let (mut max_depth, mut min_samples_split, mut min_samples_leaf) = (None, None, None);
+        let (mut max_features, mut min_impurity_decrease) = (None, None);
+        parser.object(
+            [
+                "max_depth",
+                "min_samples_split",
+                "min_samples_leaf",
+                "max_features",
+                "min_impurity_decrease",
+            ],
+            |parser, key| {
+                match key {
+                    0 => max_depth = Some(parser.usize()?),
+                    1 => min_samples_split = Some(parser.usize()?),
+                    2 => min_samples_leaf = Some(parser.usize()?),
+                    3 => max_features = Some(MaxFeatures::decode(parser)?),
+                    _ => min_impurity_decrease = Some(parser.f64()?),
+                }
+                Ok(())
+            },
+        )?;
         Ok(DecisionTreeParams {
-            max_depth: usize::from_json(json.get("max_depth")?)?,
-            min_samples_split: usize::from_json(json.get("min_samples_split")?)?,
-            min_samples_leaf: usize::from_json(json.get("min_samples_leaf")?)?,
-            max_features: MaxFeatures::from_json(json.get("max_features")?)?,
-            min_impurity_decrease: f64::from_json(json.get("min_impurity_decrease")?)?,
+            max_depth: required(max_depth, "max_depth")?,
+            min_samples_split: required(min_samples_split, "min_samples_split")?,
+            min_samples_leaf: required(min_samples_leaf, "min_samples_leaf")?,
+            max_features: required(max_features, "max_features")?,
+            min_impurity_decrease: required(min_impurity_decrease, "min_impurity_decrease")?,
         })
     }
 }
@@ -201,7 +222,7 @@ pub(crate) enum Node {
 /// 0 (a single leaf has depth 0).
 ///
 /// One reverse pass, linear in the node count: every child index is greater
-/// than its parent's (the grower's layout, and a `from_json` check), so each
+/// than its parent's (the grower's layout, and a `decode` check), so each
 /// node's children are final before the node itself is reached. A document
 /// may share a child between both branches; a recursive walk would visit it
 /// once per path, which doubles with every shared level.
@@ -401,20 +422,46 @@ impl JsonCodec for Node {
         }
     }
 
-    fn from_json(json: &Json) -> Result<Node, CodecError> {
-        if json.get("malware_fraction").is_ok() {
-            Ok(Node::Leaf {
-                malware_fraction: f64::from_json(json.get("malware_fraction")?)?,
-                samples: usize::from_json(json.get("samples")?)?,
-            })
-        } else {
-            Ok(Node::Split {
-                feature: usize::from_json(json.get("feature")?)?,
-                threshold: f64::from_json(json.get("threshold")?)?,
-                left: usize::from_json(json.get("left")?)?,
-                right: usize::from_json(json.get("right")?)?,
-            })
-        }
+    /// A node carrying `malware_fraction` is a leaf. Each variant reads
+    /// only its own fields: a field of the other variant is checked as JSON
+    /// and otherwise ignored, so its failure is kept until the variant is
+    /// known.
+    fn decode(parser: &mut Parser<'_>) -> Result<Node, CodecError> {
+        let (mut malware_fraction, mut samples) = (None, None);
+        let (mut feature, mut threshold, mut left, mut right) = (None, None, None, None);
+        parser.object(
+            [
+                "malware_fraction",
+                "samples",
+                "feature",
+                "threshold",
+                "left",
+                "right",
+            ],
+            |parser, key| {
+                match key {
+                    0 => malware_fraction = Some(parser.f64()?),
+                    1 => samples = Some(parser.attempt(Parser::usize)?),
+                    2 => feature = Some(parser.attempt(Parser::usize)?),
+                    3 => threshold = Some(parser.attempt(Parser::f64)?),
+                    4 => left = Some(parser.attempt(Parser::usize)?),
+                    _ => right = Some(parser.attempt(Parser::usize)?),
+                }
+                Ok(())
+            },
+        )?;
+        Ok(match malware_fraction {
+            Some(malware_fraction) => Node::Leaf {
+                malware_fraction,
+                samples: required(samples, "samples")??,
+            },
+            None => Node::Split {
+                feature: required(feature, "feature")??,
+                threshold: required(threshold, "threshold")??,
+                left: required(left, "left")??,
+                right: required(right, "right")??,
+            },
+        })
     }
 }
 
@@ -426,9 +473,17 @@ impl JsonCodec for DecisionTree {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<DecisionTree, CodecError> {
-        let nodes = Vec::<Node>::from_json(json.get("nodes")?)?;
-        let num_features = usize::from_json(json.get("num_features")?)?;
+    fn decode(parser: &mut Parser<'_>) -> Result<DecisionTree, CodecError> {
+        let (mut nodes, mut num_features) = (None, None);
+        parser.object(["nodes", "num_features"], |parser, key| {
+            match key {
+                0 => nodes = Some(Vec::<Node>::decode(parser)?),
+                _ => num_features = Some(parser.usize()?),
+            }
+            Ok(())
+        })?;
+        let nodes = required(nodes, "nodes")?;
+        let num_features = required(num_features, "num_features")?;
         if nodes.is_empty() {
             return Err(CodecError::new("decision tree has no nodes"));
         }

@@ -23,7 +23,7 @@ use crate::fleet::{FleetError, HealthSnapshot};
 use crate::net::NetError;
 use crate::shard::ShardedReport;
 use hmd_codec::frame::{FrameHeader, HEADER_LEN};
-use hmd_codec::{write_f64, write_int, write_string, CodecError, Json, Parser};
+use hmd_codec::{required, write_f64, write_int, write_string, CodecError, Json, Parser};
 use hmd_core::estimator::UncertainPrediction;
 use hmd_core::trusted::{Decision, DetectionReport};
 use hmd_data::Label;
@@ -219,8 +219,9 @@ impl Request {
     }
 
     /// Decodes a request payload arriving under `kind`, straight from its
-    /// bytes. Unknown keys are skipped; when a key repeats, its first value
-    /// counts (as [`Json::get`] resolves it).
+    /// bytes. Keys follow [`Parser::object`]'s rules: unknown keys are
+    /// skipped, and when a key repeats, its first value counts (as
+    /// [`Json::get`] resolves it).
     ///
     /// # Errors
     ///
@@ -259,76 +260,67 @@ fn score_row_fields(
     endpoint: &mut String,
     row: &mut Vec<f64>,
 ) -> Result<Option<u64>, CodecError> {
-    let (mut has_endpoint, mut has_row) = (false, false);
-    let mut key = None;
+    let (mut has_endpoint, mut has_row, mut key) = (false, false, None);
     let mut parser = Parser::new(payload);
-    parser.begin_object()?;
-    while let Some(name) = parser.next_key()? {
-        match &*name {
-            "endpoint" if !has_endpoint => {
+    parser.object(["endpoint", "key", "row"], |parser, field| {
+        match field {
+            0 => {
                 endpoint.push_str(&parser.string()?);
                 has_endpoint = true;
             }
-            "key" if key.is_none() => {
+            1 => {
                 key = Some(if parser.null() {
                     None
                 } else {
-                    Some(json_u64(&parser.value()?)?)
+                    Some(unsigned(parser.i64()?)?)
                 });
             }
-            "row" if !has_row => {
-                pull_floats(&mut parser, row)?;
+            _ => {
+                pull_floats(parser, row)?;
                 has_row = true;
             }
-            _ => parser.skip_value()?,
         }
-    }
+        Ok(())
+    })?;
     parser.finish()?;
-    if !has_endpoint {
-        return Err(missing("endpoint"));
-    }
-    if !has_row {
-        return Err(missing("row"));
-    }
-    key.ok_or_else(|| missing("key"))
+    required(has_endpoint.then_some(()), "endpoint")?;
+    required(has_row.then_some(()), "row")?;
+    required(key, "key")
 }
 
 /// The fields of a barrier request (every kind but `ScoreRow`).
 fn decode_barrier(kind: FrameKind, payload: &[u8]) -> Result<Request, CodecError> {
     let (mut endpoint, mut rows, mut document) = (None, None, None);
     let mut parser = Parser::new(payload);
-    parser.begin_object()?;
-    while let Some(name) = parser.next_key()? {
-        match (&*name, kind) {
-            ("endpoint", _) if endpoint.is_none() => {
-                endpoint = Some(parser.string()?.into_owned());
-            }
-            ("rows", FrameKind::ScoreBatch) if rows.is_none() => {
+    parser.object(["endpoint", "rows", "document"], |parser, field| {
+        match (field, kind) {
+            (0, _) => endpoint = Some(parser.string()?.into_owned()),
+            (1, FrameKind::ScoreBatch) => {
                 let mut all = Vec::new();
                 parser.begin_array()?;
                 while parser.next_item()? {
                     let mut row = Vec::new();
-                    pull_floats(&mut parser, &mut row)?;
+                    pull_floats(parser, &mut row)?;
                     all.push(row);
                 }
                 rows = Some(all);
             }
-            ("document", FrameKind::Deploy) if document.is_none() => {
-                document = Some(parser.string()?.into_owned());
-            }
+            (2, FrameKind::Deploy) => document = Some(parser.string()?.into_owned()),
+            // A key of another request kind is not part of this schema.
             _ => parser.skip_value()?,
         }
-    }
+        Ok(())
+    })?;
     parser.finish()?;
-    let endpoint = endpoint.ok_or_else(|| missing("endpoint"))?;
+    let endpoint = required(endpoint, "endpoint")?;
     Ok(match kind {
         FrameKind::ScoreBatch => Request::ScoreBatch {
             endpoint,
-            rows: rows.ok_or_else(|| missing("rows"))?,
+            rows: required(rows, "rows")?,
         },
         FrameKind::Deploy => Request::Deploy {
             endpoint,
-            document: document.ok_or_else(|| missing("document"))?,
+            document: required(document, "document")?,
         },
         FrameKind::Rollback => Request::Rollback { endpoint },
         FrameKind::Health => Request::Health { endpoint },
@@ -343,11 +335,6 @@ fn pull_floats(parser: &mut Parser<'_>, row: &mut Vec<f64>) -> Result<(), CodecE
         row.push(parser.f64()?);
     }
     Ok(())
-}
-
-/// The error [`Json::get`] gives for an absent key.
-fn missing(key: &str) -> CodecError {
-    CodecError::new(format!("missing field `{key}`"))
 }
 
 /// One decoded response payload.
@@ -489,7 +476,10 @@ fn saturating_u64(value: u64) -> i64 {
 }
 
 fn json_u64(value: &Json) -> Result<u64, CodecError> {
-    let raw = value.as_i64()?;
+    unsigned(value.as_i64()?)
+}
+
+fn unsigned(raw: i64) -> Result<u64, CodecError> {
     u64::try_from(raw)
         .map_err(|_| CodecError::new(format!("expected unsigned integer, found {raw}")))
 }
