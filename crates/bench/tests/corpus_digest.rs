@@ -13,7 +13,9 @@
 
 use hmd_bench::ExperimentScale;
 use hmd_data::split::KnownUnknownSplit;
+use hmd_data::stream::StreamRecord;
 use hmd_data::{Dataset, Label, SampleMeta};
+use hmd_dvfs::DvfsCorpusStream;
 use hmd_hpc::sampler::Sampler;
 use hmd_hpc::stream::HpcCorpusStream;
 
@@ -114,6 +116,15 @@ fn smoke_hpc_corpora_are_pinned() {
     );
 }
 
+/// FNV-1a over the first 72 rows of a stream.
+fn stream_digest(stream: impl Iterator<Item = StreamRecord>) -> u64 {
+    let mut hash = Fnv1a::new();
+    for record in stream.take(72) {
+        write_row(&mut hash, &record.features, record.label, &record.meta);
+    }
+    hash.0
+}
+
 /// The stream keeps one warmed core per program, so it takes another path
 /// through the simulator than the batch builder: 72 rows are four
 /// round-robin passes over the 18-program catalog.
@@ -123,12 +134,25 @@ fn smoke_hpc_stream_is_pinned() {
         "HPC stream",
         &[(1, 0xba9e_1998_1736_cbb4), (2021, 0xde1c_427a_a965_e51a)],
         |seed| {
-            let stream = HpcCorpusStream::full_catalog(Sampler::new(), seed).expect("HPC stream");
-            let mut hash = Fnv1a::new();
-            for record in stream.take(72) {
-                write_row(&mut hash, &record.features, record.label, &record.meta);
-            }
-            hash.0
+            stream_digest(HpcCorpusStream::full_catalog(Sampler::new(), seed).expect("HPC stream"))
+        },
+    );
+}
+
+/// The stream cycles the 24-app catalog with one generator, so it draws
+/// its rows in another order than the batch builder: 72 rows are three
+/// round-robin passes, and a stream that generates rows ahead of its reader
+/// in fixed-size chunks stops here inside one.
+#[test]
+fn smoke_dvfs_stream_is_pinned() {
+    check_pins(
+        "DVFS stream",
+        &[(1, 0x1909_993d_afa1_8974), (2021, 0x46f8_8f33_0b93_ce1c)],
+        |seed| {
+            stream_digest(
+                DvfsCorpusStream::full_catalog(ExperimentScale::Smoke.dvfs_builder(), seed)
+                    .expect("DVFS stream"),
+            )
         },
     );
 }

@@ -810,6 +810,7 @@ impl<'a> Parser<'a> {
             Some(b'"') => {
                 self.string()?;
             }
+            Some(b'-' | b'0'..=b'9') => self.skip_number()?,
             _ => {
                 self.scalar()?;
             }
@@ -955,6 +956,55 @@ impl<'a> Parser<'a> {
             .map(Number::Float)
             .map_err(|_| self.error(&format!("invalid number `{text}`")))
     }
+
+    /// Scans past a number token, accepting exactly the tokens
+    /// [`Parser::number`] reads, with the same error, without converting
+    /// it. That reader takes an optional `-` and the run of number bytes
+    /// after it, and reads it iff it is an `i64` or an `f64` in the
+    /// standard parsers' grammar; every `i64` token is also an `f64` one.
+    fn skip_number(&mut self) -> Result<(), CodecError> {
+        let bytes = self.bytes;
+        let start = self.pos;
+        let unsigned = start + usize::from(bytes.get(start) == Some(&b'-'));
+        let mut end = unsigned;
+        while bytes.get(end).is_some_and(is_number_byte) {
+            end += 1;
+        }
+        self.pos = end;
+        if is_unsigned_number(&bytes[unsigned..end]) {
+            return Ok(());
+        }
+        let text = self.text_of(start, end)?;
+        Err(self.error(&format!("invalid number `{text}`")))
+    }
+}
+
+/// Whether `t` is a number as `f64::from_str` reads one, less its sign:
+/// digits with an optional `.` fraction, at least one digit in all, then
+/// an optional exponent of `e` or `E`, an optional sign and digits.
+fn is_unsigned_number(t: &[u8]) -> bool {
+    let mut end = digit_run(t, 0);
+    let mut digits = end;
+    if t.get(end) == Some(&b'.') {
+        let fraction_end = digit_run(t, end + 1);
+        digits += fraction_end - (end + 1);
+        end = fraction_end;
+    }
+    if digits == 0 {
+        return false;
+    }
+    if matches!(t.get(end), Some(b'e' | b'E')) {
+        end += 1;
+        if matches!(t.get(end), Some(b'+' | b'-')) {
+            end += 1;
+        }
+        let exponent_end = digit_run(t, end);
+        if exponent_end == end {
+            return false;
+        }
+        end = exponent_end;
+    }
+    end == t.len()
 }
 
 /// Whether `b` continues a number token: a digit or one of `.eE+-`.
@@ -1283,6 +1333,92 @@ mod tests {
             let skipped = parser.skip_value().and_then(|()| parser.finish());
             assert_eq!(skipped.is_ok(), Json::parse(doc).is_ok(), "{doc:?}");
         }
+    }
+
+    #[test]
+    fn skipping_a_number_accepts_what_reading_it_accepts() {
+        // Skipping and reading a document must agree on acceptance and on
+        // the error, for edge-case tokens and for every token of up to
+        // four bytes over the number alphabet.
+        let agree = |doc: &str| {
+            let mut skipper = Parser::new(doc.as_bytes());
+            let skipped = skipper.skip_value().and_then(|()| skipper.finish());
+            let mut reader = Parser::new(doc.as_bytes());
+            let read = reader.value().and_then(|_| reader.finish());
+            assert_eq!(skipped, read, "{doc:?}");
+            read.is_ok()
+        };
+        let edge_cases = [
+            "0",
+            "-0",
+            "00",
+            "-00",
+            "007",
+            "1.",
+            "-1.",
+            ".5",
+            "-.5",
+            "1.e5",
+            "1.5",
+            "-1.5",
+            "1e5",
+            "1E5",
+            "1e+5",
+            "1e-5",
+            "1e",
+            "1e+",
+            "-",
+            "--1",
+            "-+1",
+            "+1",
+            "1-",
+            "1+2",
+            "1.5.3",
+            "1e5e5",
+            "1e5.5",
+            "1..2",
+            "1.-5",
+            "1ee5",
+            "1e400",
+            "-1e400",
+            "1e-400",
+            "0x1F",
+            "1 2",
+            " 7 ",
+            "[1e, 2]",
+            "[1.5e3, -0.0]",
+            "{\"a\": -.5}",
+            "{\"a\": --5}",
+            "123456789012345678",
+            "1234567890123456789",
+            "12345678901234567890",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "0.12345678901234",
+            "0.123456789012345",
+            "1234567.12345678",
+            "1234567.123456789",
+            "1e99999999999999999999",
+        ];
+        for doc in edge_cases {
+            agree(doc);
+        }
+        let alphabet = b"019-+.eE";
+        let mut accepted = 0;
+        for len in 1..=4u32 {
+            for mut code in 0..alphabet.len().pow(len) {
+                let mut token = String::new();
+                for _ in 0..len {
+                    token.push(char::from(alphabet[code % alphabet.len()]));
+                    code /= alphabet.len();
+                }
+                accepted += usize::from(agree(&token));
+            }
+        }
+        // Both sides accept some tokens, so agreeing is not vacuous.
+        assert!(accepted > 100, "{accepted} tokens read");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::governor::GovernorKind;
 use crate::workload::{Phase, WorkloadModel};
-use hmd_data::{AppId, Label};
+use hmd_data::{AppId, Label, SampleMeta};
 use serde::{Deserialize, Serialize};
 
 /// A simulated application (benign app or malware family).
@@ -48,6 +48,15 @@ impl AppProfile {
             known,
             workload,
             governor,
+        }
+    }
+
+    /// The metadata of a sample this application produced.
+    pub(crate) fn sample_meta(&self) -> SampleMeta {
+        if self.known {
+            SampleMeta::known(self.id)
+        } else {
+            SampleMeta::unknown(self.id)
         }
     }
 }

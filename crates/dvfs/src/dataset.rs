@@ -7,10 +7,17 @@ use crate::features::FeatureExtractor;
 use crate::soc::SocConfig;
 use crate::trace::DvfsTrace;
 use hmd_data::split::{known_unknown_split, KnownUnknownSplit};
-use hmd_data::{DataError, Dataset, Matrix, SampleMeta};
+use hmd_data::{DataError, Dataset, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Rows [`DvfsCorpusBuilder::build_corpus`] and the corpus stream simulate
+/// per hand-off to the worker pool: enough to keep both cores of a small
+/// host busy past the hand-off, few enough that a stream reads little
+/// ahead of its reader.
+pub(crate) const CHUNK_ROWS: usize = 32;
 
 /// Builder for DVFS signature corpora.
 ///
@@ -119,8 +126,53 @@ impl DvfsCorpusBuilder {
         self.extractor.extract(&trace)
     }
 
+    /// Advances `rng` exactly as [`DvfsCorpusBuilder::simulate_signature`]
+    /// would, without simulating anything: of a signature's stages only
+    /// the workload draws from the generator.
+    fn skip_signature<R: Rng>(&self, app: &AppProfile, rng: &mut R) {
+        app.workload.skip_trace(self.trace_len, rng);
+    }
+
+    /// The signatures [`DvfsCorpusBuilder::simulate_signature`] returns for
+    /// each of `apps` in turn, drawing from `rng`, which ends where those
+    /// calls would leave it.
+    ///
+    /// Only a row's generator draws depend on the rows before it. So this
+    /// thread walks the draws of every row, keeping the generator state at
+    /// each row's start, and the worker pool (this thread taking a share)
+    /// simulates the rows from their start states, in order.
+    pub(crate) fn simulate_rows(&self, apps: &[&AppProfile], rng: &mut StdRng) -> Vec<Vec<f64>> {
+        let starts: Vec<(&AppProfile, StdRng)> = apps
+            .iter()
+            .map(|&app| {
+                let start = rng.clone();
+                self.skip_signature(app, rng);
+                (app, start)
+            })
+            .collect();
+        let rows: Vec<(Vec<f64>, StdRng)> = starts
+            .par_iter()
+            .map(|(app, start)| {
+                let mut row_rng = start.clone();
+                (self.simulate_signature(app, &mut row_rng), row_rng)
+            })
+            .collect();
+        debug_assert!(
+            rows.iter().map(|(_, end)| end).eq(starts
+                .iter()
+                .skip(1)
+                .map(|(_, start)| start)
+                .chain([&*rng])),
+            "a simulated row must end where the next row's draws start"
+        );
+        rows.into_iter().map(|(features, _)| features).collect()
+    }
+
     /// Generates the full corpus (all applications, with per-sample
-    /// application metadata).
+    /// application metadata). The rows are simulated on the worker pool,
+    /// 32 at a time (see `simulate_rows`), bit for bit as one
+    /// thread calling [`DvfsCorpusBuilder::simulate_signature`] per row
+    /// would.
     ///
     /// # Errors
     ///
@@ -128,26 +180,25 @@ impl DvfsCorpusBuilder {
     /// indicates a bug rather than a user error.
     pub fn build_corpus(&self, seed: u64) -> Result<Dataset, DataError> {
         let catalog = AppCatalog::standard();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        let mut meta = Vec::new();
-        for app in catalog.apps() {
-            let count = if app.known {
-                self.samples_per_known_app
-            } else {
-                self.samples_per_unknown_app
-            };
-            for _ in 0..count {
-                rows.push(self.simulate_signature(app, &mut rng));
-                labels.push(app.label);
-                meta.push(if app.known {
-                    SampleMeta::known(app.id)
+        let apps: Vec<&AppProfile> = catalog
+            .apps()
+            .iter()
+            .flat_map(|app| {
+                let count = if app.known {
+                    self.samples_per_known_app
                 } else {
-                    SampleMeta::unknown(app.id)
-                });
-            }
+                    self.samples_per_unknown_app
+                };
+                std::iter::repeat_n(app, count)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows = Vec::with_capacity(apps.len());
+        for chunk in apps.chunks(CHUNK_ROWS) {
+            rows.extend(self.simulate_rows(chunk, &mut rng));
         }
+        let labels = apps.iter().map(|app| app.label).collect();
+        let meta = apps.iter().map(|app| app.sample_meta()).collect();
         let features = Matrix::from_rows(&rows)?;
         let mut dataset = Dataset::with_meta(features, labels, meta)?;
         dataset.set_feature_names(self.extractor.feature_names(self.soc.num_states()))?;
@@ -175,7 +226,73 @@ impl Default for DvfsCorpusBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{Phase, WorkloadModel};
     use hmd_data::Label;
+
+    #[test]
+    fn a_skipped_row_leaves_the_generator_where_a_simulated_row_does() {
+        // The catalog mixes spiky and steady phases. Two more apps switch
+        // phase every sample, so every trace of two or more samples has a
+        // boundary on its last one; two switch every third sample, so a
+        // four-sample trace has one there and nowhere before.
+        let catalog = AppCatalog::standard();
+        let mut apps = catalog.apps().to_vec();
+        for duration in [1.0, 3.0] {
+            for spikes in [0.0, 0.5] {
+                let workload = WorkloadModel::new(vec![
+                    Phase::new(0.9, duration).with_spikes(spikes),
+                    Phase::new(0.1, duration).with_spikes(spikes),
+                ])
+                .with_duration_jitter(0.0);
+                apps.push(AppProfile {
+                    workload,
+                    ..catalog.apps()[0].clone()
+                });
+            }
+        }
+        for app in &apps {
+            for len in [1, 2, 4, 512] {
+                let builder = DvfsCorpusBuilder::new().with_trace_len(len);
+                for seed in 0..3 {
+                    let mut simulated = StdRng::seed_from_u64(seed);
+                    let mut skipped = simulated.clone();
+                    builder.simulate_signature(app, &mut simulated);
+                    builder.skip_signature(app, &mut skipped);
+                    assert_eq!(
+                        skipped, simulated,
+                        "{}, {len} samples, seed {seed}",
+                        app.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pooled_corpus_equals_the_row_by_row_simulation() {
+        // 72 rows: two full chunks, then a partial one.
+        let builder = DvfsCorpusBuilder::new()
+            .with_samples_per_app(3)
+            .with_trace_len(64);
+        let corpus = builder.build_corpus(11).unwrap();
+        assert_eq!(corpus.len(), 72);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut row = 0;
+        for app in AppCatalog::standard().apps() {
+            for _ in 0..3 {
+                let expected = builder.simulate_signature(app, &mut rng);
+                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(corpus.features().row(row)),
+                    bits(&expected),
+                    "row {row}"
+                );
+                assert_eq!(corpus.labels()[row], app.label);
+                assert_eq!(corpus.meta()[row], app.sample_meta());
+                row += 1;
+            }
+        }
+    }
 
     #[test]
     fn corpus_has_expected_size_and_metadata() {

@@ -10,14 +10,14 @@
 //! # The twiddle table
 //!
 //! The `(cos, sin)` factors of the transform depend only on the trace length
-//! `n` and the bin count `k`, never on the trace. Each thread therefore keeps
-//! one table of them and rebuilds it only when a call asks for another
-//! `(n, k)`: a corpus of equally long traces pays `n·k` sine/cosine pairs
-//! once instead of once per row. The table holds 16 B × n × k on every thread
-//! that generates rows: 256 KiB for the bench-scale 512-sample traces with 32
-//! bins, 512 KiB for the paper-scale 1024-sample ones. A rebuild costs as
-//! many sine/cosine pairs as one term-by-term call, so alternating lengths
-//! is never slower than evaluating term by term.
+//! `n` and the bin count `k`, never on the trace. The process therefore
+//! builds one table of them per `(n, k)` it is asked for, the first time it
+//! is asked, and every thread reads that one table: a corpus of equally long
+//! traces pays `n·k` sine/cosine pairs once instead of once per row, however
+//! many pool threads simulate its rows. A table holds 16 B × n × k and lives
+//! as long as the process: 256 KiB for the bench-scale 512-sample traces
+//! with 32 bins, 512 KiB for the paper-scale 1024-sample ones. A program
+//! asks for one key per trace length it generates.
 //!
 //! The table moves no bit of any magnitude:
 //! - each entry is the `cos()` and `sin()` of the same `f64` angle
@@ -30,7 +30,7 @@
 //! The test module keeps the term-by-term evaluation as the table's
 //! bit-for-bit reference.
 
-use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The twiddle factors of one `(trace length, bin count)`:
 /// `pairs[t * num_bins + bin]` is `[cos, sin]` of the angle of sample `t` in
@@ -41,42 +41,41 @@ struct Twiddles {
     pairs: Vec<[f64; 2]>,
 }
 
-thread_local! {
-    /// This thread's twiddle table. It starts keyed `(0, 0)`, which no call
-    /// asks for, so the first call builds it.
-    static TWIDDLES: RefCell<Twiddles> = const {
-        RefCell::new(Twiddles {
-            n: 0,
-            num_bins: 0,
-            pairs: Vec::new(),
-        })
-    };
-}
+/// Every twiddle table the process has built, at most one per key.
+static TABLES: Mutex<Vec<Arc<Twiddles>>> = Mutex::new(Vec::new());
 
+/// The key of every twiddle table the process has built, in build order;
+/// the tests pin builds per key as a ceiling.
 #[cfg(test)]
-thread_local! {
-    /// Twiddle tables this thread has built; the tests pin it as a ceiling.
-    static TABLE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
+static BUILT_KEYS: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
 
 impl Twiddles {
-    /// The factors of `(n, num_bins)`, rebuilt at their exact size if the
-    /// table holds another key.
-    fn factors(&mut self, n: usize, num_bins: usize) -> &[[f64; 2]] {
-        if (self.n, self.num_bins) != (n, num_bins) {
-            #[cfg(test)]
-            TABLE_BUILDS.set(TABLE_BUILDS.get() + 1);
-            let mut pairs = vec![[0.0; 2]; n * num_bins];
-            for (t, row) in pairs.chunks_exact_mut(num_bins).enumerate() {
-                for (bin, pair) in row.iter_mut().enumerate() {
-                    let k = bin + 1; // skip DC
-                    let angle = -2.0 * std::f64::consts::PI * (k as f64) * (t as f64) / (n as f64);
-                    *pair = [angle.cos(), angle.sin()];
-                }
-            }
-            *self = Twiddles { n, num_bins, pairs };
+    /// The table of `(n, num_bins)`, built the first time any thread asks
+    /// for it. The build runs under the lock, so concurrent first calls
+    /// build it once.
+    fn of(n: usize, num_bins: usize) -> Arc<Twiddles> {
+        // A panic under the lock leaves the list as it was: tables are
+        // pushed whole.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables.iter().find(|t| (t.n, t.num_bins) == (n, num_bins)) {
+            return Arc::clone(table);
         }
-        &self.pairs
+        #[cfg(test)]
+        BUILT_KEYS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((n, num_bins));
+        let mut pairs = vec![[0.0; 2]; n * num_bins];
+        for (t, row) in pairs.chunks_exact_mut(num_bins).enumerate() {
+            for (bin, pair) in row.iter_mut().enumerate() {
+                let k = bin + 1; // skip DC
+                let angle = -2.0 * std::f64::consts::PI * (k as f64) * (t as f64) / (n as f64);
+                *pair = [angle.cos(), angle.sin()];
+            }
+        }
+        let table = Arc::new(Twiddles { n, num_bins, pairs });
+        tables.push(Arc::clone(&table));
+        table
     }
 }
 
@@ -91,17 +90,14 @@ pub fn dft_magnitudes(signal: &[f64], num_bins: usize) -> Vec<f64> {
     }
     let mean = signal.iter().sum::<f64>() / n as f64;
     let mut sums = vec![[0.0; 2]; num_bins];
-    TWIDDLES.with(|cell| {
-        let mut twiddles = cell.borrow_mut();
-        let factors = twiddles.factors(n, num_bins);
-        for (&x, row) in signal.iter().zip(factors.chunks_exact(num_bins)) {
-            let centred = x - mean;
-            for ([re, im], &[cos, sin]) in sums.iter_mut().zip(row) {
-                *re += centred * cos;
-                *im += centred * sin;
-            }
+    let twiddles = Twiddles::of(n, num_bins);
+    for (&x, row) in signal.iter().zip(twiddles.pairs.chunks_exact(num_bins)) {
+        let centred = x - mean;
+        for ([re, im], &[cos, sin]) in sums.iter_mut().zip(row) {
+            *re += centred * cos;
+            *im += centred * sin;
         }
-    });
+    }
     sums.iter()
         .map(|[re, im]| (re * re + im * im).sqrt() / n as f64)
         .collect()
@@ -190,9 +186,14 @@ mod tests {
         keys
     }
 
+    /// Twiddle tables the process has built for `key`.
+    fn builds(key: (usize, usize)) -> usize {
+        let built = BUILT_KEYS.lock().unwrap_or_else(PoisonError::into_inner);
+        built.iter().filter(|&&k| k == key).count()
+    }
+
     /// Asserts that the table matches the reference bit for bit on a seeded
-    /// random, a constant and a sine signal of length `len`. The three calls
-    /// share one key, so they build at most one table.
+    /// random, a constant and a sine signal of length `len`.
     fn assert_matches_reference(len: usize, bins: usize) {
         let mut rng = StdRng::seed_from_u64((len * 64 + bins) as u64);
         let random: Vec<f64> = (0..len).map(|_| 8.0 * rng.gen::<f64>()).collect();
@@ -211,47 +212,46 @@ mod tests {
     #[test]
     fn the_table_matches_the_term_by_term_reference_bit_for_bit() {
         for (len, bins) in keys(0) {
-            let before = TABLE_BUILDS.get();
             assert_matches_reference(len, bins);
             assert_eq!(
-                TABLE_BUILDS.get() - before,
+                builds((len, bins)),
                 1,
-                "a new key rebuilds the table once, then three signals share it"
+                "a key's table is built once, then every signal shares it"
             );
         }
     }
 
     #[test]
-    fn threads_build_and_keep_their_own_tables() {
-        let keys_per_thread = LENGTHS.len() * BINS.len();
+    fn threads_share_one_table_per_key() {
+        // Three threads walk every key at once, each from another start, so
+        // first calls for one key race.
         std::thread::scope(|scope| {
             for worker in 0..3 {
                 scope.spawn(move || {
                     for (len, bins) in keys(worker * 11) {
                         assert_matches_reference(len, bins);
                     }
-                    assert_eq!(TABLE_BUILDS.get(), keys_per_thread);
                 });
             }
         });
+        for key in keys(0) {
+            assert_eq!(builds(key), 1, "key {key:?}");
+        }
     }
 
     #[test]
-    fn a_corpus_builds_its_table_once() {
-        // A fresh thread, so no table built by an earlier test counts. Term
-        // by term, this corpus costs 48 rows x 256 samples x 32 bins
-        // sine/cosine pairs; the table costs 256 x 32, once.
-        let builds = std::thread::spawn(|| {
-            let corpus = DvfsCorpusBuilder::new()
-                .with_samples_per_app(2)
-                .build_corpus(7)
-                .expect("corpus");
-            assert_eq!(corpus.len(), 48);
-            TABLE_BUILDS.get()
-        })
-        .join()
-        .expect("corpus thread");
-        assert_eq!(builds, 1);
+    fn a_pooled_corpus_builds_its_table_once() {
+        // No other test asks for 96-sample traces, so every build of that
+        // key counts. Term by term, this corpus costs 48 rows x 96 samples
+        // x 32 bins sine/cosine pairs, spread over the worker pool; the
+        // table costs 96 x 32, once in the process.
+        let builder = DvfsCorpusBuilder::new()
+            .with_samples_per_app(2)
+            .with_trace_len(96);
+        assert_eq!(builds((96, builder.extractor.spectral_bins)), 0);
+        let corpus = builder.build_corpus(7).expect("corpus");
+        assert_eq!(corpus.len(), 48);
+        assert_eq!(builds((96, builder.extractor.spectral_bins)), 1);
     }
 
     fn sine(freq_cycles: f64, len: usize) -> Vec<f64> {
@@ -283,11 +283,12 @@ mod tests {
 
     #[test]
     fn short_signals_return_zeros() {
-        let before = TABLE_BUILDS.get();
         assert_eq!(dft_magnitudes(&[1.0], 4), vec![0.0; 4]);
         assert_eq!(band_energies(&[], 4, 2), vec![0.0; 2]);
         assert_eq!(dft_magnitudes(&[1.0, 2.0], 0), Vec::<f64>::new());
-        assert_eq!(TABLE_BUILDS.get(), before, "no table for an empty result");
+        for key in [(1, 4), (0, 4), (2, 0)] {
+            assert_eq!(builds(key), 0, "no table for an empty result");
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Constant-memory streaming DVFS corpus generation.
 //!
-//! [`DvfsCorpusStream`] implements [`CorpusStream`]: it simulates one fresh
+//! [`DvfsCorpusStream`] implements [`CorpusStream`]: it yields one fresh
 //! signature per [`Iterator::next`] call, cycling round-robin over a fixed
-//! application mix with a single seeded RNG. Nothing is materialised, so a
-//! robustness sweep can fold over millions of signatures at the memory cost
-//! of exactly one feature vector. The same builder + app mix + seed yields a
-//! bit-identical row sequence.
+//! application mix with a single seeded RNG. It simulates its rows on the
+//! worker pool one chunk of 32 ahead of its reader, so a robustness sweep
+//! can fold over millions of signatures at a constant memory cost: 32
+//! feature vectors and 33 generator states of 32 B. The same builder + app
+//! mix + seed yields a bit-identical row sequence, the one that simulating
+//! row after row with [`DvfsCorpusBuilder::simulate_signature`] yields,
+//! wherever a reader stops.
 //!
 //! # Example
 //!
@@ -25,24 +28,28 @@
 //! ```
 
 use crate::apps::{AppCatalog, AppProfile};
-use crate::dataset::DvfsCorpusBuilder;
+use crate::dataset::{DvfsCorpusBuilder, CHUNK_ROWS};
 use hmd_data::stream::{CorpusStream, StreamRecord};
-use hmd_data::{DataError, SampleMeta};
+use hmd_data::DataError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 
 /// An infinite, seeded stream of DVFS signatures over a fixed application mix.
 ///
 /// The stream owns its application profiles and a [`StdRng`]; rows are
 /// produced by cycling through the mix in order and simulating one fresh
 /// trace per row, exactly as the batch [`DvfsCorpusBuilder::build_corpus`]
-/// does per sample — but one row at a time.
+/// does per sample. When its reader has taken every row simulated so far,
+/// the stream simulates the next 32 on the worker pool.
 #[derive(Debug, Clone)]
 pub struct DvfsCorpusStream {
     builder: DvfsCorpusBuilder,
     apps: Vec<AppProfile>,
     rng: StdRng,
     cursor: usize,
+    /// Rows simulated but not yet read: at most one chunk.
+    ahead: VecDeque<StreamRecord>,
 }
 
 impl DvfsCorpusStream {
@@ -67,6 +74,7 @@ impl DvfsCorpusStream {
             apps,
             rng: StdRng::seed_from_u64(seed),
             cursor: 0,
+            ahead: VecDeque::with_capacity(CHUNK_ROWS),
         })
     }
 
@@ -128,18 +136,23 @@ impl Iterator for DvfsCorpusStream {
     type Item = StreamRecord;
 
     fn next(&mut self) -> Option<StreamRecord> {
-        let app = &self.apps[self.cursor % self.apps.len()];
-        self.cursor = self.cursor.wrapping_add(1);
-        let features = self.builder.simulate_signature(app, &mut self.rng);
-        Some(StreamRecord {
-            features,
-            label: app.label,
-            meta: if app.known {
-                SampleMeta::known(app.id)
-            } else {
-                SampleMeta::unknown(app.id)
-            },
-        })
+        if self.ahead.is_empty() {
+            let apps: Vec<&AppProfile> = (0..CHUNK_ROWS)
+                .map(|_| {
+                    let app = &self.apps[self.cursor % self.apps.len()];
+                    self.cursor = self.cursor.wrapping_add(1);
+                    app
+                })
+                .collect();
+            let rows = self.builder.simulate_rows(&apps, &mut self.rng);
+            self.ahead
+                .extend(apps.iter().zip(rows).map(|(app, features)| StreamRecord {
+                    features,
+                    label: app.label,
+                    meta: app.sample_meta(),
+                }));
+        }
+        self.ahead.pop_front()
     }
 }
 
@@ -155,9 +168,44 @@ impl CorpusStream for DvfsCorpusStream {
 mod tests {
     use super::*;
     use hmd_data::stream::collect_dataset;
+    use rand::rngs::StdRng;
 
     fn tiny_builder() -> DvfsCorpusBuilder {
         DvfsCorpusBuilder::new().with_trace_len(16)
+    }
+
+    #[test]
+    fn a_stream_stopped_mid_chunk_equals_the_row_by_row_simulation() {
+        let builder = DvfsCorpusBuilder::new().with_trace_len(64);
+        let apps = AppCatalog::standard().apps().to_vec();
+        let mut rng = StdRng::seed_from_u64(5);
+        let expected: Vec<StreamRecord> = (0..40)
+            .map(|row| {
+                let app = &apps[row % apps.len()];
+                StreamRecord {
+                    features: builder.simulate_signature(app, &mut rng),
+                    label: app.label,
+                    meta: app.sample_meta(),
+                }
+            })
+            .collect();
+        let bits = |records: &[StreamRecord]| -> Vec<u64> {
+            records
+                .iter()
+                .flat_map(|r| r.features.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        // Forty rows stop eight into the second chunk, and a clone taken
+        // one row into it carries the rows read ahead.
+        let mut stream = DvfsCorpusStream::full_catalog(builder, 5).unwrap();
+        let read: Vec<StreamRecord> = stream.by_ref().take(33).collect();
+        let cloned: Vec<StreamRecord> = stream.clone().take(7).collect();
+        let rest: Vec<StreamRecord> = stream.take(7).collect();
+        for tail in [cloned, rest] {
+            let rows = [read.clone(), tail].concat();
+            assert_eq!(rows, expected);
+            assert_eq!(bits(&rows), bits(&expected));
+        }
     }
 
     #[test]

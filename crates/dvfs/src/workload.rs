@@ -101,6 +101,34 @@ impl WorkloadModel {
     /// Generates a CPU utilisation trace of `len` governor sampling periods.
     pub fn utilization_trace<R: Rng>(&self, len: usize, rng: &mut R) -> Vec<f64> {
         let mut trace = Vec::with_capacity(len);
+        self.walk_draws(len, rng, |phase, draws| {
+            let mut u = phase.mean_utilization + box_muller(draws.uniforms) * phase.noise;
+            if draws.spiked {
+                u = 1.0;
+            }
+            trace.push(u.clamp(0.0, 1.0));
+        });
+        trace
+    }
+
+    /// Advances `rng` past the draws of a `len`-sample trace, leaving it
+    /// exactly where [`WorkloadModel::utilization_trace`] would, at a
+    /// fraction of the cost: no sample is transformed.
+    pub(crate) fn skip_trace<R: Rng>(&self, len: usize, rng: &mut R) {
+        self.walk_draws(len, rng, |_, _| {});
+    }
+
+    /// Makes every generator call of a `len`-sample trace, in order: the
+    /// starting phase, each phase's duration, then per sample its two
+    /// noise uniforms and, in a spiky phase, its spike draw. `step` gets
+    /// each sample's phase and draws. Generating and skipping a trace both
+    /// run this one walk, so they cannot disagree on the draws.
+    fn walk_draws<R: Rng>(
+        &self,
+        len: usize,
+        rng: &mut R,
+        mut step: impl FnMut(&Phase, SampleDraws),
+    ) {
         let mut phase_index = rng.gen_range(0..self.phases.len());
         let mut remaining = self.sample_duration(phase_index, rng);
         for _ in 0..len {
@@ -109,16 +137,12 @@ impl WorkloadModel {
                 remaining = self.sample_duration(phase_index, rng);
             }
             let phase = &self.phases[phase_index];
-            let mut u = phase.mean_utilization + sample_gaussian(rng) * phase.noise;
-            if phase.spike_probability > 0.0
-                && rng.gen_bool(phase.spike_probability.clamp(0.0, 1.0))
-            {
-                u = 1.0;
-            }
-            trace.push(u.clamp(0.0, 1.0));
+            let uniforms = gaussian_uniforms(rng);
+            let spiked = phase.spike_probability > 0.0
+                && rng.gen_bool(phase.spike_probability.clamp(0.0, 1.0));
+            step(phase, SampleDraws { uniforms, spiked });
             remaining -= 1;
         }
-        trace
     }
 
     fn sample_duration<R: Rng>(&self, phase_index: usize, rng: &mut R) -> usize {
@@ -128,10 +152,28 @@ impl WorkloadModel {
     }
 }
 
+/// The generator draws of one utilisation sample.
+struct SampleDraws {
+    /// The two uniforms of the sample's Box–Muller noise.
+    uniforms: [f64; 2],
+    /// Whether the sample's phase spiked to full utilisation.
+    spiked: bool,
+}
+
 /// Standard-normal sample via the Box–Muller transform.
 pub fn sample_gaussian<R: Rng>(rng: &mut R) -> f64 {
+    box_muller(gaussian_uniforms(rng))
+}
+
+/// The two uniforms one [`sample_gaussian`] draws, in its order.
+fn gaussian_uniforms<R: Rng>(rng: &mut R) -> [f64; 2] {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    [u1, u2]
+}
+
+/// The Box–Muller transform of two uniforms.
+fn box_muller([u1, u2]: [f64; 2]) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

@@ -1,8 +1,8 @@
 //! Seeded-determinism and constant-memory guarantees of
 //! [`DvfsCorpusStream`]: the streaming generator must be a pure function of
 //! (builder, mix, seed) — bit-identical across independent iterations — and
-//! must sustain a million rows without materializing anything beyond one
-//! row at a time.
+//! must sustain a million rows without materializing anything beyond the
+//! one chunk of rows it simulates ahead of its reader.
 
 use hmd_data::stream::CorpusStream;
 use hmd_data::Label;
@@ -86,7 +86,8 @@ fn million_row_stream_folds_in_constant_memory() {
 #[test]
 fn prefix_is_stable_under_longer_iteration() {
     // Reading more rows must not change the rows before them: the stream
-    // has no lookahead or batch effects.
+    // simulates rows a chunk ahead of its reader, but a row's bits never
+    // depend on where the reader stops.
     let short: Vec<_> = DvfsCorpusStream::full_catalog(tiny_builder(), 3)
         .unwrap()
         .take(32)

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,15 +121,26 @@ impl Estimator for RandomForestParams {
 /// A trained random forest.
 ///
 /// Prediction is by majority vote of the trees; [`Classifier::predict_proba_one`]
-/// reports the fraction of trees voting malware (soft vote). At construction
-/// (and again after deserialisation) the trees are compiled into a
-/// [`FlatForest`] — packed 24-byte split-node records with one single-tree voting
-/// group per tree — and every inference path serves from that flat form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// reports the fraction of trees voting malware (soft vote). On the forest's
+/// first prediction the trees are compiled into a [`FlatForest`] — packed
+/// 24-byte split-node records with one single-tree voting group per tree —
+/// and every inference path serves from that flat form. A forest inside a
+/// [`crate::bagging::BaggingEnsemble`] votes through the ensemble's own
+/// compiled form, so it never compiles its own.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
-    /// Compiled inference engine; never persisted, rebuilt on load.
-    flat: FlatForest,
+    /// Compiled inference engine, built on first use. Derived state: never
+    /// persisted and ignored by equality.
+    flat: OnceLock<FlatForest>,
+}
+
+impl PartialEq for RandomForest {
+    /// Tree equality; the compiled form is derived state and deliberately
+    /// ignored.
+    fn eq(&self, other: &RandomForest) -> bool {
+        self.trees == other.trees
+    }
 }
 
 impl RandomForest {
@@ -237,9 +249,10 @@ impl RandomForest {
     }
 
     fn from_trees(trees: Vec<DecisionTree>) -> RandomForest {
-        // hmd-lint: allow(no-panic-in-lib) construction-guaranteed: compile_groups only rejects malformed trees, and every tree reaching here was just fitted or decoded through validation
-        let flat = compile_groups(&trees).expect("decision trees always compile");
-        RandomForest { trees, flat }
+        RandomForest {
+            trees,
+            flat: OnceLock::new(),
+        }
     }
 
     /// The individual trees of the forest (the nested training-time form; the
@@ -248,9 +261,13 @@ impl RandomForest {
         &self.trees
     }
 
-    /// The compiled flat-node inference engine serving this forest.
+    /// The compiled flat-node inference engine serving this forest,
+    /// compiled on the first call.
     pub fn flat(&self) -> &FlatForest {
-        &self.flat
+        self.flat.get_or_init(|| {
+            // hmd-lint: allow(no-panic-in-lib) construction-guaranteed: compile_groups only rejects malformed trees, and every tree of a forest was fitted or decoded through validation
+            compile_groups(&self.trees).expect("decision trees always compile")
+        })
     }
 
     /// Number of trees.
@@ -261,7 +278,7 @@ impl RandomForest {
 
 impl From<&RandomForest> for FlatForest {
     fn from(forest: &RandomForest) -> FlatForest {
-        forest.flat.clone()
+        forest.flat().clone()
     }
 }
 
@@ -309,7 +326,7 @@ impl Classifier for RandomForest {
     fn predict_proba_one(&self, features: &[f64]) -> f64 {
         // Flat single-tree groups vote exactly like the nested
         // `trees().iter().filter(is_malware).count()` walk.
-        self.flat.predict_proba_one(features)
+        self.flat().predict_proba_one(features)
     }
 
     fn predict_with_proba_one(&self, features: &[f64]) -> (Label, f64) {
@@ -318,11 +335,11 @@ impl Classifier for RandomForest {
     }
 
     fn predict_proba_batch(&self, batch: hmd_data::RowsView<'_>, out: &mut Vec<f64>) {
-        self.flat.predict_proba_batch(batch, out);
+        self.flat().predict_proba_batch(batch, out);
     }
 
     fn predict_with_proba_batch(&self, batch: hmd_data::RowsView<'_>, out: &mut Vec<(Label, f64)>) {
-        self.flat.predict_with_proba_batch(batch, out);
+        self.flat().predict_with_proba_batch(batch, out);
     }
 
     fn append_flat_group(&self, builder: &mut FlatForestBuilder) -> bool {
@@ -377,6 +394,35 @@ mod tests {
             .count() as f64
             / test.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
+    }
+
+    #[test]
+    fn only_a_forest_that_serves_compiles_its_flat_form() {
+        let ds = blob_dataset(60, 8);
+        let ensemble =
+            crate::bagging::BaggingParams::new(RandomForestParams::new().with_num_trees(3))
+                .with_num_estimators(4)
+                .fit(&ds, 9)
+                .unwrap();
+        let votes = ensemble.vote_counts(&[1.0, 1.0]);
+        assert_eq!(votes[0] + votes[1], 4);
+        let compiled = |e: &crate::bagging::BaggingEnsemble<RandomForest>| -> Vec<bool> {
+            e.estimators()
+                .iter()
+                .map(|f| f.flat.get().is_some())
+                .collect()
+        };
+        assert_eq!(
+            compiled(&ensemble),
+            [false; 4],
+            "the ensemble serves from its own form"
+        );
+        let member = &ensemble.estimators()[2];
+        let p = member.predict_proba_one(&[1.0, 1.0]);
+        assert_eq!(p, member.flat().predict_proba_one(&[1.0, 1.0]));
+        assert_eq!(compiled(&ensemble), [false, false, true, false]);
+        let uncompiled = RandomForest::from_trees(member.trees().to_vec());
+        assert_eq!(&uncompiled, member, "equality ignores the compiled form");
     }
 
     #[test]

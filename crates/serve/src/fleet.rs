@@ -1437,8 +1437,46 @@ mod tests {
     }
 
     #[test]
+    fn only_a_tile_starts_the_flusher() {
+        // The write path and whole-batch scoring open no tile, so they need
+        // no flusher thread.
+        let fleet = ShardedFleet::with_config(
+            ShardConfig::new(2).with_flush(FlushPolicy::new(8, Duration::from_millis(1))),
+        );
+        fleet.deploy("ep", trained(3, 1)).unwrap();
+        let rows = Matrix::from_rows(&[vec![0.1, 0.2], vec![2.0, 1.9]]).unwrap();
+        assert_eq!(fleet.score_batch("ep", &rows).unwrap().len(), 2);
+        fleet.deploy_shadow("ep", trained(5, 2)).unwrap();
+        fleet.score_batch("ep", &rows).unwrap();
+        assert_eq!(fleet.promote_shadow("ep").unwrap(), 2);
+        fleet.deploy("ep", trained(7, 3)).unwrap();
+        assert_eq!(fleet.rollback("ep").unwrap(), 2);
+        assert_eq!(fleet.flush("ep").unwrap(), 0);
+        assert!(!fleet.supervisor.spawned(), "no tile, no flusher");
+        // The first tile starts it, and the flusher drains the tile at its
+        // deadline with no waiter blocked on it.
+        let mut ticket = fleet.score("ep", &[0.1, 0.2]).unwrap();
+        assert!(fleet.supervisor.spawned());
+        let started = Instant::now();
+        let report = loop {
+            match ticket.try_wait() {
+                Ok(report) => break report.unwrap(),
+                Err(pending) => {
+                    assert!(
+                        started.elapsed() < Duration::from_secs(30),
+                        "tile never drained"
+                    );
+                    ticket = pending;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        };
+        assert_eq!(report.version, 2);
+    }
+
+    #[test]
     fn poisoned_endpoint_locks_recover_end_to_end() {
-        let supervisor = Supervisor::new();
+        let supervisor = Supervisor::new(Box::new(|| None));
         let config = ShardConfig::new(1).with_flush(FlushPolicy::new(4, Duration::from_secs(5)));
         let endpoint = Arc::new(Endpoint::new(
             Arc::from(trained(5, 21)),
@@ -1474,5 +1512,7 @@ mod tests {
         assert!(ticket.wait().is_ok());
         assert_eq!(endpoint.stats.lock_unpoisoned().windows, 1);
         assert_eq!(endpoint.active().number, 1);
+        // The tile started a flusher; join it.
+        supervisor.shutdown();
     }
 }

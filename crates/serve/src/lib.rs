@@ -36,7 +36,7 @@
 //!   never *what* it scores.
 //! * **Supervision**: every fleet owns one background flusher thread that
 //!   fires [`FlushPolicy::max_wait`] deadlines even with no blocked waiter
-//!   (spawned lazily on the first deploy, joined on drop). Every replica
+//!   (spawned when the fleet's first tile opens, joined on drop). Every replica
 //!   carries a bounded admission budget
 //!   ([`AdmissionPolicy`] — beyond it, `score` sheds with
 //!   [`FleetError::Overloaded`] instead of growing memory) and a circuit

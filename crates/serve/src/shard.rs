@@ -337,8 +337,9 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// out to all replicas in lock-step, so a version number names the same
 /// model bits everywhere (requests that race the fan-out itself finish on
 /// the version their replica was serving when they enqueued). The fleet
-/// owns one background flusher thread (spawned lazily on the first deploy,
-/// joined when the fleet drops) covering every replica's tile deadline.
+/// owns one background flusher thread (spawned when its first tile with a
+/// deadline opens, joined when the fleet drops) covering every replica's
+/// tile deadline.
 /// Single-endpoint callers use `ShardedFleet::new(1)` and read the
 /// per-replica views ([`ShardedFleet::replica_health`],
 /// [`ShardedFleet::breaker_states`]) at index 0.
@@ -415,13 +416,23 @@ impl ShardedFleet {
 
     /// A fleet with an explicit [`ShardConfig`].
     pub fn with_config(config: ShardConfig) -> ShardedFleet {
+        let endpoints: Arc<RwLock<HashMap<String, Arc<ShardedEndpoint>>>> = Arc::default();
+        let fleet = Arc::downgrade(&endpoints);
+        let supervisor = Supervisor::new(Box::new(move || {
+            fleet.upgrade().map(|map| {
+                map.read_unpoisoned()
+                    .values()
+                    .flat_map(|endpoint| endpoint.replicas.iter().cloned())
+                    .collect()
+            })
+        }));
         ShardedFleet {
             config: ShardConfig {
                 replicas: config.replicas.max(1),
                 ..config
             },
-            endpoints: Arc::new(RwLock::new(HashMap::new())),
-            supervisor: Supervisor::new(),
+            endpoints,
+            supervisor,
         }
     }
 
@@ -441,10 +452,9 @@ impl ShardedFleet {
     }
 
     /// Publishes one prepared detector per replica as endpoint `name`,
-    /// creating the endpoint on first deploy, and (lazily) starts the
-    /// fleet's background flusher.
+    /// creating the endpoint on first deploy.
     fn publish(&self, name: &str, detectors: Vec<Arc<dyn Detector>>) -> u64 {
-        let version = match self.endpoint(name).ok() {
+        match self.endpoint(name).ok() {
             Some(endpoint) => endpoint.deploy(detectors),
             None => {
                 let mut endpoints = self.endpoints.write_unpoisoned();
@@ -478,17 +488,7 @@ impl ShardedFleet {
                     }
                 }
             }
-        };
-        let endpoints = Arc::downgrade(&self.endpoints);
-        self.supervisor.ensure_spawned(move || {
-            endpoints.upgrade().map(|map| {
-                map.read_unpoisoned()
-                    .values()
-                    .flat_map(|endpoint| endpoint.replicas.iter().cloned())
-                    .collect()
-            })
-        });
-        version
+        }
     }
 
     /// Deploys `detector` as endpoint `name` on **every replica** and

@@ -4,17 +4,22 @@
 //! ticket holder was *blocked in [`crate::ShardTicket::wait`]* — an idle
 //! endpoint whose callers polled with `try_wait`, or simply walked away, sat
 //! on its open tile forever. The supervisor makes the deadline real: each
-//! [`crate::ShardedFleet`] lazily spawns **one** flusher thread that sleeps
-//! until the earliest open-tile deadline across all endpoint replicas,
-//! drains every expired tile through the
-//! normal batch path, and goes back to sleep. With no open tile anywhere it
-//! parks indefinitely — an idle fleet costs zero wakeups.
+//! [`crate::ShardedFleet`] spawns **one** flusher thread, when its first
+//! tile with a deadline opens, that sleeps until the earliest open-tile
+//! deadline across all endpoint replicas, drains every expired tile
+//! through the normal batch path, and goes back to sleep. With no open tile
+//! anywhere it parks indefinitely — an idle fleet costs zero wakeups, and a
+//! fleet that only ever scores whole batches (which open no tile) never
+//! starts the thread at all.
 //!
 //! Coordination is a single epoch-counted condvar:
 //!
 //! * opening a tile reports its deadline through [`TileNotifier::notify`]
 //!   (outside the tile lock — the notification never nests inside a
-//!   critical section). The epoch moves only when the flusher must look
+//!   critical section), which also spawns the flusher on the fleet's first
+//!   such tile. If the OS refuses the thread, flushing falls back to
+//!   blocked `wait()` callers, which fire `max_wait` themselves, and the
+//!   next tile tries again. The epoch moves only when the flusher must look
 //!   again: it is idle, it sleeps until a *later* deadline (then it is
 //!   woken to re-derive its earliest one), or it is scanning (then it scans
 //!   again before it sleeps, so no tile is missed). A tile that expires no
@@ -40,9 +45,17 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Returns the fleet's current replica list, or `None` once the fleet is
+/// gone. It must hold only a `Weak` reference back, or the flusher would
+/// keep its own fleet alive forever.
+pub(crate) type Snapshot = Box<dyn Fn() -> Option<Vec<Arc<Endpoint>>> + Send + Sync>;
+
 #[derive(Default)]
 struct State {
     shutdown: bool,
+    /// Set once a tile with a deadline has asked for the flusher thread
+    /// (cleared again if the spawn failed).
+    started: bool,
     /// Bumped whenever a tile opens that the flusher must consider; the
     /// flusher re-derives its earliest deadline whenever the epoch moves,
     /// so a tile opened between its scan and its sleep can never be missed
@@ -71,6 +84,27 @@ struct Shared {
     wake: Condvar,
     /// Scans the flusher has made: what the wakeup-count test pins.
     scans: AtomicU64,
+    snapshot: Snapshot,
+    /// The flusher thread, once spawned; joined on fleet drop.
+    handle: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Shared {
+    /// Spawns the flusher thread; on failure, lets a later tile retry.
+    fn spawn_flusher(self: &Arc<Shared>) {
+        let shared = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name("hmd-serve-flusher".into())
+            .spawn(move || run(&shared));
+        match spawned {
+            Ok(handle) => {
+                *self.handle.lock_unpoisoned() = Some(handle);
+            }
+            Err(_) => {
+                self.state.lock_unpoisoned().started = false;
+            }
+        }
+    }
 }
 
 /// Handed to every [`Endpoint`] at construction: pokes the fleet's flusher
@@ -82,13 +116,16 @@ pub(crate) struct TileNotifier {
 }
 
 impl TileNotifier {
-    /// Reports a tile opened with `deadline` (`None`: it never expires).
+    /// Reports a tile opened with `deadline` (`None`: it never expires),
+    /// spawning the flusher if this is the fleet's first such tile.
     pub(crate) fn notify(&self, deadline: Option<Instant>) {
         let Some(deadline) = deadline else {
             return;
         };
-        let wake = {
+        let (wake, spawn) = {
             let mut state = self.shared.state.lock_unpoisoned();
+            let spawn = !state.started && !state.shutdown;
+            state.started = true;
             let look = match state.flusher {
                 Flusher::Until(armed) => deadline < armed,
                 Flusher::Scanning | Flusher::Idle => true,
@@ -96,31 +133,36 @@ impl TileNotifier {
             if look {
                 state.epoch = state.epoch.wrapping_add(1);
             }
-            // A scanning flusher sees the epoch move before it sleeps.
-            look && state.flusher != Flusher::Scanning
+            // A scanning (or unstarted) flusher sees the epoch move before
+            // it sleeps.
+            (look && state.flusher != Flusher::Scanning, spawn)
         };
+        if spawn {
+            self.shared.spawn_flusher();
+        }
         if wake {
             self.shared.wake.notify_all();
         }
     }
 }
 
-/// The per-fleet flusher thread handle: lazily spawned, joined on fleet
-/// drop.
+/// The per-fleet flusher: spawned by the first tile with a deadline,
+/// joined on fleet drop.
 pub(crate) struct Supervisor {
     shared: Arc<Shared>,
-    handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Supervisor {
-    pub(crate) fn new() -> Supervisor {
+    /// A supervisor whose flusher will scan the replicas `snapshot` lists.
+    pub(crate) fn new(snapshot: Snapshot) -> Supervisor {
         Supervisor {
             shared: Arc::new(Shared {
                 state: Mutex::new(State::default()),
                 wake: Condvar::new(),
                 scans: AtomicU64::new(0),
+                snapshot,
+                handle: Mutex::new(None),
             }),
-            handle: Mutex::new(None),
         }
     }
 
@@ -130,32 +172,16 @@ impl Supervisor {
         }
     }
 
-    /// Spawns the flusher thread if it is not already running. `snapshot`
-    /// returns the current endpoint (or replica) list, or `None` once the
-    /// owning fleet is gone — it must hold only a `Weak` reference back, or
-    /// the flusher would keep its own fleet alive forever.
-    ///
-    /// If the OS refuses the thread, the fleet degrades to the waiter-driven
-    /// flush: blocked `wait()` callers still fire `max_wait` themselves.
-    pub(crate) fn ensure_spawned<F>(&self, snapshot: F)
-    where
-        F: Fn() -> Option<Vec<Arc<Endpoint>>> + Send + 'static,
-    {
-        let mut handle = self.handle.lock_unpoisoned();
-        if handle.is_some() {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        *handle = std::thread::Builder::new()
-            .name("hmd-serve-flusher".into())
-            .spawn(move || run(&shared, &snapshot))
-            .ok();
-    }
-
     /// Scans the flusher has made so far.
     #[cfg(test)]
     pub(crate) fn scans(&self) -> u64 {
         self.shared.scans.load(Ordering::SeqCst)
+    }
+
+    /// Whether the flusher thread has been spawned.
+    #[cfg(test)]
+    pub(crate) fn spawned(&self) -> bool {
+        self.shared.handle.lock_unpoisoned().is_some()
     }
 
     /// Whether the flusher sleeps until an open tile's deadline.
@@ -175,7 +201,7 @@ impl Supervisor {
             state.shutdown = true;
         }
         self.shared.wake.notify_all();
-        let handle = self.handle.lock_unpoisoned().take();
+        let handle = self.shared.handle.lock_unpoisoned().take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
@@ -185,10 +211,7 @@ impl Supervisor {
 /// The flusher loop: scan → flush expired → sleep until the earliest
 /// deadline (or forever when no tile is open) → repeat. Exits on shutdown
 /// or when the owning fleet has been dropped (`snapshot` returns `None`).
-fn run<F>(shared: &Shared, snapshot: &F)
-where
-    F: Fn() -> Option<Vec<Arc<Endpoint>>>,
-{
+fn run(shared: &Shared) {
     loop {
         let seen = {
             let mut state = shared.state.lock_unpoisoned();
@@ -199,7 +222,7 @@ where
             state.epoch
         };
         shared.scans.fetch_add(1, Ordering::SeqCst);
-        let endpoints = match snapshot() {
+        let endpoints = match (shared.snapshot)() {
             Some(endpoints) => endpoints,
             None => return,
         };
@@ -243,18 +266,23 @@ mod tests {
 
     #[test]
     fn shutdown_without_spawn_is_a_no_op() {
-        let supervisor = Supervisor::new();
+        let supervisor = Supervisor::new(Box::new(|| None));
+        supervisor.notifier().notify(None);
+        assert!(
+            !supervisor.spawned(),
+            "a tile that never expires needs no flusher"
+        );
         supervisor.shutdown();
         supervisor.shutdown();
     }
 
     #[test]
     fn spawned_flusher_exits_when_its_fleet_is_gone() {
-        let supervisor = Supervisor::new();
         // A snapshot whose owner is already gone: the thread must exit on
         // its own, and shutdown must join it without hanging.
-        supervisor.ensure_spawned(|| None);
+        let supervisor = Supervisor::new(Box::new(|| None));
         supervisor.notifier().notify(Some(Instant::now()));
+        assert!(supervisor.spawned());
         supervisor.shutdown();
     }
 }
