@@ -13,9 +13,13 @@
 //!
 //! Exactness matters more than prettiness here: a saved detector must
 //! reproduce **bit-identical** reports after a load. Finite `f64` values are
-//! written with Rust's shortest round-trip formatting (guaranteed to parse
-//! back to the same bits) and non-finite values are encoded as tagged
-//! strings, so every `f64` survives the trip exactly.
+//! written in std `Display`'s text, the shortest digits that parse back to
+//! the same bits, and non-finite values are encoded as tagged strings, so
+//! every `f64` survives the trip exactly. [`write_f64`] computes the digits
+//! with Ryū under std's tie rule, from power-of-five tables `build.rs`
+//! derives at build time, and writes them without `core::fmt`; std's
+//! `Display` stays the oracle of the crate's tests, so no written byte
+//! differs from what std would write.
 //!
 //! # Example
 //!
@@ -41,6 +45,7 @@
 #![deny(missing_docs)]
 
 pub mod frame;
+mod ryu;
 
 use std::borrow::Cow;
 use std::fmt;
@@ -293,16 +298,29 @@ fn tagged_f64(text: &str) -> Option<f64> {
     }
 }
 
-/// Appends the JSON text of an integer, as [`Json::Int`] writes it.
+/// Appends the JSON text of an integer, as [`Json::Int`] writes it: the
+/// bytes of `value.to_string()`.
 pub fn write_int(value: i64, out: &mut Vec<u8>) {
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(out, "{value}");
+    if value < 0 {
+        out.push(b'-');
+    }
+    ryu::write_u64(value.unsigned_abs(), out);
 }
 
 /// Appends the JSON text of a float, as [`Json::Float`] writes it: the
 /// shortest representation that parses back to the identical bits, always
 /// recognisable as a float (`2.0`, never `2`), with the non-finite values
 /// as the tagged strings `"NaN"`, `"inf"` and `"-inf"`.
+///
+/// A finite value's text is byte for byte what `format!("{value}")` (std's
+/// `Display`) writes, then `.0` when that has no `.`: the shortest
+/// round-trip digits std picks, laid out without an exponent (`1e21`
+/// prints as `1000000000000000000000.0`). The digits come from Ryū (Adams,
+/// PLDI 2018) under std's tie rule, with power-of-five tables that
+/// `build.rs` derives at build time, and go straight into `out` without
+/// `core::fmt`. std's `Display` is the oracle of the crate's tests: over
+/// 200,000 bit patterns across every binade, and every subnormal edge,
+/// power and tie.
 pub fn write_f64(value: f64, out: &mut Vec<u8>) {
     if value.is_nan() {
         out.extend_from_slice(b"\"NaN\"");
@@ -311,19 +329,7 @@ pub fn write_f64(value: f64, out: &mut Vec<u8>) {
     } else if value == f64::NEG_INFINITY {
         out.extend_from_slice(b"\"-inf\"");
     } else {
-        // Rust's float Display is the shortest representation that parses
-        // back to the identical bits — exactly what persistence needs.
-        let start = out.len();
-        // Writing into a `Vec` cannot fail.
-        let _ = write!(out, "{value}");
-        if !out[start..]
-            .iter()
-            .any(|&b| matches!(b, b'.' | b'e' | b'E'))
-        {
-            // Keep the token recognisable as a float ("2" → "2.0") so the
-            // Int/Float distinction survives a round trip.
-            out.extend_from_slice(b".0");
-        }
+        ryu::write_finite(value, out);
     }
 }
 
@@ -1265,29 +1271,153 @@ mod tests {
         assert_eq!(v, back);
     }
 
-    #[test]
-    fn float_writer_matches_display_formatting() {
-        // The writer appends exactly what `f64::to_string` produces (plus
-        // `.0` for integral values), without the intermediate `String`.
+    /// splitmix64: a seeded stream of well-mixed 64-bit values.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// The finite values the float writer is held to std on.
+    fn printer_cases() -> Vec<f64> {
+        let mut next = splitmix(2021);
+        let mut bits = Vec::new();
+        // 98 seeded patterns in every binade, subnormals included, either sign.
+        for biased in 0..0x7ffu64 {
+            for _ in 0..98 {
+                let r = next();
+                bits.push(r & (1 << 63) | biased << 52 | r & ((1 << 52) - 1));
+            }
+        }
+        // Every subnormal edge: the smallest and largest subnormals, and
+        // both sides of the normal range's start.
+        let largest_subnormal = (1u64 << 52) - 1;
+        bits.extend((1..=256).chain(largest_subnormal - 255..=largest_subnormal + 256));
+        // Each power of two and of ten, and both its neighbours.
+        let powers_of_two = (0..52)
+            .map(|k| 1u64 << k)
+            .chain((1..0x7ff).map(|e| e << 52));
+        let powers_of_ten =
+            (-323..=308).map(|k| format!("1e{k}").parse::<f64>().unwrap().to_bits());
+        for power in powers_of_two.chain(powers_of_ten) {
+            bits.extend([power - 1, power, power + 1]);
+        }
+        let mut values: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+        // Small integers and integers around 2^53, where the ulp grows past
+        // 1, and short binary fractions, whose exact decimals are shortest.
+        values.extend((1..=10_000).map(f64::from));
+        for fraction_bits in 1..=24 {
+            let scale = f64::from(1u32 << fraction_bits);
+            values.extend((1..=1000).map(|m| f64::from(m) / scale));
+            values.extend((0..100).map(|_| (next() >> 20) as f64 / scale));
+        }
+        values.extend((-2000..=2000).map(|d| ((1i64 << 53) + d) as f64));
+        // Values with few fraction bits above 2^40: where exact ties between
+        // two shortest candidates occur (std rounds them up, not to even).
+        for fraction_bits in 0..=12 {
+            for _ in 0..300 {
+                let r = next();
+                let integer = (r >> (7 + r % 17)) as f64;
+                values.push(integer / f64::from(1u32 << fraction_bits));
+            }
+        }
+        values.extend([
+            0.0,
+            2.0,
+            1e-300,
+            5e-324,
+            123456789.0,
+            -1.5e-7,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            1e21,
+            1e22,
+            1e23,
+        ]);
+        // The writer's earliest pins: 2,000 draws of a 64-bit LCG as bit
+        // patterns.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut values = vec![0.0, -0.0, 2.0, 1e-300, 5e-324, 1e21, 123456789.0, -1.5e-7];
         for _ in 0..2000 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let value = f64::from_bits(state);
-            if value.is_finite() {
-                values.push(value);
-            }
+            values.push(f64::from_bits(state));
         }
+        let negatives: Vec<f64> = values.iter().map(|v| -v).collect();
+        values.extend(negatives);
+        values.retain(|v| v.is_finite());
+        values
+    }
+
+    #[test]
+    fn float_writer_matches_display_formatting() {
+        // The oracle is std's `Display`: the writer appends exactly what
+        // `f64::to_string` produces, plus `.0` when that has no `.`, and the
+        // text reads back to the same bits through both readers.
+        let values = printer_cases();
+        assert!(values.len() > 200_000, "{} cases", values.len());
+        let mut out = Vec::new();
         for value in values {
             let mut expected = value.to_string();
-            if !expected.contains(['.', 'e', 'E']) {
+            if !expected.contains('.') {
                 expected.push_str(".0");
             }
-            let mut out = b"x".to_vec();
+            out.clear();
+            out.push(b'x');
             write_f64(value, &mut out);
             assert_eq!(&out[1..], expected.as_bytes(), "{value:e}");
+            let bits = value.to_bits();
+            let read = Parser::new(&out[1..]).f64().unwrap();
+            assert_eq!(read.to_bits(), bits, "{expected}");
+            match Json::parse(&expected) {
+                Ok(Json::Float(parsed)) => assert_eq!(parsed.to_bits(), bits, "{expected}"),
+                other => panic!("{expected} parsed as {other:?}"),
+            }
+        }
+        // 2^50 + 0.25 lies exactly between the shortest candidates `…624.2`
+        // and `…624.3`: std rounds the tie up, where Ryū's rule picks even.
+        out.clear();
+        write_f64((1u64 << 50) as f64 + 0.25, &mut out);
+        assert_eq!(out, b"1125899906842624.3");
+        for (value, tagged) in [
+            (f64::NAN, "\"NaN\""),
+            (f64::INFINITY, "\"inf\""),
+            (f64::NEG_INFINITY, "\"-inf\""),
+        ] {
+            out.clear();
+            write_f64(value, &mut out);
+            assert_eq!(out, tagged.as_bytes());
+        }
+    }
+
+    #[test]
+    fn integer_writer_matches_to_string() {
+        let mut values = vec![0, 1, -1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+        let mut power = 1i64;
+        while let Some(next) = power.checked_mul(10) {
+            power = next;
+            for v in [power - 1, power, power + 1] {
+                values.extend([v, -v]);
+            }
+        }
+        let mut next = splitmix(7);
+        for _ in 0..10_000 {
+            let r = next();
+            // Every length from 1 to 19 digits, either sign.
+            values.push((r >> (r % 64)) as i64);
+            values.push(r as i64);
+        }
+        let mut out = Vec::new();
+        for value in values {
+            out.clear();
+            out.push(b'x');
+            write_int(value, &mut out);
+            assert_eq!(&out[1..], value.to_string().as_bytes());
         }
     }
 
