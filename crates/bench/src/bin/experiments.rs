@@ -151,8 +151,7 @@ fn main() {
         write_dump(&options.dump_dir, "fig8", &figure);
     }
     if run_all || options.experiment == "fig9a" {
-        let sizes = [1, 2, 5, 10, 20, 30, 40, 50, 75, 100];
-        let figure = ensemble_size::fig9a(scale, &sizes, seed);
+        let figure = ensemble_size::fig9a(scale, &ensemble_size::SIZES, seed);
         println!("{}", ensemble_size::render(&figure));
         write_dump(&options.dump_dir, "fig9a", &figure);
     }

@@ -6,6 +6,9 @@ use crate::scale::ExperimentScale;
 use hmd_core::trusted::TrustedHmdBuilder;
 use serde::{Deserialize, Serialize};
 
+/// The ensemble sizes Fig. 9a sweeps.
+pub const SIZES: [usize; 10] = [1, 2, 5, 10, 20, 30, 40, 50, 75, 100];
+
 /// One point of the Fig. 9a curves.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnsembleSizePoint {

@@ -1,23 +1,30 @@
-//! Bit-identity pins of the generated corpora.
+//! Bit-identity pins of the generated corpora and of the paper's figures.
 //!
 //! Every model, figure and committed benchmark number starts from a corpus,
-//! so a change that moves one generated bit moves all of them. Each pin is a
-//! 64-bit FNV-1a hash over a smoke-scale split (train, then known-test, then
-//! unknown) or over the first rows of a corpus stream, and for every row its
-//! feature bits, its label and its sample metadata. A speed change to the
-//! simulators or the feature extractors must leave every pin as it is.
+//! so a change that moves one generated bit moves all of them. Each corpus
+//! pin is a 64-bit FNV-1a hash over a smoke-scale split (train, then
+//! known-test, then unknown) or over the first rows of a corpus stream, and
+//! for every row its feature bits, its label and its sample metadata. A speed
+//! change to the simulators or the feature extractors must leave every pin as
+//! it is. The figure pins hash the `Debug` dump of every table and figure the
+//! `experiments` bin regenerates, so a change to how the experiments share
+//! corpora and fits must leave every printed number where it was.
 //!
 //! The pins are a ratchet: update one only together with a CHANGES.md line
-//! saying why the corpus had to move. The test prints every digest it
-//! computed when any pin fails, so an intended change can copy them.
+//! saying why the corpus or figure had to move. The test prints every digest
+//! it computed when any pin fails, so an intended change can copy them.
 
-use hmd_bench::ExperimentScale;
+use hmd_bench::{
+    ablations, ensemble_size, entropy_boxplots, f1_curves, rejection_curves, table1, tsne_overlap,
+    ExperimentScale,
+};
 use hmd_data::split::KnownUnknownSplit;
 use hmd_data::stream::StreamRecord;
 use hmd_data::{Dataset, Label, SampleMeta};
 use hmd_dvfs::DvfsCorpusStream;
 use hmd_hpc::sampler::Sampler;
 use hmd_hpc::stream::HpcCorpusStream;
+use std::fmt::{Debug, Display};
 
 /// 64-bit FNV-1a.
 struct Fnv1a(u64);
@@ -28,7 +35,11 @@ impl Fnv1a {
     }
 
     fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
+        self.write_bytes(&value.to_le_bytes());
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -66,20 +77,22 @@ fn digest(split: &KnownUnknownSplit) -> u64 {
     hash.0
 }
 
-/// Compares every `(seed, pin)` and reports all digests on any mismatch.
-fn check_pins(name: &str, pins: &[(u64, u64)], digest_of: impl Fn(u64) -> u64) {
-    let computed: Vec<(u64, u64)> = pins
-        .iter()
-        .map(|&(seed, _)| (seed, digest_of(seed)))
-        .collect();
+/// Compares every `(key, pin)` (a seed or a figure name) and reports all
+/// digests on any mismatch.
+fn check_pins<K: Copy + PartialEq + Debug + Display>(
+    name: &str,
+    pins: &[(K, u64)],
+    digest_of: impl Fn(K) -> u64,
+) {
+    let computed: Vec<(K, u64)> = pins.iter().map(|&(key, _)| (key, digest_of(key))).collect();
     let report: Vec<String> = computed
         .iter()
-        .map(|(seed, digest)| format!("(seed {seed}, {digest:#018x})"))
+        .map(|(key, digest)| format!("({key}, {digest:#018x})"))
         .collect();
     assert_eq!(
         computed,
         pins,
-        "{name} corpora moved; computed {}",
+        "{name} moved; computed {}",
         report.join(", ")
     );
 }
@@ -87,7 +100,7 @@ fn check_pins(name: &str, pins: &[(u64, u64)], digest_of: impl Fn(u64) -> u64) {
 #[test]
 fn smoke_dvfs_corpora_are_pinned() {
     check_pins(
-        "DVFS",
+        "DVFS corpora",
         &[(1, 0x2369_1a0b_4534_7336), (2021, 0x723e_8d08_c24c_a40a)],
         |seed| {
             digest(
@@ -103,7 +116,7 @@ fn smoke_dvfs_corpora_are_pinned() {
 #[test]
 fn smoke_hpc_corpora_are_pinned() {
     check_pins(
-        "HPC",
+        "HPC corpora",
         &[(1, 0x3a0f_d193_73ce_e4ec), (2021, 0x471c_d227_0f1c_513f)],
         |seed| {
             digest(
@@ -153,6 +166,51 @@ fn smoke_dvfs_stream_is_pinned() {
                 DvfsCorpusStream::full_catalog(ExperimentScale::Smoke.dvfs_builder(), seed)
                     .expect("DVFS stream"),
             )
+        },
+    );
+}
+
+/// FNV-1a over what `experiments --dump` writes for a value.
+fn dump_digest(value: &impl Debug) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write_bytes(format!("{value:#?}\n").as_bytes());
+    hash.0
+}
+
+/// Every table and figure of `experiments all` at smoke scale, seed 2021,
+/// keyed by its dump name. The headline is not dumped by the bin; its pin
+/// hashes the same `Debug` text of the summary it prints.
+#[test]
+fn smoke_figures_are_pinned() {
+    let (scale, seed) = (ExperimentScale::Smoke, 2021);
+    check_pins(
+        "figures",
+        &[
+            ("table1", 0x9e04_0507_1400_9694),
+            ("fig4", 0x5955_515a_65cb_5211),
+            ("fig5", 0xe524_8ce4_4278_51f5),
+            ("fig7a", 0xb44f_3791_0f77_2fc7),
+            ("fig7b", 0x1714_8b91_b875_c988),
+            ("fig8", 0xd776_a27a_f0cd_3dc7),
+            ("fig9a", 0xfce0_fea7_2c65_484b),
+            ("fig9b", 0x4797_2e0e_dfec_d19d),
+            ("headline", 0xbe0c_43b8_7963_222b),
+            ("ablation_diversity", 0x43e5_4096_50db_9d1b),
+            ("ablation_platt", 0xfc3f_6fcc_fbd9_95d1),
+        ],
+        |name| match name {
+            "table1" => dump_digest(&table1::run(scale, seed)),
+            "fig4" => dump_digest(&entropy_boxplots::fig4(scale, seed)),
+            "fig5" => dump_digest(&entropy_boxplots::fig5(scale, seed)),
+            "fig7a" => dump_digest(&rejection_curves::fig7a(scale, seed)),
+            "fig7b" => dump_digest(&f1_curves::fig7b(scale, seed)),
+            "fig8" => dump_digest(&tsne_overlap::fig8(scale, seed)),
+            "fig9a" => dump_digest(&ensemble_size::fig9a(scale, &ensemble_size::SIZES, seed)),
+            "fig9b" => dump_digest(&rejection_curves::fig9b(scale, seed)),
+            "headline" => dump_digest(&rejection_curves::dvfs_operating_points(scale, seed)),
+            "ablation_diversity" => dump_digest(&ablations::bootstrap_diversity(scale, seed)),
+            "ablation_platt" => dump_digest(&ablations::platt_vs_entropy(scale, seed)),
+            _ => unreachable!("a pinned figure"),
         },
     );
 }
