@@ -27,7 +27,7 @@ pub fn fig7b(scale: ExperimentScale, seed: u64) -> F1Figure {
     );
     let hpc = curve_for(
         "RF-HPC",
-        evaluate_hpc(scale, &[BaseModel::RandomForest], seed + 1),
+        evaluate_hpc(scale, &[BaseModel::RandomForest], seed),
         &thresholds,
     );
     F1Figure { dvfs, hpc }

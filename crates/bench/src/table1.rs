@@ -27,7 +27,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Table1 {
         .expect("DVFS corpus generation");
     let hpc_split = scale
         .hpc_builder()
-        .build_split(seed + 1)
+        .build_split(seed)
         .expect("HPC corpus generation");
     Table1 {
         dvfs: DatasetTaxonomy::from_split("DVFS", &dvfs_split),

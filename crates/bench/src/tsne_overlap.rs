@@ -49,7 +49,7 @@ pub fn fig8(scale: ExperimentScale, seed: u64) -> TsneFigure {
         .expect("DVFS corpus generation");
     let hpc_split = scale
         .hpc_builder()
-        .build_split(seed + 1)
+        .build_split(seed)
         .expect("HPC corpus generation");
     TsneFigure {
         dvfs: embed_panel("DVFS", &dvfs_split, scale.tsne_points(), seed),

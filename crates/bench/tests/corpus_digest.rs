@@ -190,8 +190,8 @@ fn smoke_figures_are_pinned() {
             ("fig4", 0x5955_515a_65cb_5211),
             ("fig5", 0xe524_8ce4_4278_51f5),
             ("fig7a", 0xb44f_3791_0f77_2fc7),
-            ("fig7b", 0x1714_8b91_b875_c988),
-            ("fig8", 0xd776_a27a_f0cd_3dc7),
+            ("fig7b", 0xd810_34a6_a762_e5a9),
+            ("fig8", 0x9e27_bb81_04cb_20ba),
             ("fig9a", 0xfce0_fea7_2c65_484b),
             ("fig9b", 0x4797_2e0e_dfec_d19d),
             ("headline", 0xbe0c_43b8_7963_222b),
