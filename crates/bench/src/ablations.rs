@@ -112,7 +112,7 @@ pub fn platt_vs_entropy(scale: ExperimentScale, seed: u64) -> PlattAblation {
 
     // Entropy-based estimator: trusted RF pipeline behind the Detector API.
     let hmd = detector_config(BaseModel::RandomForest, scale.num_estimators(), false)
-        .fit(&split.train, seed ^ 0x99)
+        .fit(&split.train, seed ^ 0x5eed)
         .expect("RF pipeline trains");
     let known_preds = hmd_core::detector::predictions(
         &hmd.detect_batch(split.test_known.features())

@@ -196,7 +196,7 @@ fn smoke_figures_are_pinned() {
             ("fig9b", 0x4797_2e0e_dfec_d19d),
             ("headline", 0xbe0c_43b8_7963_222b),
             ("ablation_diversity", 0x43e5_4096_50db_9d1b),
-            ("ablation_platt", 0xfc3f_6fcc_fbd9_95d1),
+            ("ablation_platt", 0x4fda_40a5_a6b9_f5a4),
         ],
         |name| match name {
             "table1" => dump_digest(&table1::run(scale, seed)),
