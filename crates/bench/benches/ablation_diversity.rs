@@ -1,10 +1,10 @@
 //! Times the bootstrap-diversity ablation and prints its summary once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{ablations, ExperimentScale};
+use hmd_bench::{ablations, ExperimentScale, Study};
 
 fn bench_ablation_diversity(c: &mut Criterion) {
-    let diversity = ablations::bootstrap_diversity(ExperimentScale::Smoke, 2021);
+    let diversity = ablations::bootstrap_diversity(&Study::new(ExperimentScale::Smoke, 2021));
     println!(
         "\nbootstrap separation {:.1} pp, no-bootstrap separation {:.1} pp, gain {:.1} pp\n",
         diversity.with_bootstrap.separation(),
@@ -12,7 +12,7 @@ fn bench_ablation_diversity(c: &mut Criterion) {
         diversity.separation_gain()
     );
     c.bench_function("ablation_bootstrap_diversity", |b| {
-        b.iter(|| ablations::bootstrap_diversity(ExperimentScale::Smoke, 2021))
+        b.iter(|| ablations::bootstrap_diversity(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

@@ -2,10 +2,10 @@
 //! once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{ablations, ExperimentScale};
+use hmd_bench::{ablations, ExperimentScale, Study};
 
 fn bench_ablation_platt(c: &mut Criterion) {
-    let platt = ablations::platt_vs_entropy(ExperimentScale::Smoke, 2021);
+    let platt = ablations::platt_vs_entropy(&Study::new(ExperimentScale::Smoke, 2021));
     println!(
         "\nentropy separation {:.1} pp, Platt-confidence separation {:.1} pp, gain {:.1} pp\n",
         platt.entropy_curve.separation(),
@@ -13,7 +13,7 @@ fn bench_ablation_platt(c: &mut Criterion) {
         platt.separation_gain()
     );
     c.bench_function("ablation_platt_vs_entropy", |b| {
-        b.iter(|| ablations::platt_vs_entropy(ExperimentScale::Smoke, 2021))
+        b.iter(|| ablations::platt_vs_entropy(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

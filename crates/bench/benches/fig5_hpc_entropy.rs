@@ -2,13 +2,13 @@
 //! data series once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{entropy_boxplots, ExperimentScale};
+use hmd_bench::{entropy_boxplots, ExperimentScale, Study};
 
 fn bench_fig5(c: &mut Criterion) {
-    let figure = entropy_boxplots::fig5(ExperimentScale::Smoke, 2021);
+    let figure = entropy_boxplots::fig5(&Study::new(ExperimentScale::Smoke, 2021));
     println!("\n{}", entropy_boxplots::render(&figure));
     c.bench_function("fig5_hpc_entropy_boxplots", |b| {
-        b.iter(|| entropy_boxplots::fig5(ExperimentScale::Smoke, 2021))
+        b.iter(|| entropy_boxplots::fig5(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

@@ -2,13 +2,13 @@
 //! the data series once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{f1_curves, ExperimentScale};
+use hmd_bench::{f1_curves, ExperimentScale, Study};
 
 fn bench_fig7b(c: &mut Criterion) {
-    let figure = f1_curves::fig7b(ExperimentScale::Smoke, 2021);
+    let figure = f1_curves::fig7b(&Study::new(ExperimentScale::Smoke, 2021));
     println!("\n{}", f1_curves::render(&figure));
     c.bench_function("fig7b_f1_vs_threshold", |b| {
-        b.iter(|| f1_curves::fig7b(ExperimentScale::Smoke, 2021))
+        b.iter(|| f1_curves::fig7b(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

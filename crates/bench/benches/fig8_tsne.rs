@@ -2,13 +2,13 @@
 //! the overlap summary once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{tsne_overlap, ExperimentScale};
+use hmd_bench::{tsne_overlap, ExperimentScale, Study};
 
 fn bench_fig8(c: &mut Criterion) {
-    let figure = tsne_overlap::fig8(ExperimentScale::Smoke, 2021);
+    let figure = tsne_overlap::fig8(&Study::new(ExperimentScale::Smoke, 2021));
     println!("\n{}", tsne_overlap::render(&figure));
     c.bench_function("fig8_tsne_embedding", |b| {
-        b.iter(|| tsne_overlap::fig8(ExperimentScale::Smoke, 2021))
+        b.iter(|| tsne_overlap::fig8(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

@@ -2,15 +2,15 @@
 //! prints the data series once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{ensemble_size, ExperimentScale};
+use hmd_bench::{ensemble_size, ExperimentScale, Study};
 
 const SIZES: [usize; 6] = [1, 5, 10, 20, 30, 40];
 
 fn bench_fig9a(c: &mut Criterion) {
-    let figure = ensemble_size::fig9a(ExperimentScale::Smoke, &SIZES, 2021);
+    let figure = ensemble_size::fig9a(&Study::new(ExperimentScale::Smoke, 2021), &SIZES);
     println!("\n{}", ensemble_size::render(&figure));
     c.bench_function("fig9a_entropy_vs_ensemble_size", |b| {
-        b.iter(|| ensemble_size::fig9a(ExperimentScale::Smoke, &SIZES, 2021))
+        b.iter(|| ensemble_size::fig9a(&Study::new(ExperimentScale::Smoke, 2021), &SIZES))
     });
 }
 

@@ -2,13 +2,13 @@
 //! data series once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{rejection_curves, ExperimentScale};
+use hmd_bench::{rejection_curves, ExperimentScale, Study};
 
 fn bench_fig9b(c: &mut Criterion) {
-    let figure = rejection_curves::fig9b(ExperimentScale::Smoke, 2021);
+    let figure = rejection_curves::fig9b(&Study::new(ExperimentScale::Smoke, 2021));
     println!("\n{}", rejection_curves::render(&figure));
     c.bench_function("fig9b_hpc_rejection_curves", |b| {
-        b.iter(|| rejection_curves::fig9b(ExperimentScale::Smoke, 2021))
+        b.iter(|| rejection_curves::fig9b(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

@@ -1,13 +1,13 @@
 //! Times the regeneration of Table I (dataset taxonomy) and prints it once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hmd_bench::{table1, ExperimentScale};
+use hmd_bench::{table1, ExperimentScale, Study};
 
 fn bench_table1(c: &mut Criterion) {
-    let table = table1::run(ExperimentScale::Smoke, 2021);
+    let table = table1::run(&Study::new(ExperimentScale::Smoke, 2021));
     println!("\n{}", table1::render(&table));
     c.bench_function("table1_dataset_taxonomy", |b| {
-        b.iter(|| table1::run(ExperimentScale::Smoke, 2021))
+        b.iter(|| table1::run(&Study::new(ExperimentScale::Smoke, 2021)))
     });
 }
 

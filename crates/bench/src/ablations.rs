@@ -10,8 +10,8 @@
 //!    the ensemble entropy; its rejection curves separate unknown from known
 //!    data far less cleanly.
 
-use crate::pipelines::{detector_config, logistic_params, BaseModel};
-use crate::scale::ExperimentScale;
+use crate::pipelines::{logistic_params, BaseModel};
+use crate::study::{Corpus, Study};
 use hmd_core::detector::{DetectorBackend, DetectorConfig, DetectorExt};
 use hmd_core::platt_baseline::{ConfidencePrediction, PlattConfidenceBaseline};
 use hmd_core::rejection::{threshold_grid, RejectionCurve};
@@ -36,12 +36,9 @@ impl DiversityAblation {
     }
 }
 
-/// Runs the bootstrap-diversity ablation on the DVFS dataset.
-pub fn bootstrap_diversity(scale: ExperimentScale, seed: u64) -> DiversityAblation {
-    let split = scale
-        .dvfs_builder()
-        .build_split(seed)
-        .expect("DVFS corpus generation");
+/// Runs the bootstrap-diversity ablation on the study's DVFS corpus.
+pub fn bootstrap_diversity(study: &Study) -> DiversityAblation {
+    let split = study.split(Corpus::Dvfs);
     let thresholds = threshold_grid(0.0, 0.75, 0.05);
     let tree = DecisionTreeParams::new()
         .with_max_depth(10)
@@ -59,9 +56,9 @@ pub fn bootstrap_diversity(scale: ExperimentScale, seed: u64) -> DiversityAblati
     let mut curves = Vec::new();
     for bootstrap in [true, false] {
         let ensemble = BaggingParams::new(tree.clone())
-            .with_num_estimators(scale.num_estimators())
+            .with_num_estimators(study.scale().num_estimators())
             .with_bootstrap(bootstrap)
-            .fit(&train, seed ^ 0x77)
+            .fit(&train, study.seed() ^ 0x77)
             .expect("tree bagging trains");
         let estimator = hmd_core::estimator::EnsembleUncertaintyEstimator::new(ensemble);
         let known_preds = estimator.predict_dataset(&known);
@@ -103,29 +100,18 @@ impl PlattAblation {
     }
 }
 
-/// Runs the Platt-confidence baseline comparison on the DVFS dataset.
-pub fn platt_vs_entropy(scale: ExperimentScale, seed: u64) -> PlattAblation {
-    let split = scale
-        .dvfs_builder()
-        .build_split(seed)
-        .expect("DVFS corpus generation");
-
-    // Entropy-based estimator: trusted RF pipeline behind the Detector API.
-    let hmd = detector_config(BaseModel::RandomForest, scale.num_estimators(), false)
-        .fit(&split.train, seed ^ 0x5eed)
+/// Runs the Platt-confidence baseline comparison on the study's DVFS
+/// corpus. The entropy side is the study's trusted RF ensemble, the one
+/// behind Fig. 7a's RF curve, swept over the same thresholds.
+pub fn platt_vs_entropy(study: &Study) -> PlattAblation {
+    let split = study.split(Corpus::Dvfs);
+    let rf = study
+        .ensemble(BaseModel::RandomForest, Corpus::Dvfs)
         .expect("RF pipeline trains");
-    let known_preds = hmd_core::detector::predictions(
-        &hmd.detect_batch(split.test_known.features())
-            .expect("known predictions"),
-    );
-    let unknown_preds = hmd_core::detector::predictions(
-        &hmd.detect_batch(split.unknown.features())
-            .expect("unknown predictions"),
-    );
     let entropy_curve = RejectionCurve::sweep(
         "entropy-RF",
-        &known_preds,
-        &unknown_preds,
+        &rf.known,
+        &rf.unknown,
         &threshold_grid(0.0, 0.75, 0.05),
     );
 
@@ -134,7 +120,7 @@ pub fn platt_vs_entropy(scale: ExperimentScale, seed: u64) -> PlattAblation {
     // reported malware probability is turned back into the baseline's
     // confidence value max(p, 1 - p) for the confidence-threshold sweep.
     let platt = DetectorConfig::platt(DetectorBackend::LogisticRegression(logistic_params()))
-        .fit(&split.train, seed ^ 0x11)
+        .fit(&split.train, study.seed() ^ 0x11)
         .expect("LR trains");
     let confidences = |reports: Vec<hmd_core::trusted::DetectionReport>| {
         reports
@@ -197,10 +183,11 @@ pub fn render(diversity: &DiversityAblation, platt: &PlattAblation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn bootstrap_adds_diversity_at_smoke_scale() {
-        let ablation = bootstrap_diversity(ExperimentScale::Smoke, 31);
+        let ablation = bootstrap_diversity(&Study::new(ExperimentScale::Smoke, 31));
         // Both variants must separate unknown from known data on DVFS; the
         // *size* of the gap between them is reported, not asserted, because
         // feature subsampling alone already provides some diversity.
@@ -211,12 +198,15 @@ mod tests {
 
     #[test]
     fn entropy_estimator_beats_platt_baseline_at_smoke_scale() {
-        let ablation = platt_vs_entropy(ExperimentScale::Smoke, 37);
+        let ablation = platt_vs_entropy(&Study::new(ExperimentScale::Smoke, 37));
         assert!(
             ablation.entropy_curve.separation() > 0.0,
             "entropy separation should be positive"
         );
-        let text = render(&bootstrap_diversity(ExperimentScale::Smoke, 31), &ablation);
+        let text = render(
+            &bootstrap_diversity(&Study::new(ExperimentScale::Smoke, 31)),
+            &ablation,
+        );
         assert!(text.contains("Ablation"));
     }
 }

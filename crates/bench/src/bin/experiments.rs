@@ -15,7 +15,7 @@
 
 use hmd_bench::{
     ablations, ensemble_size, entropy_boxplots, f1_curves, rejection_curves, table1, tsne_overlap,
-    ExperimentScale,
+    ExperimentScale, Study,
 };
 use std::path::PathBuf;
 
@@ -112,56 +112,56 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let scale = options.scale;
-    let seed = options.seed;
+    let study = Study::new(options.scale, options.seed);
     let run_all = options.experiment == "all";
     println!(
-        "HMD uncertainty experiments — scale: {}, seed: {seed}\n",
-        scale.name()
+        "HMD uncertainty experiments — scale: {}, seed: {}\n",
+        study.scale().name(),
+        study.seed()
     );
 
     if run_all || options.experiment == "table1" {
-        let table = table1::run(scale, seed);
+        let table = table1::run(&study);
         println!("{}", table1::render(&table));
         write_dump(&options.dump_dir, "table1", &table);
     }
     if run_all || options.experiment == "fig4" {
-        let figure = entropy_boxplots::fig4(scale, seed);
+        let figure = entropy_boxplots::fig4(&study);
         println!("{}", entropy_boxplots::render(&figure));
         write_dump(&options.dump_dir, "fig4", &figure);
     }
     if run_all || options.experiment == "fig5" {
-        let figure = entropy_boxplots::fig5(scale, seed);
+        let figure = entropy_boxplots::fig5(&study);
         println!("{}", entropy_boxplots::render(&figure));
         write_dump(&options.dump_dir, "fig5", &figure);
     }
     if run_all || options.experiment == "fig7a" {
-        let figure = rejection_curves::fig7a(scale, seed);
+        let figure = rejection_curves::fig7a(&study);
         println!("{}", rejection_curves::render(&figure));
         write_dump(&options.dump_dir, "fig7a", &figure);
     }
     if run_all || options.experiment == "fig7b" {
-        let figure = f1_curves::fig7b(scale, seed);
+        let figure = f1_curves::fig7b(&study);
         println!("{}", f1_curves::render(&figure));
         write_dump(&options.dump_dir, "fig7b", &figure);
     }
     if run_all || options.experiment == "fig8" {
-        let figure = tsne_overlap::fig8(scale, seed);
+        let figure = tsne_overlap::fig8(&study);
         println!("{}", tsne_overlap::render(&figure));
         write_dump(&options.dump_dir, "fig8", &figure);
     }
     if run_all || options.experiment == "fig9a" {
-        let figure = ensemble_size::fig9a(scale, &ensemble_size::SIZES, seed);
+        let figure = ensemble_size::fig9a(&study, &ensemble_size::SIZES);
         println!("{}", ensemble_size::render(&figure));
         write_dump(&options.dump_dir, "fig9a", &figure);
     }
     if run_all || options.experiment == "fig9b" {
-        let figure = rejection_curves::fig9b(scale, seed);
+        let figure = rejection_curves::fig9b(&study);
         println!("{}", rejection_curves::render(&figure));
         write_dump(&options.dump_dir, "fig9b", &figure);
     }
     if run_all || options.experiment == "headline" {
-        match rejection_curves::dvfs_operating_points(scale, seed) {
+        match rejection_curves::dvfs_operating_points(&study) {
             Some(op) => println!(
                 "Headline (§V.A): DVFS RF operating point\n\
                  threshold {:.2} rejects {:.1}% of unknown workloads at {:.1}% known rejection\n\
@@ -176,8 +176,8 @@ fn main() {
         }
     }
     if run_all || options.experiment == "ablations" {
-        let diversity = ablations::bootstrap_diversity(scale, seed);
-        let platt = ablations::platt_vs_entropy(scale, seed);
+        let diversity = ablations::bootstrap_diversity(&study);
+        let platt = ablations::platt_vs_entropy(&study);
         println!("{}", ablations::render(&diversity, &platt));
         write_dump(&options.dump_dir, "ablation_diversity", &diversity);
         write_dump(&options.dump_dir, "ablation_platt", &platt);

@@ -2,7 +2,7 @@
 //! classifiers in the ensemble (the estimate stabilises beyond ~20).
 
 use crate::pipelines::forest_params;
-use crate::scale::ExperimentScale;
+use crate::study::{Corpus, Study};
 use hmd_core::trusted::TrustedHmdBuilder;
 use serde::{Deserialize, Serialize};
 
@@ -42,18 +42,15 @@ impl EnsembleSizeFigure {
     }
 }
 
-/// Regenerates Fig. 9a: a single large RF bagging ensemble is trained once
-/// and truncated to each requested size, exactly like varying sklearn's
-/// `n_estimators`.
-pub fn fig9a(scale: ExperimentScale, sizes: &[usize], seed: u64) -> EnsembleSizeFigure {
-    let split = scale
-        .dvfs_builder()
-        .build_split(seed)
-        .expect("DVFS corpus generation");
+/// Regenerates Fig. 9a on the study's DVFS corpus: a single large RF
+/// bagging ensemble is trained once and truncated to each requested size,
+/// exactly like varying sklearn's `n_estimators`.
+pub fn fig9a(study: &Study, sizes: &[usize]) -> EnsembleSizeFigure {
+    let split = study.split(Corpus::Dvfs);
     let max_size = sizes.iter().copied().max().unwrap_or(25).max(1);
     let hmd = TrustedHmdBuilder::new(forest_params())
         .with_num_estimators(max_size)
-        .fit(&split.train, seed ^ 0xabcd)
+        .fit(&split.train, study.seed() ^ 0xabcd)
         .expect("RF ensemble trains on DVFS data");
 
     // Preprocess once, then reuse the estimator's truncation sweep (the
@@ -101,11 +98,12 @@ pub fn render(figure: &EnsembleSizeFigure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig9a_smoke_curve_is_complete_and_stabilises() {
         let sizes = [1, 5, 10, 20, 30];
-        let figure = fig9a(ExperimentScale::Smoke, &sizes, 3);
+        let figure = fig9a(&Study::new(ExperimentScale::Smoke, 3), &sizes);
         assert_eq!(figure.points.len(), sizes.len());
         // Unknown entropy should exceed known entropy once the ensemble is
         // large enough to express disagreement.

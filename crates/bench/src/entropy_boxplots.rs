@@ -1,8 +1,8 @@
 //! Figures 4 and 5: boxplots of the prediction-entropy distributions on known
 //! vs. unknown data, per ensemble.
 
-use crate::pipelines::{evaluate_dvfs, evaluate_hpc, BaseModel};
-use crate::scale::ExperimentScale;
+use crate::pipelines::BaseModel;
+use crate::study::{Corpus, Study};
 use hmd_core::analysis::KnownUnknownEntropy;
 use serde::{Deserialize, Serialize};
 
@@ -27,16 +27,10 @@ pub struct EntropyBoxplotFigure {
     pub rows: Vec<EntropyBoxplotRow>,
 }
 
-fn summarise(
-    dataset: &str,
-    results: Vec<(
-        BaseModel,
-        Result<crate::pipelines::EvaluatedEnsemble, hmd_ml::MlError>,
-    )>,
-) -> EntropyBoxplotFigure {
-    let rows = results
+fn summarise(study: &Study, corpus: Corpus) -> EntropyBoxplotFigure {
+    let rows = BaseModel::all()
         .into_iter()
-        .map(|(model, result)| match result {
+        .map(|model| match study.ensemble(model, corpus) {
             Ok(eval) => {
                 let known: Vec<f64> = eval.known.iter().map(|p| p.entropy).collect();
                 let unknown: Vec<f64> = eval.unknown.iter().map(|p| p.entropy).collect();
@@ -54,20 +48,20 @@ fn summarise(
         })
         .collect();
     EntropyBoxplotFigure {
-        dataset: dataset.to_string(),
+        dataset: corpus.name().to_string(),
         rows,
     }
 }
 
 /// Regenerates Fig. 4 (DVFS entropy boxplots for RF, LR and SVM ensembles).
-pub fn fig4(scale: ExperimentScale, seed: u64) -> EntropyBoxplotFigure {
-    summarise("DVFS", evaluate_dvfs(scale, &BaseModel::all(), seed))
+pub fn fig4(study: &Study) -> EntropyBoxplotFigure {
+    summarise(study, Corpus::Dvfs)
 }
 
 /// Regenerates Fig. 5 (HPC entropy boxplots; the SVM ensemble fails to
 /// converge and is reported as such, exactly like the paper drops it).
-pub fn fig5(scale: ExperimentScale, seed: u64) -> EntropyBoxplotFigure {
-    summarise("HPC", evaluate_hpc(scale, &BaseModel::all(), seed))
+pub fn fig5(study: &Study) -> EntropyBoxplotFigure {
+    summarise(study, Corpus::Hpc)
 }
 
 /// Renders the figure data as a text table.
@@ -107,10 +101,11 @@ pub fn render(figure: &EntropyBoxplotFigure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig4_smoke_has_three_rows_and_rf_separates() {
-        let figure = fig4(ExperimentScale::Smoke, 17);
+        let figure = fig4(&Study::new(ExperimentScale::Smoke, 17));
         assert_eq!(figure.rows.len(), 3);
         let rf = &figure.rows[0];
         assert_eq!(rf.model, "RF");
@@ -125,7 +120,7 @@ mod tests {
 
     #[test]
     fn fig5_smoke_reports_svm_failure() {
-        let figure = fig5(ExperimentScale::Smoke, 18);
+        let figure = fig5(&Study::new(ExperimentScale::Smoke, 18));
         assert_eq!(figure.rows.len(), 3);
         let svm = figure
             .rows

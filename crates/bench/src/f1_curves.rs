@@ -1,8 +1,8 @@
 //! Figure 7b: F1 score of the accepted predictions as a function of the
 //! entropy threshold, for the RF ensemble on both datasets.
 
-use crate::pipelines::{evaluate_dvfs, evaluate_hpc, BaseModel};
-use crate::scale::ExperimentScale;
+use crate::pipelines::BaseModel;
+use crate::study::{Corpus, Study};
 use hmd_core::rejection::{threshold_grid, F1Curve};
 use serde::{Deserialize, Serialize};
 
@@ -18,36 +18,28 @@ pub struct F1Figure {
 /// Regenerates Fig. 7b. The F1 is computed over the union of the known test
 /// set and the unknown set, since the paper evaluates the effect of rejecting
 /// uncertain predictions on the overall detection quality.
-pub fn fig7b(scale: ExperimentScale, seed: u64) -> F1Figure {
+pub fn fig7b(study: &Study) -> F1Figure {
     let thresholds = threshold_grid(0.0, 0.85, 0.05);
-    let dvfs = curve_for(
-        "RF-DVFS",
-        evaluate_dvfs(scale, &[BaseModel::RandomForest], seed),
-        &thresholds,
-    );
-    let hpc = curve_for(
-        "RF-HPC",
-        evaluate_hpc(scale, &[BaseModel::RandomForest], seed),
-        &thresholds,
-    );
-    F1Figure { dvfs, hpc }
+    F1Figure {
+        dvfs: curve_for(study, Corpus::Dvfs, &thresholds),
+        hpc: curve_for(study, Corpus::Hpc, &thresholds),
+    }
 }
 
-fn curve_for(
-    name: &str,
-    mut results: Vec<(
-        BaseModel,
-        Result<crate::pipelines::EvaluatedEnsemble, hmd_ml::MlError>,
-    )>,
-    thresholds: &[f64],
-) -> F1Curve {
-    let (_, result) = results.remove(0);
-    let eval = result.expect("RF ensembles train on both datasets");
+fn curve_for(study: &Study, corpus: Corpus, thresholds: &[f64]) -> F1Curve {
+    let eval = study
+        .ensemble(BaseModel::RandomForest, corpus)
+        .expect("RF ensembles train on both datasets");
     let mut predictions = eval.known.clone();
     predictions.extend(eval.unknown.iter().copied());
     let mut truth = eval.known_truth.clone();
     truth.extend(eval.unknown_truth.iter().copied());
-    F1Curve::sweep(name, &predictions, &truth, thresholds)
+    F1Curve::sweep(
+        format!("RF-{}", corpus.name()),
+        &predictions,
+        &truth,
+        thresholds,
+    )
 }
 
 /// Renders the two curves side by side.
@@ -70,10 +62,11 @@ pub fn render(figure: &F1Figure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig7b_smoke_produces_aligned_curves() {
-        let figure = fig7b(ExperimentScale::Smoke, 23);
+        let figure = fig7b(&Study::new(ExperimentScale::Smoke, 23));
         assert_eq!(figure.dvfs.points.len(), figure.hpc.points.len());
         assert_eq!(figure.dvfs.name, "RF-DVFS");
         assert!(figure.dvfs.best_f1() > 0.5);

@@ -1,9 +1,11 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each experiment module produces the data series behind one table or
-//! figure; the `experiments` binary prints them as text tables (`--dump DIR`
-//! also writes their raw data as `Debug` dumps), and the Criterion benches
-//! under `benches/` time the regeneration of each one.
+//! figure from one [`Study`] per seed, which builds the DVFS and HPC corpora
+//! and fits each paper ensemble once; the `experiments` binary prints them as
+//! text tables (`--dump DIR` also writes their raw data as `Debug` dumps),
+//! and the Criterion benches under `benches/` time the regeneration of each
+//! one.
 //! The `robustness` bench is a plain `main` instead: it writes the committed
 //! `BENCH_robustness.json` record.
 //!
@@ -32,7 +34,9 @@ pub mod pipelines;
 pub mod rejection_curves;
 pub mod robustness;
 pub mod scale;
+pub mod study;
 pub mod table1;
 pub mod tsne_overlap;
 
 pub use scale::ExperimentScale;
+pub use study::{Corpus, Study};

@@ -8,7 +8,6 @@
 //! [`DetectorExt::detect_batch`] produces the predictions behind every
 //! figure.
 
-use crate::scale::ExperimentScale;
 use hmd_core::detector::{Detector, DetectorBackend, DetectorConfig, DetectorExt};
 use hmd_core::estimator::UncertainPrediction;
 use hmd_data::split::KnownUnknownSplit;
@@ -157,51 +156,6 @@ pub fn svm_params(convergence_check: bool) -> LinearSvmParams {
     }
 }
 
-/// Builds the DVFS split, trains every requested ensemble and evaluates it.
-/// SVM failures are reported as `Err` entries rather than aborting the run.
-pub fn evaluate_dvfs(
-    scale: ExperimentScale,
-    models: &[BaseModel],
-    seed: u64,
-) -> Vec<(BaseModel, Result<EvaluatedEnsemble, MlError>)> {
-    let split = scale
-        .dvfs_builder()
-        .build_split(seed)
-        .expect("DVFS corpus generation is infallible for valid builders");
-    models
-        .iter()
-        .map(|&m| {
-            (
-                m,
-                evaluate_ensemble(m, &split, scale.num_estimators(), false, seed ^ 0x5eed),
-            )
-        })
-        .collect()
-}
-
-/// Builds the HPC split, trains every requested ensemble and evaluates it.
-/// The SVM ensemble runs with the convergence check enabled, reproducing the
-/// paper's "SVM failed to converge" observation.
-pub fn evaluate_hpc(
-    scale: ExperimentScale,
-    models: &[BaseModel],
-    seed: u64,
-) -> Vec<(BaseModel, Result<EvaluatedEnsemble, MlError>)> {
-    let split = scale
-        .hpc_builder()
-        .build_split(seed)
-        .expect("HPC corpus generation is infallible for valid builders");
-    models
-        .iter()
-        .map(|&m| {
-            (
-                m,
-                evaluate_ensemble(m, &split, scale.num_estimators(), true, seed ^ 0x5eed),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,25 +166,5 @@ mod tests {
         assert_eq!(BaseModel::LogisticRegression.short_name(), "LR");
         assert_eq!(BaseModel::Svm.short_name(), "SVM");
         assert_eq!(BaseModel::all().len(), 3);
-    }
-
-    #[test]
-    fn dvfs_smoke_evaluation_produces_predictions_for_rf() {
-        let results = evaluate_dvfs(ExperimentScale::Smoke, &[BaseModel::RandomForest], 1);
-        assert_eq!(results.len(), 1);
-        let (model, result) = &results[0];
-        assert_eq!(*model, BaseModel::RandomForest);
-        let eval = result.as_ref().expect("RF training succeeds");
-        assert!(!eval.known.is_empty());
-        assert!(!eval.unknown.is_empty());
-        assert_eq!(eval.known.len(), eval.known_truth.len());
-    }
-
-    #[test]
-    fn hpc_smoke_evaluation_runs_logistic_regression() {
-        let results = evaluate_hpc(ExperimentScale::Smoke, &[BaseModel::LogisticRegression], 2);
-        let (_, result) = &results[0];
-        let eval = result.as_ref().expect("LR training succeeds");
-        assert_eq!(eval.unknown.len(), eval.unknown_truth.len());
     }
 }

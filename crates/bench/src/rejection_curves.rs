@@ -2,10 +2,9 @@
 //! function of the entropy threshold, plus the paper's §V.A headline
 //! operating points.
 
-use crate::pipelines::{evaluate_dvfs, evaluate_hpc, BaseModel, EvaluatedEnsemble};
-use crate::scale::ExperimentScale;
+use crate::pipelines::BaseModel;
+use crate::study::{Corpus, Study};
 use hmd_core::rejection::{threshold_grid, RejectionCurve};
-use hmd_ml::MlError;
 use serde::{Deserialize, Serialize};
 
 /// Rejection curves of one dataset, one per trainable ensemble.
@@ -20,14 +19,15 @@ pub struct RejectionFigure {
 }
 
 fn build_figure(
-    dataset: &str,
-    results: Vec<(BaseModel, Result<EvaluatedEnsemble, MlError>)>,
+    study: &Study,
+    corpus: Corpus,
+    models: &[BaseModel],
     thresholds: &[f64],
 ) -> RejectionFigure {
     let mut curves = Vec::new();
     let mut failures = Vec::new();
-    for (model, result) in results {
-        match result {
+    for &model in models {
+        match study.ensemble(model, corpus) {
             Ok(eval) => curves.push(RejectionCurve::sweep(
                 model.short_name(),
                 &eval.known,
@@ -38,7 +38,7 @@ fn build_figure(
         }
     }
     RejectionFigure {
-        dataset: dataset.to_string(),
+        dataset: corpus.name().to_string(),
         curves,
         failures,
     }
@@ -46,24 +46,21 @@ fn build_figure(
 
 /// Regenerates Fig. 7a: DVFS rejection curves for RF, LR and SVM ensembles
 /// over thresholds 0.00–0.75.
-pub fn fig7a(scale: ExperimentScale, seed: u64) -> RejectionFigure {
-    build_figure(
-        "DVFS",
-        evaluate_dvfs(scale, &BaseModel::all(), seed),
-        &threshold_grid(0.0, 0.75, 0.05),
-    )
+pub fn fig7a(study: &Study) -> RejectionFigure {
+    build_figure(study, Corpus::Dvfs, &BaseModel::all(), &fig7a_thresholds())
+}
+
+fn fig7a_thresholds() -> Vec<f64> {
+    threshold_grid(0.0, 0.75, 0.05)
 }
 
 /// Regenerates Fig. 9b: HPC rejection curves for RF and LR ensembles over
 /// thresholds 0.00–0.80 (SVM is dropped because it fails to converge).
-pub fn fig9b(scale: ExperimentScale, seed: u64) -> RejectionFigure {
+pub fn fig9b(study: &Study) -> RejectionFigure {
     build_figure(
-        "HPC",
-        evaluate_hpc(
-            scale,
-            &[BaseModel::RandomForest, BaseModel::LogisticRegression],
-            seed,
-        ),
+        study,
+        Corpus::Hpc,
+        &[BaseModel::RandomForest, BaseModel::LogisticRegression],
         &threshold_grid(0.0, 0.80, 0.05),
     )
 }
@@ -83,12 +80,13 @@ pub struct OperatingPointSummary {
     pub paper_reference: (f64, f64),
 }
 
-/// Computes the DVFS RF operating point (paper: threshold 0.40 rejects ≈95 %
-/// of unknown workloads at <5 % known rejection).
-pub fn dvfs_operating_points(scale: ExperimentScale, seed: u64) -> Option<OperatingPointSummary> {
-    let figure = fig7a(scale, seed);
-    let rf = figure.curves.iter().find(|c| c.model_name == "RF")?;
-    let op = rf.operating_point(5.0)?;
+/// Computes the DVFS RF operating point on Fig. 7a's RF curve (paper:
+/// threshold 0.40 rejects ≈95 % of unknown workloads at <5 % known
+/// rejection). Only the RF ensemble is fitted.
+pub fn dvfs_operating_points(study: &Study) -> Option<OperatingPointSummary> {
+    let rf = study.ensemble(BaseModel::RandomForest, Corpus::Dvfs).ok()?;
+    let curve = RejectionCurve::sweep("RF", &rf.known, &rf.unknown, &fig7a_thresholds());
+    let op = curve.operating_point(5.0)?;
     Some(OperatingPointSummary {
         threshold: op.threshold,
         known_rejected_pct: op.known_rejected_pct,
@@ -139,10 +137,11 @@ pub fn render(figure: &RejectionFigure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig7a_smoke_produces_curves_for_every_trainable_model() {
-        let figure = fig7a(ExperimentScale::Smoke, 5);
+        let figure = fig7a(&Study::new(ExperimentScale::Smoke, 5));
         assert!(!figure.curves.is_empty());
         let rf = figure.curves.iter().find(|c| c.model_name == "RF").unwrap();
         assert_eq!(rf.points.len(), threshold_grid(0.0, 0.75, 0.05).len());
@@ -156,7 +155,7 @@ mod tests {
 
     #[test]
     fn fig9b_smoke_reports_low_separation() {
-        let figure = fig9b(ExperimentScale::Smoke, 6);
+        let figure = fig9b(&Study::new(ExperimentScale::Smoke, 6));
         let rf = figure.curves.iter().find(|c| c.model_name == "RF").unwrap();
         // HPC: known and unknown rejection track each other (limited separation).
         assert!(
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn operating_point_summary_exists_at_smoke_scale() {
-        let op = dvfs_operating_points(ExperimentScale::Smoke, 7);
+        let op = dvfs_operating_points(&Study::new(ExperimentScale::Smoke, 7));
         let op = op.expect("RF operating point under 5% known rejection exists");
         assert!(op.known_rejected_pct <= 5.0);
         assert_eq!(op.paper_reference, (0.40, 95.0));

@@ -1,6 +1,6 @@
 //! Table I: dataset taxonomy (train / known-test / unknown sample counts).
 
-use crate::scale::ExperimentScale;
+use crate::study::{Corpus, Study};
 use hmd_data::taxonomy::DatasetTaxonomy;
 use serde::{Deserialize, Serialize};
 
@@ -18,20 +18,13 @@ pub struct Table1 {
     pub paper_hpc: (usize, usize, usize),
 }
 
-/// Regenerates Table I at the given scale.
-pub fn run(scale: ExperimentScale, seed: u64) -> Table1 {
+/// Regenerates Table I from the study's corpora (it fits nothing).
+pub fn run(study: &Study) -> Table1 {
     use hmd_data::taxonomy::paper;
-    let dvfs_split = scale
-        .dvfs_builder()
-        .build_split(seed)
-        .expect("DVFS corpus generation");
-    let hpc_split = scale
-        .hpc_builder()
-        .build_split(seed)
-        .expect("HPC corpus generation");
+    let taxonomy = |corpus: Corpus| DatasetTaxonomy::from_split(corpus.name(), study.split(corpus));
     Table1 {
-        dvfs: DatasetTaxonomy::from_split("DVFS", &dvfs_split),
-        hpc: DatasetTaxonomy::from_split("HPC", &hpc_split),
+        dvfs: taxonomy(Corpus::Dvfs),
+        hpc: taxonomy(Corpus::Hpc),
         paper_dvfs: (
             paper::DVFS_TRAIN,
             paper::DVFS_TEST_KNOWN,
@@ -72,10 +65,11 @@ pub fn render(table: &Table1) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn smoke_table_has_all_buckets_populated() {
-        let table = run(ExperimentScale::Smoke, 3);
+        let table = run(&Study::new(ExperimentScale::Smoke, 3));
         assert!(table.dvfs.train > 0 && table.dvfs.unknown > 0);
         assert!(table.hpc.train > 0 && table.hpc.unknown > 0);
         assert_eq!(table.paper_dvfs, (2100, 700, 284));
@@ -84,7 +78,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_split() {
-        let table = run(ExperimentScale::Smoke, 4);
+        let table = run(&Study::new(ExperimentScale::Smoke, 4));
         let text = render(&table);
         assert!(text.contains("DVFS"));
         assert!(text.contains("HPC"));

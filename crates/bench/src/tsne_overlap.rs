@@ -2,10 +2,9 @@
 //! and the unknown data, for both datasets, summarised by a class-overlap
 //! score.
 
-use crate::scale::ExperimentScale;
+use crate::study::{Corpus, Study};
 use hmd_core::analysis::class_overlap_score;
 use hmd_data::scaler::StandardScaler;
-use hmd_data::split::KnownUnknownSplit;
 use hmd_data::{Label, Matrix};
 use hmd_ml::tsne::{Tsne, TsneParams};
 use serde::{Deserialize, Serialize};
@@ -40,29 +39,21 @@ pub struct TsneFigure {
     pub hpc: TsnePanel,
 }
 
-/// Regenerates Fig. 8 at the given scale (the number of embedded points is
-/// capped by [`ExperimentScale::tsne_points`] because exact t-SNE is O(n²)).
-pub fn fig8(scale: ExperimentScale, seed: u64) -> TsneFigure {
-    let dvfs_split = scale
-        .dvfs_builder()
-        .build_split(seed)
-        .expect("DVFS corpus generation");
-    let hpc_split = scale
-        .hpc_builder()
-        .build_split(seed)
-        .expect("HPC corpus generation");
+/// Regenerates Fig. 8 from the study's corpora (the number of embedded
+/// points is capped by [`ExperimentScale::tsne_points`] because exact t-SNE
+/// is O(n²)).
+///
+/// [`ExperimentScale::tsne_points`]: crate::ExperimentScale::tsne_points
+pub fn fig8(study: &Study) -> TsneFigure {
+    let max_points = study.scale().tsne_points();
     TsneFigure {
-        dvfs: embed_panel("DVFS", &dvfs_split, scale.tsne_points(), seed),
-        hpc: embed_panel("HPC", &hpc_split, scale.tsne_points(), seed + 2),
+        dvfs: embed_panel(study, Corpus::Dvfs, max_points, study.seed()),
+        hpc: embed_panel(study, Corpus::Hpc, max_points, study.seed() + 2),
     }
 }
 
-fn embed_panel(
-    dataset: &str,
-    split: &KnownUnknownSplit,
-    max_points: usize,
-    seed: u64,
-) -> TsnePanel {
+fn embed_panel(study: &Study, corpus: Corpus, max_points: usize, seed: u64) -> TsnePanel {
+    let split = study.split(corpus);
     // Assemble a balanced subsample: training data plus unknown data.
     let train_budget = (max_points * 3) / 4;
     let unknown_budget = max_points - train_budget;
@@ -129,7 +120,7 @@ fn embed_panel(
     };
 
     TsnePanel {
-        dataset: dataset.to_string(),
+        dataset: corpus.name().to_string(),
         embedding: embedding.iter_rows().map(|r| [r[0], r[1]]).collect(),
         labels,
         unknown: unknown_flags,
@@ -169,10 +160,11 @@ pub fn render(figure: &TsneFigure) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn fig8_smoke_embeds_both_panels() {
-        let figure = fig8(ExperimentScale::Smoke, 9);
+        let figure = fig8(&Study::new(ExperimentScale::Smoke, 9));
         for panel in [&figure.dvfs, &figure.hpc] {
             assert_eq!(panel.embedding.len(), panel.labels.len());
             assert_eq!(panel.embedding.len(), panel.unknown.len());

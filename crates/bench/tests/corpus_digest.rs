@@ -16,7 +16,7 @@
 
 use hmd_bench::{
     ablations, ensemble_size, entropy_boxplots, f1_curves, rejection_curves, table1, tsne_overlap,
-    ExperimentScale,
+    ExperimentScale, Study,
 };
 use hmd_data::split::KnownUnknownSplit;
 use hmd_data::stream::StreamRecord;
@@ -178,11 +178,12 @@ fn dump_digest(value: &impl Debug) -> u64 {
 }
 
 /// Every table and figure of `experiments all` at smoke scale, seed 2021,
-/// keyed by its dump name. The headline is not dumped by the bin; its pin
-/// hashes the same `Debug` text of the summary it prints.
+/// keyed by its dump name and read from one study, as the bin reads them.
+/// The headline is not dumped by the bin; its pin hashes the same `Debug`
+/// text of the summary it prints.
 #[test]
 fn smoke_figures_are_pinned() {
-    let (scale, seed) = (ExperimentScale::Smoke, 2021);
+    let study = Study::new(ExperimentScale::Smoke, 2021);
     check_pins(
         "figures",
         &[
@@ -199,17 +200,17 @@ fn smoke_figures_are_pinned() {
             ("ablation_platt", 0x4fda_40a5_a6b9_f5a4),
         ],
         |name| match name {
-            "table1" => dump_digest(&table1::run(scale, seed)),
-            "fig4" => dump_digest(&entropy_boxplots::fig4(scale, seed)),
-            "fig5" => dump_digest(&entropy_boxplots::fig5(scale, seed)),
-            "fig7a" => dump_digest(&rejection_curves::fig7a(scale, seed)),
-            "fig7b" => dump_digest(&f1_curves::fig7b(scale, seed)),
-            "fig8" => dump_digest(&tsne_overlap::fig8(scale, seed)),
-            "fig9a" => dump_digest(&ensemble_size::fig9a(scale, &ensemble_size::SIZES, seed)),
-            "fig9b" => dump_digest(&rejection_curves::fig9b(scale, seed)),
-            "headline" => dump_digest(&rejection_curves::dvfs_operating_points(scale, seed)),
-            "ablation_diversity" => dump_digest(&ablations::bootstrap_diversity(scale, seed)),
-            "ablation_platt" => dump_digest(&ablations::platt_vs_entropy(scale, seed)),
+            "table1" => dump_digest(&table1::run(&study)),
+            "fig4" => dump_digest(&entropy_boxplots::fig4(&study)),
+            "fig5" => dump_digest(&entropy_boxplots::fig5(&study)),
+            "fig7a" => dump_digest(&rejection_curves::fig7a(&study)),
+            "fig7b" => dump_digest(&f1_curves::fig7b(&study)),
+            "fig8" => dump_digest(&tsne_overlap::fig8(&study)),
+            "fig9a" => dump_digest(&ensemble_size::fig9a(&study, &ensemble_size::SIZES)),
+            "fig9b" => dump_digest(&rejection_curves::fig9b(&study)),
+            "headline" => dump_digest(&rejection_curves::dvfs_operating_points(&study)),
+            "ablation_diversity" => dump_digest(&ablations::bootstrap_diversity(&study)),
+            "ablation_platt" => dump_digest(&ablations::platt_vs_entropy(&study)),
             _ => unreachable!("a pinned figure"),
         },
     );
