@@ -28,17 +28,22 @@ pub struct EnsembleSizeFigure {
 }
 
 impl EnsembleSizeFigure {
-    /// Smallest ensemble size after which the known-data average entropy
-    /// changes by less than `tolerance` between consecutive sweep points
-    /// (the paper reports stabilisation around 20 base classifiers).
+    /// Smallest ensemble size after which the unknown-data average entropy
+    /// changes by less than `tolerance` at every later step between
+    /// consecutive sweep points, or `None` when even the last step does not
+    /// (the paper reports stabilisation around 20 base classifiers). The
+    /// unknown-data curve is the one that moves: the known-data average stays
+    /// near zero at every size.
     pub fn stabilisation_size(&self, tolerance: f64) -> Option<usize> {
-        for pair in self.points.windows(2) {
-            let delta = (pair[1].unknown_avg_entropy - pair[0].unknown_avg_entropy).abs();
-            if delta < tolerance {
-                return Some(pair[1].num_estimators);
-            }
-        }
-        None
+        let settled = self
+            .points
+            .windows(2)
+            .rev()
+            .take_while(|pair| {
+                (pair[1].unknown_avg_entropy - pair[0].unknown_avg_entropy).abs() < tolerance
+            })
+            .count();
+        (settled > 0).then(|| self.points[self.points.len() - 1 - settled].num_estimators)
     }
 }
 
@@ -114,5 +119,29 @@ mod tests {
         assert!(figure.stabilisation_size(0.5).is_some());
         let text = render(&figure);
         assert!(text.contains("n_estimators"));
+    }
+
+    /// The bench-scale seed-2021 unknown curve: a small step at 2 → 5 is
+    /// followed by larger ones up to 20 → 30.
+    #[test]
+    fn stabilisation_waits_for_every_later_step_to_stay_small() {
+        let unknown = [
+            0.0, 0.396, 0.336, 0.470, 0.536, 0.646, 0.637, 0.630, 0.669, 0.669,
+        ];
+        let figure = EnsembleSizeFigure {
+            points: SIZES
+                .iter()
+                .zip(unknown)
+                .map(|(&num_estimators, unknown_avg_entropy)| EnsembleSizePoint {
+                    num_estimators,
+                    known_avg_entropy: 0.0,
+                    unknown_avg_entropy,
+                })
+                .collect(),
+        };
+        assert_eq!(figure.stabilisation_size(0.1), Some(30));
+        assert_eq!(figure.stabilisation_size(0.01), Some(75));
+        assert_eq!(figure.stabilisation_size(0.5), Some(1));
+        assert_eq!(figure.stabilisation_size(0.0), None);
     }
 }
