@@ -1,27 +1,49 @@
-//! Experiment driver: regenerates every table and figure of the paper.
+//! Experiment driver: regenerates every table and figure of the paper, and
+//! the threat suite's committed quality record.
 //!
 //! ```text
 //! cargo run -p hmd_bench --release --bin experiments -- [experiment] [--scale smoke|bench|paper] [--seed N] [--dump DIR]
+//! cargo run -p hmd_bench --release --bin experiments -- robustness
 //! ```
 //!
 //! `experiment` is one of `table1`, `fig4`, `fig5`, `fig7a`, `fig7b`, `fig8`,
-//! `fig9a`, `fig9b`, `headline`, `ablations` or `all` (default). Any other
-//! argument, a flag without its value or an unparsable seed prints the usage
-//! line to stderr and exits with code 2 before anything runs.
+//! `fig9a`, `fig9b`, `headline`, `ablations` or `all` (default). All of them
+//! read one [`Study`] of the seed. Any other argument, a flag without its
+//! value or an unparsable seed prints the usage line to stderr and exits with
+//! code 2 before anything runs.
 //!
 //! `--dump DIR` writes every figure's raw data as a
 //! pretty-printed Rust `Debug` dump, since the offline toolchain has no
 //! `serde_json`.
+//!
+//! `robustness` (not part of `all`) runs [`robustness::evaluate`] on
+//! [`RobustnessConfig::full`]: every attack corpus (mimicry, gradual drift,
+//! sensor dropout/saturation/stuck-at) against the trusted, untrusted and
+//! Platt pipelines, a perturbation-bounded evasion search, and the closed
+//! loop's detection/recovery under gradual drift. It prints the paper-style
+//! figure, writes every number, typed, to `BENCH_robustness.json` at the
+//! repository root (one row per line, so a diff names the row that moved),
+//! then checks the evaluation's acceptance bars. The record is defined for
+//! that one configuration, so `robustness` takes no flag. The evaluation is
+//! seeded and deterministic: a second run rewrites the committed record
+//! byte for byte, and CI fails when it does not.
 
+use hmd_bench::robustness::{
+    self, AttackReport, DriftLoopReport, EvasionReport, RobustnessConfig, RobustnessReport,
+};
 use hmd_bench::{
     ablations, ensemble_size, entropy_boxplots, f1_curves, rejection_curves, table1, tsne_overlap,
     ExperimentScale, Study,
 };
+use hmd_codec::{Json, JsonCodec};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: experiments [table1|fig4|fig5|fig7a|fig7b|fig8|fig9a|fig9b|headline|ablations|all] [--scale smoke|bench|paper] [--seed N] [--dump DIR]";
+const USAGE: &str = "usage: experiments [table1|fig4|fig5|fig7a|fig7b|fig8|fig9a|fig9b|headline|ablations|all] [--scale smoke|bench|paper] [--seed N] [--dump DIR]
+       experiments robustness";
 
-const EXPERIMENTS: [&str; 11] = [
+const RECORD: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robustness.json");
+
+const EXPERIMENTS: [&str; 12] = [
     "table1",
     "fig4",
     "fig5",
@@ -33,6 +55,7 @@ const EXPERIMENTS: [&str; 11] = [
     "headline",
     "ablations",
     "all",
+    "robustness",
 ];
 
 #[derive(Debug, PartialEq)]
@@ -51,8 +74,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     let mut scale = ExperimentScale::Bench;
     let mut seed = 2021;
     let mut dump_dir = None;
+    let mut first_flag = None;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        if arg.starts_with("--") && first_flag.is_none() {
+            first_flag = Some(arg.clone());
+        }
         let mut value = || {
             args.next()
                 .filter(|value| !value.starts_with("--"))
@@ -82,8 +109,14 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             }
         }
     }
+    let experiment = experiment.unwrap_or_else(|| "all".to_string());
+    if let (Some(flag), "robustness") = (first_flag, experiment.as_str()) {
+        return Err(format!(
+            "`robustness` runs one fixed configuration and takes no `{flag}`"
+        ));
+    }
     Ok(Options {
-        experiment: experiment.unwrap_or_else(|| "all".to_string()),
+        experiment,
         scale,
         seed,
         dump_dir,
@@ -104,6 +137,95 @@ fn write_dump<T: std::fmt::Debug>(dir: &Option<PathBuf>, name: &str, value: &T) 
     }
 }
 
+fn attack_row(row: &AttackReport) -> Json {
+    Json::object(vec![
+        ("attack", row.attack.to_json()),
+        ("pipeline", row.pipeline.to_json()),
+        ("rows", row.rows.to_json()),
+        ("raw_accuracy", row.raw_accuracy.to_json()),
+        ("accepted_accuracy", row.accepted_accuracy.to_json()),
+        ("escalation_rate", row.escalation_rate.to_json()),
+        ("caught_fraction", row.caught_fraction.to_json()),
+    ])
+}
+
+fn evasion_row(row: &EvasionReport) -> Json {
+    Json::object(vec![
+        ("pipeline", row.pipeline.to_json()),
+        ("attacked", row.attacked.to_json()),
+        ("flipped_predictions", row.flipped_predictions.to_json()),
+        ("escalated_evasions", row.escalated_evasions.to_json()),
+        ("accepted_evasions", row.accepted_evasions.to_json()),
+        ("flip_rate", row.flip_rate.to_json()),
+        ("caught_fraction", row.caught_fraction.to_json()),
+        ("accepted_rate", row.accepted_rate.to_json()),
+    ])
+}
+
+fn drift_loop_row(dl: &DriftLoopReport) -> Json {
+    Json::object(vec![
+        ("batch_rows", dl.batch_rows.to_json()),
+        ("drift_detected", dl.drift_detected.to_json()),
+        ("rows_to_detection", dl.rows_to_detection.to_json()),
+        ("promoted", dl.promoted.to_json()),
+        ("recovered", dl.recovered.to_json()),
+        ("pre_drift_escalation", dl.pre_drift_escalation.to_json()),
+        ("drifted_escalation", dl.drifted_escalation.to_json()),
+        ("recovered_escalation", dl.recovered_escalation.to_json()),
+    ])
+}
+
+/// A JSON array with one row per line.
+fn lines(rows: impl Iterator<Item = Json>) -> String {
+    let rows: Vec<String> = rows.map(|row| format!("    {row}")).collect();
+    format!("[\n{}\n  ]", rows.join(",\n"))
+}
+
+fn record(config: &RobustnessConfig, report: &RobustnessReport) -> String {
+    let fields = [
+        ("scale", report.scale.to_json().to_string()),
+        ("rows_per_attack", config.rows_per_attack.to_string()),
+        ("attacks", lines(report.attacks.iter().map(attack_row))),
+        ("evasion", lines(report.evasion.iter().map(evasion_row))),
+        ("drift_loop", drift_loop_row(&report.drift_loop).to_string()),
+    ];
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", fields.join(",\n"))
+}
+
+/// Runs the threat suite's full configuration, rewrites the committed
+/// record and checks the evaluation's acceptance bars.
+fn run_robustness() {
+    let config = RobustnessConfig::full();
+    let report = robustness::evaluate(&config);
+    println!("\n{}", robustness::render(&report));
+
+    let text = record(&config, &report);
+    Json::parse(&text).expect("the record is valid JSON");
+    std::fs::write(RECORD, text).expect("writes BENCH_robustness.json");
+    println!("record written to {RECORD}");
+
+    // The acceptance bars of the experiment: drift must be caught and
+    // recovered from, and the rejection option must escalate a measurable
+    // fraction of the evasions that fool raw accuracy.
+    let dl = &report.drift_loop;
+    assert!(dl.drift_detected, "gradual drift never flagged");
+    assert!(dl.recovered, "closed loop never recovered");
+    let trusted = report
+        .evasion
+        .iter()
+        .find(|r| r.pipeline == "trusted")
+        .expect("trusted evasion row");
+    assert!(
+        trusted.flipped_predictions == 0 || trusted.escalated_evasions > 0,
+        "rejection option caught none of {} successful evasions",
+        trusted.flipped_predictions
+    );
+}
+
 fn main() {
     let options = match parse_args(std::env::args().skip(1)) {
         Ok(options) => options,
@@ -112,6 +234,9 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if options.experiment == "robustness" {
+        return run_robustness();
+    }
     let study = Study::new(options.scale, options.seed);
     let run_all = options.experiment == "all";
     println!(
@@ -262,6 +387,39 @@ mod tests {
         assert_eq!(
             parse("--seed -1"),
             Err("`-1` is not a seed (an unsigned integer)".to_string())
+        );
+    }
+
+    #[test]
+    fn robustness_takes_no_scale() {
+        assert_eq!(
+            parse("robustness"),
+            Ok(Options {
+                experiment: "robustness".to_string(),
+                scale: ExperimentScale::Bench,
+                seed: 2021,
+                dump_dir: None,
+            })
+        );
+        assert_eq!(
+            parse("robustness --scale smoke"),
+            Err("`robustness` runs one fixed configuration and takes no `--scale`".to_string())
+        );
+    }
+
+    #[test]
+    fn robustness_takes_no_seed() {
+        assert_eq!(
+            parse("--seed 2021 robustness"),
+            Err("`robustness` runs one fixed configuration and takes no `--seed`".to_string())
+        );
+    }
+
+    #[test]
+    fn robustness_takes_no_dump_directory() {
+        assert_eq!(
+            parse("robustness --dump out"),
+            Err("`robustness` runs one fixed configuration and takes no `--dump`".to_string())
         );
     }
 

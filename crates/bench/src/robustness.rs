@@ -66,7 +66,8 @@ pub struct RobustnessConfig {
 
 impl RobustnessConfig {
     /// The configuration behind the committed `BENCH_robustness.json`,
-    /// which `cargo bench -p hmd_bench --bench robustness` regenerates.
+    /// which `experiments robustness` regenerates (the record is defined
+    /// for this configuration only, so that mode takes no flag).
     pub fn full() -> RobustnessConfig {
         RobustnessConfig {
             scale: ExperimentScale::Smoke,
