@@ -3,24 +3,22 @@
 //! Each experiment module produces the data series behind one table or
 //! figure from one [`Study`] per seed, which builds the DVFS and HPC corpora
 //! and fits each paper ensemble once; the `experiments` binary prints them as
-//! text tables (`--dump DIR` also writes their raw data as `Debug` dumps),
-//! and the Criterion benches under `benches/` time the regeneration of each
-//! one.
-//! The `robustness` bench is a plain `main` instead: it writes the committed
-//! `BENCH_robustness.json` record.
+//! text tables (`--dump DIR` also writes their raw data as `Debug` dumps).
+//! Its `robustness` mode writes the committed `BENCH_robustness.json`
+//! record instead.
 //!
-//! | Paper artifact | Module | Bench target |
+//! | Paper artifact | Module | `experiments` name |
 //! |---|---|---|
 //! | Table I (dataset taxonomy) | [`table1`] | `table1` |
-//! | Fig. 4 (DVFS entropy boxplots) | [`entropy_boxplots`] | `fig4_dvfs_entropy` |
-//! | Fig. 5 (HPC entropy boxplots) | [`entropy_boxplots`] | `fig5_hpc_entropy` |
-//! | Fig. 7a (DVFS rejection vs threshold) | [`rejection_curves`] | `fig7a_dvfs_rejection` |
-//! | Fig. 7b (accepted F1 vs threshold) | [`f1_curves`] | `fig7b_f1_vs_threshold` |
-//! | Fig. 8 (t-SNE latent space) | [`tsne_overlap`] | `fig8_tsne` |
-//! | Fig. 9a (entropy vs ensemble size) | [`ensemble_size`] | `fig9a_ensemble_size` |
-//! | Fig. 9b (HPC rejection vs threshold) | [`rejection_curves`] | `fig9b_hpc_rejection` |
-//! | §V.A headline numbers | [`rejection_curves::dvfs_operating_points`] | `experiments -- headline` |
-//! | Ablations (bootstrap diversity, Platt baseline) | [`ablations`] | `ablation_*` |
+//! | Fig. 4 (DVFS entropy boxplots) | [`entropy_boxplots`] | `fig4` |
+//! | Fig. 5 (HPC entropy boxplots) | [`entropy_boxplots`] | `fig5` |
+//! | Fig. 7a (DVFS rejection vs threshold) | [`rejection_curves`] | `fig7a` |
+//! | Fig. 7b (accepted F1 vs threshold) | [`f1_curves`] | `fig7b` |
+//! | Fig. 8 (t-SNE latent space) | [`tsne_overlap`] | `fig8` |
+//! | Fig. 9a (entropy vs ensemble size) | [`ensemble_size`] | `fig9a` |
+//! | Fig. 9b (HPC rejection vs threshold) | [`rejection_curves`] | `fig9b` |
+//! | §V.A headline numbers | [`rejection_curves::dvfs_operating_points`] | `headline` |
+//! | Ablations (bootstrap diversity, Platt baseline) | [`ablations`] | `ablations` |
 //! | Robustness under attack (threat suite) | [`robustness`] | `robustness` |
 
 #![forbid(unsafe_code)]

@@ -2,7 +2,7 @@
 //!
 //! The paper's full corpus (Table I) takes minutes to regenerate; the
 //! `bench` scale preserves every qualitative property at a fraction of the
-//! cost, and the `smoke` scale keeps Criterion iterations and CI runs fast.
+//! cost, and the `smoke` scale keeps tests and CI runs fast.
 
 use hmd_dvfs::dataset::DvfsCorpusBuilder;
 use hmd_hpc::dataset::HpcCorpusBuilder;
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// How large a corpus the experiments generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ExperimentScale {
-    /// Tiny corpora for Criterion iterations and CI smoke runs.
+    /// Tiny corpora for tests and CI smoke runs.
     Smoke,
     /// Mid-sized corpora with the paper's qualitative behaviour (default).
     #[default]
