@@ -77,8 +77,8 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     let mut first_flag = None;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if arg.starts_with("--") && first_flag.is_none() {
-            first_flag = Some(arg.clone());
+        if arg.starts_with("--") {
+            first_flag.get_or_insert_with(|| arg.clone());
         }
         let mut value = || {
             args.next()
